@@ -15,7 +15,7 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, NumericError, ShapeError
 from .tensor import Tensor
-from .unet import unet_forward
+from .unet import _as_index_vector, unet_forward
 
 __all__ = [
     "DiffusionSchedule", "build_schedule", "forward_marginal", "simple_loss",
@@ -127,7 +127,13 @@ def cfg_predict(model, x: Tensor, t, c, w: float, params=None, forward=unet_forw
     """Classifier-free guided prediction eps_u + w (eps_c - eps_u).
 
     w = 1 returns the conditional pass unchanged (and needs no null class);
-    w = 0 returns the unconditional (null-token) pass unchanged.
+    w = 0 returns the unconditional (null-token) pass unchanged. Both make one
+    forward on the batch as given. Any other w makes one forward on a 2N
+    batch: ``x`` twice, null-token ids for the first N rows and ``c`` for the
+    last N, ``t`` repeated per half. So a guided step is one UNet call, and
+    it holds twice the activations of a single pass.
+    The doubled batch is built from array values, so the result carries no
+    tape history; guidance is a sampling-time operation.
     """
     w = float(w)
     if w == 1.0:
@@ -136,10 +142,16 @@ def cfg_predict(model, x: Tensor, t, c, w: float, params=None, forward=unet_forw
     if null_id is None:
         raise ConfigError("cfg_predict: model reserves no null class for unconditional passes")
     n = x.shape[0]
-    eps_u = forward(model, x, t, np.full(n, null_id), params)
+    null_ids = np.full(n, null_id)
     if w == 0.0:
-        return eps_u
-    eps_c = forward(model, x, t, c, params)
+        return forward(model, x, t, null_ids, params)
+    if c is None:
+        raise ConfigError("cfg_predict: class ids required for a guided pass")
+    t_ids = _as_index_vector(t, n, "t")
+    c_ids = _as_index_vector(c, n, "c")
+    eps = forward(model, Tensor(np.concatenate([x.data, x.data])), np.concatenate([t_ids, t_ids]),
+                  np.concatenate([null_ids, c_ids]), params).data
+    eps_u, eps_c = Tensor(eps[:n]), Tensor(eps[n:])
     return ops.add(eps_u, ops.scale(ops.sub(eps_c, eps_u), w))
 
 

@@ -19,7 +19,7 @@ from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule, SamplerConfig, cfg_predict, ddim_denoise, simple_loss
 from .errors import ConfigError, ShapeError
 from .tensor import Tensor
-from .unet import UNetModel, model_fingerprint, unet_forward
+from .unet import UNetModel, _as_index_vector, model_fingerprint, unet_forward
 
 __all__ = [
     "EvalRow", "EvalReport", "multires_eval", "ablation_grid",
@@ -120,7 +120,7 @@ def multires_eval(model: UNetModel, bundle, schedule: DiffusionSchedule,
     if not buckets:
         raise ConfigError("multires_eval: empty bucket list")
     dataset.validate()
-    started = time.time()
+    started = time.perf_counter()
     variants = [("base", None)]
     if bundle is not None:
         variants.append((_variant_name(bundle), effective_param_map(model, bundle)))
@@ -132,7 +132,7 @@ def multires_eval(model: UNetModel, bundle, schedule: DiffusionSchedule,
     })
     _eval_variants(model, variants, schedule, dataset, [tuple(b) for b in buckets],
                    n_batches, seed, batch_size, forward, report)
-    report.metadata["wall_clock_s"] = time.time() - started
+    report.metadata["wall_clock_s"] = time.perf_counter() - started
     return report
 
 
@@ -144,7 +144,7 @@ def ablation_grid(model: UNetModel, bundle: ResAdapterBundle, modes, alphas,
     modes = [frozenset(m) for m in modes]
     if not modes or not alphas:
         raise ConfigError("ablation_grid: modes and alphas must be non-empty")
-    started = time.time()
+    started = time.perf_counter()
     variants = [("base", None)]
     for mode in modes:
         restricted = bundle.restricted(mode)
@@ -158,7 +158,7 @@ def ablation_grid(model: UNetModel, bundle: ResAdapterBundle, modes, alphas,
     report = EvalReport(metadata={"seed": seed, "fingerprint": model_fingerprint(model)})
     _eval_variants(model, variants, schedule, dataset, [tuple(b) for b in buckets],
                    n_batches, seed, batch_size, forward, report)
-    report.metadata["wall_clock_s"] = time.time() - started
+    report.metadata["wall_clock_s"] = time.perf_counter() - started
     return report
 
 
@@ -194,10 +194,14 @@ def tiled_generate(model: UNetModel, schedule: DiffusionSchedule, target: tuple[
                    params=None, forward=unet_forward) -> Tensor:
     """Sample at ``target`` by blending per-tile predictions each DDIM step.
 
-    Predictions from overlapping tiles are averaged uniformly (sum divided by
-    coverage count), so blend weights sum to one at every pixel by
-    construction. With target == tile and overlap 0 this reduces bitwise to
-    ddim_sample.
+    Each step stacks every tile along the batch axis and makes one
+    ``cfg_predict`` call, so a guided step is one UNet forward over
+    2 x n_tiles rows. The stacked batch holds all tile pixels at once: for
+    16x16 tiles with overlap 8 that is about 2.25x the activations of direct
+    sampling at the same target. Predictions from overlapping tiles are
+    averaged uniformly (sum divided by coverage count), so blend weights sum
+    to one at every pixel by construction. With target == tile and overlap 0
+    this reduces bitwise to ddim_sample.
     """
     cfg.validate()
     origins, counts = tile_layout(target, tile, overlap)
@@ -205,13 +209,15 @@ def tiled_generate(model: UNetModel, schedule: DiffusionSchedule, target: tuple[
     h, w = tile
     rng = np.random.default_rng(cfg.seed)
     x = rng.standard_normal((1, model.config.in_channels, th, tw))
+    c_tiles = None if c is None else np.tile(_as_index_vector(c, 1, "c"), len(origins))
 
     def predict(arr: np.ndarray, t: int) -> np.ndarray:
+        patches = np.concatenate([arr[:, :, y : y + h, xo : xo + w] for y, xo in origins])
+        eps = cfg_predict(model, Tensor(patches), t, c_tiles, cfg.guidance_scale, params,
+                          forward).data
         acc = np.zeros_like(arr)
-        for y, xo in origins:
-            patch = Tensor(np.ascontiguousarray(arr[:, :, y : y + h, xo : xo + w]))
-            eps = cfg_predict(model, patch, t, c, cfg.guidance_scale, params, forward).data
-            acc[:, :, y : y + h, xo : xo + w] += eps
+        for i, (y, xo) in enumerate(origins):
+            acc[:, :, y : y + h, xo : xo + w] += eps[i]
         return acc / counts
 
     return Tensor(ddim_denoise(x, predict, schedule, cfg.steps, cfg.eta, rng))
@@ -232,7 +238,8 @@ def bench_latency(model: UNetModel, bundle, target: tuple[int, int], tile: tuple
         ddim_sample(model, shape, cfg, c, schedule, params=params, forward=forward)
 
     def run_tiled():
-        tiled_generate(model, schedule, target, tile, overlap, cfg, c, forward=forward)
+        tiled_generate(model, schedule, target, tile, overlap, cfg, c, params=params,
+                       forward=forward)
 
     def timed(fn):
         samples = []

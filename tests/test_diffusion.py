@@ -22,7 +22,7 @@ from resolab.diffusion import (
 from resolab import ops
 from resolab.errors import ConfigError, NumericError, ShapeError
 from resolab.tensor import Tape, Tensor
-from resolab.unet import UNetConfig, build_unet
+from resolab.unet import UNetConfig, build_unet, unet_forward
 
 
 def make_tiny_schedule():
@@ -180,10 +180,14 @@ class _RecordingForward:
     def __init__(self, null_id):
         self.null_id = null_id
         self.calls = []
+        self.ts = []
+        self.batches = []
 
     def __call__(self, model, x, t, c, params=None):
         ids = np.asarray(c)
         self.calls.append(ids.copy())
+        self.ts.append(np.asarray(t).copy())
+        self.batches.append(x.shape[0])
         vals = np.where(ids == self.null_id, 10.0, 2.0)
         return Tensor(np.broadcast_to(vals.reshape(-1, 1, 1, 1), x.shape).copy())
 
@@ -216,8 +220,56 @@ def test_cfg_predict_linear_combination():
     model = _cond_model()
     fwd = _RecordingForward(null_id=2)
     out = cfg_predict(model, Tensor(np.zeros((1, 1, 4, 4))), 1, [1], 7.5, forward=fwd)
-    assert len(fwd.calls) == 2
+    assert len(fwd.calls) == 1  # one 2N forward: null rows first, then the class rows
+    np.testing.assert_array_equal(fwd.calls[0], [2, 1])
     np.testing.assert_allclose(out.data, -50.0, rtol=0, atol=1e-12)
+
+
+def test_cfg_predict_doubles_t_vector_and_broadcasts_scalar_class():
+    model = _cond_model()
+    fwd = _RecordingForward(null_id=2)
+    out = cfg_predict(model, Tensor(np.zeros((2, 1, 4, 4))), np.array([3, 5]), 1, 7.5,
+                      forward=fwd)
+    assert len(fwd.calls) == 1 and fwd.batches == [4]
+    np.testing.assert_array_equal(fwd.calls[0], [2, 2, 1, 1])
+    np.testing.assert_array_equal(fwd.ts[0], [3, 5, 3, 5])
+    assert out.shape == (2, 1, 4, 4)
+    np.testing.assert_allclose(out.data, -50.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0])
+def test_cfg_predict_unguided_scales_make_one_undoubled_pass(w):
+    model = _cond_model()
+    fwd = _RecordingForward(null_id=2)
+    cfg_predict(model, Tensor(np.zeros((3, 1, 4, 4))), np.array([1, 2, 3]), [0, 1, 0], w,
+                forward=fwd)
+    assert fwd.batches == [3]
+    np.testing.assert_array_equal(fwd.ts[0], [1, 2, 3])
+
+
+def test_cfg_predict_guided_pass_rejects_bad_class_ids():
+    model = _cond_model()
+    x = Tensor(np.zeros((2, 1, 4, 4)))
+    with pytest.raises(ConfigError, match="class ids required"):
+        cfg_predict(model, x, 1, None, 7.5)
+    with pytest.raises(ShapeError, match="length-2 vector"):
+        cfg_predict(model, x, 1, [0, 1, 0], 7.5)
+
+
+def test_batched_cfg_predict_matches_two_pass_reference():
+    model = _cond_model()
+    rng = np.random.default_rng(21)
+    model.params["out.conv.weight"].data += 0.3 * rng.standard_normal(
+        model.params["out.conv.weight"].shape)
+    x = Tensor(rng.standard_normal((2, 1, 8, 8)))
+    t, c, w = np.array([4, 9]), np.array([0, 1]), 7.5
+    # the two-pass formula: separate unconditional and conditional forwards
+    eps_u = unet_forward(model, x, t, np.full(2, model.config.null_class))
+    eps_c = unet_forward(model, x, t, c)
+    reference = eps_u.data + w * (eps_c.data - eps_u.data)
+    out = cfg_predict(model, x, t, c, w)
+    assert np.abs(reference).max() > 0.1
+    np.testing.assert_allclose(out.data, reference, rtol=0, atol=1e-12)
 
 
 def test_cfg_predict_needs_null_class_only_when_guiding():

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from resolab.adapters import attach_resadapter, attach_style_lora
+from resolab.adapters import attach_resadapter, attach_style_lora, effective_param_map
 from resolab.data import SyntheticDataset
-from resolab.diffusion import SamplerConfig, build_schedule, ddim_sample
+from resolab.diffusion import SamplerConfig, build_schedule, ddim_denoise, ddim_sample
 from resolab.errors import ConfigError, ShapeError
 from resolab.evalbench import (
     EvalReport,
@@ -21,7 +21,8 @@ from resolab.evalbench import (
     tile_layout,
     tiled_generate,
 )
-from resolab.unet import UNetConfig, build_unet
+from resolab.tensor import Tensor
+from resolab.unet import UNetConfig, build_unet, unet_forward
 
 SMALL = UNetConfig(in_channels=1, base_channels=4, channel_mults=(1, 2),
                    num_res_blocks_per_level=1, groups=4, time_embed_dim=8,
@@ -211,10 +212,41 @@ def test_blend_weights_sum_to_one():
 
 def test_degenerate_tiling_equals_direct_sampling():
     model = small_model()
-    cfg = SamplerConfig(steps=4, guidance_scale=1.0, eta=0.0, seed=9)
-    tiled = tiled_generate(model, SCHED, (16, 16), (16, 16), 0, cfg, [0])
-    direct = ddim_sample(model, (1, 1, 16, 16), cfg, [0], SCHED)
-    assert tiled.data.tobytes() == direct.data.tobytes()
+    for guidance in (1.0, 7.5):
+        cfg = SamplerConfig(steps=4, guidance_scale=guidance, eta=0.0, seed=9)
+        tiled = tiled_generate(model, SCHED, (16, 16), (16, 16), 0, cfg, [0])
+        direct = ddim_sample(model, (1, 1, 16, 16), cfg, [0], SCHED)
+        assert tiled.data.tobytes() == direct.data.tobytes()
+
+
+def _per_tile_reference(model, target, tile, overlap, cfg, c, params):
+    """Tiled sampling with separate batch-1 guidance passes per tile."""
+    origins, counts = tile_layout(target, tile, overlap)
+    h, w = tile
+    g = cfg.guidance_scale
+    null = [model.config.null_class]
+    rng = np.random.default_rng(cfg.seed)
+    x = rng.standard_normal((1, model.config.in_channels) + tuple(target))
+
+    def predict(arr, t):
+        acc = np.zeros_like(arr)
+        for y, xo in origins:
+            patch = Tensor(np.ascontiguousarray(arr[:, :, y:y + h, xo:xo + w]))
+            eps_u = unet_forward(model, patch, t, null, params).data
+            eps_c = unet_forward(model, patch, t, c, params).data
+            acc[:, :, y:y + h, xo:xo + w] += eps_u + g * (eps_c - eps_u)
+        return acc / counts
+
+    return ddim_denoise(x, predict, SCHED, cfg.steps, cfg.eta, rng)
+
+
+def test_batched_tiles_match_per_tile_reference():
+    model = small_model()
+    params = effective_param_map(model, randomized_bundle(model))
+    cfg = SamplerConfig(steps=4, guidance_scale=7.5, eta=0.0, seed=9)
+    reference = _per_tile_reference(model, (16, 16), (8, 8), 4, cfg, [1], params)
+    batched = tiled_generate(model, SCHED, (16, 16), (8, 8), 4, cfg, [1], params=params)
+    np.testing.assert_allclose(batched.data, reference, rtol=0, atol=1e-10)
 
 
 def test_tiled_output_shape():
@@ -222,6 +254,12 @@ def test_tiled_output_shape():
     cfg = SamplerConfig(steps=2, guidance_scale=1.0, eta=0.0, seed=9)
     out = tiled_generate(model, SCHED, (16, 24), (8, 8), 4, cfg, [1])
     assert out.shape == (1, 1, 16, 24)
+
+
+def test_tiled_rejects_class_ids_for_more_than_one_image():
+    cfg = SamplerConfig(steps=2, guidance_scale=7.5, eta=0.0, seed=9)
+    with pytest.raises(ShapeError, match="length-1 vector"):
+        tiled_generate(small_model(), SCHED, (16, 16), (8, 8), 4, cfg, [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +280,21 @@ def test_bench_latency_repeats_validated():
     cfg = SamplerConfig(steps=2, guidance_scale=1.0, eta=0.0, seed=9)
     with pytest.raises(ConfigError, match="repeats must be >= 1"):
         bench_latency(model, None, (16, 16), (8, 8), 0, cfg, [0], SCHED, repeats=0)
+
+
+def test_bench_latency_times_adapter_on_direct_and_tiled_runs():
+    model = small_model()
+    bundle = randomized_bundle(model)
+    seen = []
+
+    def spy(model, x, t, c, params=None):
+        seen.append((x.shape[-2:], params is not None))
+        return unet_forward(model, x, t, c, params)
+
+    cfg = SamplerConfig(steps=2, guidance_scale=7.5, eta=0.0, seed=9)
+    bench_latency(model, bundle, (16, 16), (8, 8), 0, cfg, [0], SCHED, repeats=1, forward=spy)
+    assert {shape for shape, _ in seen} == {(16, 16), (8, 8)}  # direct and tiled calls
+    assert all(has_params for _, has_params in seen)
 
 
 # ---------------------------------------------------------------------------
