@@ -5,9 +5,10 @@ A LoRA pair holds A [m, r] and B [n, r] for a host weight flattened to
 B starts at zero so attaching is an exact identity. Norm deltas are
 zero-initialized per-channel offsets added to resnet gamma/beta.
 
-The resolution-adapter bundle wraps the down/up sampler conv weights plus
-all resnet norms; the style bundle wraps the bottleneck attention
-projections and serves as a contrast baseline in evaluations.
+One bundle type serves every kind; BUNDLE_KINDS names the sites each wraps.
+The resolution adapter ("resadapter") wraps the down/up sampler conv weights
+plus all resnet norms; the style LoRA ("style-lora") wraps the bottleneck
+attention projections and serves as a contrast baseline in evaluations.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .tensor import Tensor
 from .unet import UNetModel, list_sites, model_fingerprint, unet_forward
 
 __all__ = [
-    "LoRAPair", "NormDelta", "ResAdapterBundle", "StyleLoRABundle",
+    "LoRAPair", "NormDelta", "AdapterBundle", "BUNDLE_KINDS",
     "attach_resadapter", "attach_style_lora", "adapted_forward", "merge",
     "effective_param_map", "trainable_param_count", "frozen_param_count",
     "total_param_count",
@@ -57,28 +58,28 @@ class NormDelta:
         return self.dgamma.size + self.dbeta.size
 
 
+# Site rules per bundle kind: (LoRA selector, norm-delta selector or None),
+# both keys of unet._SELECTOR_PATTERNS. Attach and the bundle loader share it.
+BUNDLE_KINDS = {
+    "resadapter": ("sampler_convs", "resnet_norms"),
+    "style-lora": ("attention_projections", None),
+}
+
+
 @dataclass
-class ResAdapterBundle:
-    conv_loras: list[LoRAPair]
+class AdapterBundle:
+    kind: str  # a key of BUNDLE_KINDS
+    loras: list[LoRAPair]
     norm_deltas: list[NormDelta]
-    alpha_r: float
+    alpha: float
     base_fingerprint: str
 
-    def lora_pairs(self) -> list[LoRAPair]:
-        return self.conv_loras
-
-    def deltas(self) -> list[NormDelta]:
-        return self.norm_deltas
-
-    def alpha_value(self) -> float:
-        return self.alpha_r
-
-    def with_alpha(self, alpha: float) -> "ResAdapterBundle":
+    def with_alpha(self, alpha: float) -> "AdapterBundle":
         if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"alpha_r must be in [0, 1], got {alpha}")
-        return replace(self, alpha_r=float(alpha))
+            raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+        return replace(self, alpha=float(alpha))
 
-    def restricted(self, modes) -> "ResAdapterBundle":
+    def restricted(self, modes) -> "AdapterBundle":
         """Keep only the named parts: subset of {'conv_lora', 'norm_delta'}."""
         modes = set(modes)
         unknown = modes - {"conv_lora", "norm_delta"}
@@ -86,46 +87,18 @@ class ResAdapterBundle:
             raise ConfigError(f"unknown ablation mode(s) {sorted(unknown)}")
         return replace(
             self,
-            conv_loras=self.conv_loras if "conv_lora" in modes else [],
+            loras=self.loras if "conv_lora" in modes else [],
             norm_deltas=self.norm_deltas if "norm_delta" in modes else [],
         )
 
     def named_tensors(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        for pair in self.conv_loras:
+        for pair in self.loras:
             out[pair.site + LORA_A_SUFFIX] = pair.a
             out[pair.site + LORA_B_SUFFIX] = pair.b
         for nd in self.norm_deltas:
             out[nd.site + DELTA_GAMMA_SUFFIX] = nd.dgamma
             out[nd.site + DELTA_BETA_SUFFIX] = nd.dbeta
-        return out
-
-
-@dataclass
-class StyleLoRABundle:
-    attn_loras: list[LoRAPair]
-    alpha: float
-    base_fingerprint: str
-
-    def lora_pairs(self) -> list[LoRAPair]:
-        return self.attn_loras
-
-    def deltas(self) -> list[NormDelta]:
-        return []
-
-    def alpha_value(self) -> float:
-        return self.alpha
-
-    def with_alpha(self, alpha: float) -> "StyleLoRABundle":
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-        return replace(self, alpha=float(alpha))
-
-    def named_tensors(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for pair in self.attn_loras:
-            out[pair.site + LORA_A_SUFFIX] = pair.a
-            out[pair.site + LORA_B_SUFFIX] = pair.b
         return out
 
 
@@ -151,42 +124,42 @@ def _freeze(model: UNetModel) -> None:
         model.frozen.add(name)
 
 
-def attach_resadapter(model: UNetModel, rank: int = DEFAULT_RANK, seed: int = 0) -> ResAdapterBundle:
+def _attach(model: UNetModel, kind: str, rank: int, seed: int) -> AdapterBundle:
+    lora_selector, delta_selector = BUNDLE_KINDS[kind]
+    rng = np.random.default_rng(seed)
+    pairs = [_new_pair(model, site, rank, rng) for site in list_sites(model, lora_selector)]
+    deltas = []
+    if delta_selector is not None:
+        prefixes = sorted({site.rsplit(".", 1)[0] for site in list_sites(model, delta_selector)})
+        for prefix in prefixes:
+            c = model.params[prefix + ".gamma"].shape[0]
+            deltas.append(NormDelta(
+                site=prefix,
+                dgamma=Tensor(np.zeros(c), requires_grad=True),
+                dbeta=Tensor(np.zeros(c), requires_grad=True),
+            ))
+    if not pairs and not deltas:
+        raise ConfigError(f"model has no {lora_selector!r} sites to wrap")
+    _freeze(model)
+    return AdapterBundle(kind=kind, loras=pairs, norm_deltas=deltas, alpha=1.0,
+                         base_fingerprint=model_fingerprint(model))
+
+
+def attach_resadapter(model: UNetModel, rank: int = DEFAULT_RANK, seed: int = 0) -> AdapterBundle:
     """Wrap sampler convs with LoRA pairs and resnet norms with zero deltas.
 
     Freezes every base parameter; attaching changes no output (B and the
     norm deltas start at zero).
     """
-    rng = np.random.default_rng(seed)
-    pairs = [_new_pair(model, site, rank, rng) for site in list_sites(model, "sampler_convs")]
-    norm_prefixes = sorted({site.rsplit(".", 1)[0] for site in list_sites(model, "resnet_norms")})
-    deltas = []
-    for prefix in norm_prefixes:
-        c = model.params[prefix + ".gamma"].shape[0]
-        deltas.append(NormDelta(
-            site=prefix,
-            dgamma=Tensor(np.zeros(c), requires_grad=True),
-            dbeta=Tensor(np.zeros(c), requires_grad=True),
-        ))
-    _freeze(model)
-    return ResAdapterBundle(
-        conv_loras=pairs, norm_deltas=deltas, alpha_r=1.0,
-        base_fingerprint=model_fingerprint(model),
-    )
+    return _attach(model, "resadapter", rank, seed)
 
 
-def attach_style_lora(model: UNetModel, rank: int = DEFAULT_RANK, seed: int = 0) -> StyleLoRABundle:
+def attach_style_lora(model: UNetModel, rank: int = DEFAULT_RANK, seed: int = 0) -> AdapterBundle:
     """Wrap the bottleneck attention projections (q/k/v/o) with LoRA pairs."""
-    sites = list_sites(model, "attention_projections")
-    if not sites:
-        raise ConfigError("model has no attention projection sites to wrap")
-    rng = np.random.default_rng(seed)
-    pairs = [_new_pair(model, site, rank, rng) for site in sites]
-    _freeze(model)
-    return StyleLoRABundle(attn_loras=pairs, alpha=1.0, base_fingerprint=model_fingerprint(model))
+    return _attach(model, "style-lora", rank, seed)
 
 
-def _check_fingerprint(model: UNetModel, bundle) -> None:
+def _check_fingerprint(model: UNetModel, bundle: AdapterBundle) -> None:
     fp = model_fingerprint(model)
     if fp != bundle.base_fingerprint:
         raise ConfigError(
@@ -200,39 +173,39 @@ def _lora_delta_array(pair: LoRAPair, host_shape: tuple[int, ...]) -> np.ndarray
     return np.matmul(pair.a.data, bt).reshape(host_shape)
 
 
-def effective_param_map(model: UNetModel, bundle) -> dict[str, Tensor]:
+def effective_param_map(model: UNetModel, bundle: AdapterBundle) -> dict[str, Tensor]:
     """Parameter map with adapter deltas applied as taped expressions.
 
     Gradients flow into the bundle tensors only; base parameters are frozen
     leaves and never receive grads through this map.
     """
     _check_fingerprint(model, bundle)
-    alpha = bundle.alpha_value()
+    alpha = bundle.alpha
     p = dict(model.params)
-    for pair in bundle.lora_pairs():
+    for pair in bundle.loras:
         host = model.params[pair.site]
         delta = ops.reshape(ops.matmul(pair.a, ops.permute(pair.b, (1, 0))), host.shape)
         p[pair.site] = ops.add(host, ops.scale(delta, alpha))
-    for nd in bundle.deltas():
+    for nd in bundle.norm_deltas:
         for field, leaf in (("gamma", nd.dgamma), ("beta", nd.dbeta)):
             site = f"{nd.site}.{field}"
             p[site] = ops.add(model.params[site], ops.scale(leaf, alpha))
     return p
 
 
-def adapted_forward(model: UNetModel, bundle, x: Tensor, t, c=None, forward=unet_forward) -> Tensor:
-    return forward(model, x, t, c, effective_param_map(model, bundle))
+def adapted_forward(model: UNetModel, bundle: AdapterBundle, x: Tensor, t, c=None) -> Tensor:
+    return unet_forward(model, x, t, c, effective_param_map(model, bundle))
 
 
-def merge(model: UNetModel, bundle) -> UNetModel:
+def merge(model: UNetModel, bundle: AdapterBundle) -> UNetModel:
     """New model with deltas folded into the weights; the original is untouched."""
     _check_fingerprint(model, bundle)
     merged = model.clone()
-    alpha = bundle.alpha_value()
-    for pair in bundle.lora_pairs():
+    alpha = bundle.alpha
+    for pair in bundle.loras:
         host = merged.params[pair.site]
         host.data = host.data + alpha * _lora_delta_array(pair, host.shape)
-    for nd in bundle.deltas():
+    for nd in bundle.norm_deltas:
         merged.params[nd.site + ".gamma"].data = (
             merged.params[nd.site + ".gamma"].data + alpha * nd.dgamma.data
         )
@@ -245,7 +218,7 @@ def merge(model: UNetModel, bundle) -> UNetModel:
     return merged
 
 
-def trainable_param_count(bundle) -> int:
+def trainable_param_count(bundle: AdapterBundle) -> int:
     return sum(t.size for t in bundle.named_tensors().values())
 
 

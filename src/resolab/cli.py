@@ -12,13 +12,7 @@ import sys
 import numpy as np
 
 from . import store
-from .adapters import (
-    ResAdapterBundle,
-    attach_resadapter,
-    effective_param_map,
-    merge,
-    trainable_param_count,
-)
+from .adapters import attach_resadapter, effective_param_map, merge, trainable_param_count
 from .diffusion import SamplerConfig, ddim_sample
 from .errors import ConfigError, ContainerError, NumericError, ShapeError
 from .evalbench import ablation_grid, bench_latency, multires_eval, tiled_generate
@@ -69,17 +63,10 @@ def _load_model_for(args, rc: RunConfig):
     return model
 
 
-def _load_bundle_for(model, path: str, alpha: float | None):
+def _load_bundle_for(path: str, alpha: float | None):
+    """Load a bundle, optionally re-blended; adapters checks its fingerprint on use."""
     bundle = store.load_bundle(path)
-    if alpha is not None:
-        bundle = bundle.with_alpha(alpha)
-    fp = model_fingerprint(model)
-    if bundle.base_fingerprint and bundle.base_fingerprint != fp:
-        raise ConfigError(
-            f"adapter bundle {path} records base fingerprint {bundle.base_fingerprint} "
-            f"but the model fingerprint is {fp}"
-        )
-    return bundle
+    return bundle if alpha is None else bundle.with_alpha(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +127,7 @@ def _cmd_train_adapter(args) -> int:
     final = trace.records[-1].loss if trace.records else float("nan")
     print(f"trained adapter: {plan.steps} steps, final loss {final:.6g}")
     print(f"trainable parameters: {trainable_param_count(bundle)}")
-    print(f"bundle alpha_r: {bundle.alpha_r:g}")
+    print(f"bundle alpha_r: {bundle.alpha:g}")
     print(f"saved: {args.out}")
     return 0
 
@@ -149,7 +136,7 @@ def _cmd_sample(args) -> int:
     model = store.load_model(args.model)
     params = None
     if args.adapter:
-        bundle = _load_bundle_for(model, args.adapter, args.alpha)
+        bundle = _load_bundle_for(args.adapter, args.alpha)
         params = effective_param_map(model, bundle)
     cfg = SamplerConfig(steps=args.steps, guidance_scale=args.guidance,
                         eta=args.eta, seed=args.seed)
@@ -165,11 +152,11 @@ def _cmd_sample(args) -> int:
 
 def _cmd_merge(args) -> int:
     model = store.load_model(args.model)
-    bundle = _load_bundle_for(model, args.adapter, args.alpha)
+    bundle = _load_bundle_for(args.adapter, args.alpha)
     merged = merge(model, bundle)
     store.save_model(merged, args.out)
-    print(f"merged {len(bundle.conv_loras)} low-rank pairs and "
-          f"{len(bundle.norm_deltas)} norm deltas at alpha={bundle.alpha_r:g}")
+    print(f"merged {len(bundle.loras)} low-rank pairs and "
+          f"{len(bundle.norm_deltas)} norm deltas at alpha={bundle.alpha:g}")
     print(f"saved: {args.out}")
     return 0
 
@@ -205,13 +192,13 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_eval(args) -> int:
     rc = load_runconfig(args.config)
     model = _load_model_for(args, rc)
-    bundle = _load_bundle_for(model, args.adapter, args.alpha) if args.adapter else None
+    bundle = _load_bundle_for(args.adapter, args.alpha) if args.adapter else None
     schedule, dataset = rc.schedule.build(), rc.data.build()
     reports = [multires_eval(
         model, bundle, schedule, dataset, rc.eval.buckets,
         n_batches=rc.eval.n_batches, seed=rc.eval.seed, batch_size=rc.eval.batch_size,
     )]
-    if isinstance(bundle, ResAdapterBundle):
+    if bundle is not None and bundle.kind == "resadapter":
         modes = [{"conv_lora"}, {"norm_delta"}, {"conv_lora", "norm_delta"}]
         reports.append(ablation_grid(
             model, bundle, modes, rc.eval.alphas, schedule, dataset, rc.eval.buckets,
@@ -227,7 +214,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_bench_tiled(args) -> int:
     model = store.load_model(args.model)
-    bundle = _load_bundle_for(model, args.adapter, args.alpha) if args.adapter else None
+    bundle = _load_bundle_for(args.adapter, args.alpha) if args.adapter else None
     rc = load_runconfig(args.config)
     cfg = SamplerConfig(steps=args.steps, guidance_scale=args.guidance,
                         eta=0.0, seed=args.seed)

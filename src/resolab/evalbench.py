@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import ResAdapterBundle, StyleLoRABundle, effective_param_map
+from .adapters import AdapterBundle, effective_param_map
 from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule, SamplerConfig, cfg_predict, ddim_denoise, simple_loss
 from .errors import ConfigError, ShapeError
@@ -78,14 +78,6 @@ class EvalReport:
         return "\n".join([fmt(headers), fmt(["-" * w for w in widths])] + [fmt(c) for c in cells])
 
 
-def _variant_name(bundle) -> str:
-    if isinstance(bundle, ResAdapterBundle):
-        return "base+resadapter"
-    if isinstance(bundle, StyleLoRABundle):
-        return "base+style-lora"
-    raise ConfigError(f"unknown bundle type {type(bundle).__name__}")
-
-
 def _heldout_batches(dataset: SyntheticDataset, bucket: tuple[int, int], n_batches: int,
                      batch_size: int, seed: int, timesteps: int):
     h, w = bucket
@@ -101,13 +93,13 @@ def _heldout_batches(dataset: SyntheticDataset, bucket: tuple[int, int], n_batch
 
 
 def _eval_variants(model, variants, schedule, dataset, buckets, n_batches, seed,
-                   batch_size, forward, report: EvalReport) -> None:
+                   batch_size, report: EvalReport) -> None:
     for bucket in buckets:
         batches = _heldout_batches(dataset, tuple(bucket), n_batches, batch_size, seed,
                                    schedule.timesteps)
         for name, params in variants:
             losses = [
-                simple_loss(model, x0, t, eps, c, schedule, params=params, forward=forward).item()
+                simple_loss(model, x0, t, eps, c, schedule, params=params).item()
                 for x0, c, t, eps in batches
             ]
             report.add(EvalRow(tuple(bucket), name, HELDOUT_METRIC, float(np.mean(losses))))
@@ -115,7 +107,7 @@ def _eval_variants(model, variants, schedule, dataset, buckets, n_batches, seed,
 
 def multires_eval(model: UNetModel, bundle, schedule: DiffusionSchedule,
                   dataset: SyntheticDataset, buckets, n_batches: int = 4, seed: int = 0,
-                  batch_size: int = 4, forward=unet_forward) -> EvalReport:
+                  batch_size: int = 4) -> EvalReport:
     """Mean held-out noise-prediction loss per bucket, base and adapted variants."""
     if not buckets:
         raise ConfigError("multires_eval: empty bucket list")
@@ -123,7 +115,7 @@ def multires_eval(model: UNetModel, bundle, schedule: DiffusionSchedule,
     started = time.perf_counter()
     variants = [("base", None)]
     if bundle is not None:
-        variants.append((_variant_name(bundle), effective_param_map(model, bundle)))
+        variants.append((f"base+{bundle.kind}", effective_param_map(model, bundle)))
     report = EvalReport(metadata={
         "seed": seed,
         "fingerprint": model_fingerprint(model),
@@ -131,15 +123,14 @@ def multires_eval(model: UNetModel, bundle, schedule: DiffusionSchedule,
         "batch_size": batch_size,
     })
     _eval_variants(model, variants, schedule, dataset, [tuple(b) for b in buckets],
-                   n_batches, seed, batch_size, forward, report)
+                   n_batches, seed, batch_size, report)
     report.metadata["wall_clock_s"] = time.perf_counter() - started
     return report
 
 
-def ablation_grid(model: UNetModel, bundle: ResAdapterBundle, modes, alphas,
+def ablation_grid(model: UNetModel, bundle: AdapterBundle, modes, alphas,
                   schedule: DiffusionSchedule, dataset: SyntheticDataset, buckets,
-                  n_batches: int = 4, seed: int = 0, batch_size: int = 4,
-                  forward=unet_forward) -> EvalReport:
+                  n_batches: int = 4, seed: int = 0, batch_size: int = 4) -> EvalReport:
     """Held-out loss for every (adapter subset, alpha) cell plus one base row."""
     modes = [frozenset(m) for m in modes]
     if not modes or not alphas:
@@ -152,12 +143,12 @@ def ablation_grid(model: UNetModel, bundle: ResAdapterBundle, modes, alphas,
         for alpha in alphas:
             cell = restricted.with_alpha(float(alpha))
             variants.append((
-                f"base+resadapter[{label}]@alpha={float(alpha):g}",
+                f"base+{bundle.kind}[{label}]@alpha={float(alpha):g}",
                 effective_param_map(model, cell),
             ))
     report = EvalReport(metadata={"seed": seed, "fingerprint": model_fingerprint(model)})
     _eval_variants(model, variants, schedule, dataset, [tuple(b) for b in buckets],
-                   n_batches, seed, batch_size, forward, report)
+                   n_batches, seed, batch_size, report)
     report.metadata["wall_clock_s"] = time.perf_counter() - started
     return report
 
@@ -281,8 +272,7 @@ def make_style_probes(dataset: SyntheticDataset, schedule: DiffusionSchedule,
     return probes
 
 
-def style_shift(model: UNetModel, bundle_a, bundle_b, probe_inputs,
-                forward=unet_forward) -> tuple[float, float]:
+def style_shift(model: UNetModel, bundle_a, bundle_b, probe_inputs) -> tuple[float, float]:
     """Mean relative L2 output shift caused by each bundle on the probes."""
     if not probe_inputs:
         raise ConfigError("style_shift: need at least one probe input")
@@ -291,8 +281,8 @@ def style_shift(model: UNetModel, bundle_a, bundle_b, probe_inputs,
         params = effective_param_map(model, bundle)
         rel = []
         for x, t, c in probe_inputs:
-            base = forward(model, x, t, c).data
-            adapted = forward(model, x, t, c, params).data
+            base = unet_forward(model, x, t, c).data
+            adapted = unet_forward(model, x, t, c, params).data
             denom = max(float(np.linalg.norm(base)), 1e-12)
             rel.append(float(np.linalg.norm(adapted - base)) / denom)
         return float(np.mean(rel))

@@ -16,7 +16,7 @@ from .errors import ConfigError, NumericError, ShapeError
 from .tensor import Tensor, active_tape
 
 __all__ = [
-    "add", "sub", "mul", "scale", "silu", "elementwise",
+    "add", "sub", "mul", "scale", "silu",
     "linear", "matmul", "softmax", "self_attention",
     "conv2d", "group_norm", "upsample_nearest2x",
     "reshape", "permute", "embed_rows", "crop_cols",
@@ -112,18 +112,6 @@ def silu(x: Tensor) -> Tensor:
         return [g * (s + x.data * s * (1.0 - s))]
 
     return _result(x.data * s, (x,), vjp)
-
-
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul, "scale": scale, "silu": silu}
-
-
-def elementwise(kind: str, *operands):
-    """Dispatch an elementwise op by name (add/sub/mul/scale/silu)."""
-    try:
-        fn = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ConfigError(f"elementwise: unknown kind {kind!r}") from None
-    return fn(*operands)
 
 
 # ---------------------------------------------------------------------------

@@ -70,8 +70,8 @@ class TrainConfig:
             raise ConfigError("train step counts must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("train.batch_size must be >= 1")
-        if not (0.0 <= self.p_uncond <= 1.0):
-            raise ConfigError(f"train.p_uncond must lie in [0, 1], got {self.p_uncond}")
+        if not (0.0 <= self.p_uncond < 1.0):
+            raise ConfigError(f"train.p_uncond must lie in [0, 1), got {self.p_uncond}")
         if self.weight_decay < 0.0:
             raise ConfigError("train.weight_decay must be >= 0")
         if self.lr_base < 0.0:

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import struct
 import tempfile
 
 import numpy as np
 
 from .adapters import (
-    DELTA_BETA_SUFFIX, DELTA_GAMMA_SUFFIX, LORA_A_SUFFIX, LORA_B_SUFFIX,
-    LoRAPair, NormDelta, ResAdapterBundle, trainable_param_count,
+    BUNDLE_KINDS, DELTA_BETA_SUFFIX, DELTA_GAMMA_SUFFIX, LORA_A_SUFFIX, LORA_B_SUFFIX,
+    AdapterBundle, LoRAPair, NormDelta, trainable_param_count,
 )
 from .errors import ContainerError
 from .tensor import Tensor
-from .unet import UNetConfig, UNetModel, site_shapes
+from .unet import _SELECTOR_PATTERNS, UNetConfig, UNetModel, site_shapes
 
 __all__ = [
     "MODEL_MAGIC", "BUNDLE_MAGIC", "FORMAT_VERSION",
@@ -94,6 +93,8 @@ def _read_container(path: str, expected_magic: bytes) -> tuple[dict, bytes]:
         raise ContainerError(f"{path}: malformed header JSON ({exc})") from None
     if not isinstance(header, dict) or "config" not in header or "tensors" not in header:
         raise ContainerError(f"{path}: header must carry 'config' and 'tensors'")
+    if not isinstance(header["config"], dict):
+        raise ContainerError(f"{path}: header 'config' must be a JSON object")
     return header, raw[_PREFIX.size + header_len :]
 
 
@@ -173,42 +174,41 @@ def load_model(path: str) -> UNetModel:
 # ---------------------------------------------------------------------------
 # adapter bundles
 
-_ADAPTER_SUFFIXES = (LORA_A_SUFFIX, LORA_B_SUFFIX, DELTA_GAMMA_SUFFIX, DELTA_BETA_SUFFIX)
-_LORA_SITE_RE = re.compile(r"^(down|up)\.\d+\.sampler\.conv\.weight$")
-_DELTA_SITE_RE = re.compile(r"^(down\.\d+|mid|up\.\d+)\.res\.\d+\.norm[12]$")
-
-
-def save_bundle(bundle: ResAdapterBundle, path: str) -> None:
+def save_bundle(bundle: AdapterBundle, path: str) -> None:
     config = {
-        "kind": "resadapter",
-        "rank": int(bundle.conv_loras[0].rank) if bundle.conv_loras else 0,
-        "alpha_r": float(bundle.alpha_r),
+        "kind": bundle.kind,
+        "rank": int(bundle.loras[0].rank) if bundle.loras else 0,
+        "alpha_r": float(bundle.alpha),
         "base_fingerprint": bundle.base_fingerprint,
     }
     entries, payload = _pack({name: t.data for name, t in bundle.named_tensors().items()})
     _write_container(path, BUNDLE_MAGIC, {"config": config, "tensors": entries}, payload)
 
 
-def load_bundle(path: str) -> ResAdapterBundle:
+def load_bundle(path: str) -> AdapterBundle:
     header, payload = _read_container(path, BUNDLE_MAGIC)
     config = header["config"]
+    kind = config.get("kind")
+    if not isinstance(kind, str) or kind not in BUNDLE_KINDS:
+        raise ContainerError(f"{path}: unknown bundle kind {kind!r} (choose from {sorted(BUNDLE_KINDS)})")
+    fingerprint = config.get("base_fingerprint")
+    if not isinstance(fingerprint, str):
+        raise ContainerError(f"{path}: base_fingerprint must be a string, got {fingerprint!r}")
     _validate_table(path, header["tensors"], payload)
+    # suffix -> (selector pattern of the kind, host param tail appended to the site)
+    lora_pattern, delta_pattern = (_SELECTOR_PATTERNS.get(sel) for sel in BUNDLE_KINDS[kind])
+    site_rules = {
+        LORA_A_SUFFIX: (lora_pattern, ""), LORA_B_SUFFIX: (lora_pattern, ""),
+        DELTA_GAMMA_SUFFIX: (delta_pattern, ".gamma"), DELTA_BETA_SUFFIX: (delta_pattern, ".gamma"),
+    }
     arrays: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
         name = entry["name"]
-        for suffix in _ADAPTER_SUFFIXES:
-            if name.endswith(suffix):
-                site = name[: -len(suffix)]
-                if suffix in (LORA_A_SUFFIX, LORA_B_SUFFIX):
-                    site_ok = bool(_LORA_SITE_RE.match(site))
-                else:
-                    site_ok = bool(_DELTA_SITE_RE.match(site))
-                if not site_ok:
-                    raise ContainerError(f"{path}: unknown site-path {name!r}")
-                arrays[name] = _unpack_tensor(payload, entry)
-                break
-        else:
+        suffix = next((s for s in site_rules if name.endswith(s)), None)
+        pattern, tail = site_rules.get(suffix, (None, ""))
+        if pattern is None or not pattern.match(name[: -len(suffix)] + tail):
             raise ContainerError(f"{path}: unknown site-path {name!r}")
+        arrays[name] = _unpack_tensor(payload, entry)
 
     rank = int(config.get("rank", 0))
     lora_sites = sorted({n[: -len(LORA_A_SUFFIX)] for n in arrays if n.endswith(LORA_A_SUFFIX)})
@@ -242,9 +242,8 @@ def load_bundle(path: str) -> ResAdapterBundle:
         raise ContainerError(f"{path}: {sorted(orphan_db)[0]}: delta beta present without gamma")
 
     alpha = float(config.get("alpha_r", 1.0))
-    fingerprint = str(config.get("base_fingerprint", ""))
-    return ResAdapterBundle(conv_loras=pairs, norm_deltas=deltas, alpha_r=alpha,
-                            base_fingerprint=fingerprint)
+    return AdapterBundle(kind=kind, loras=pairs, norm_deltas=deltas, alpha=alpha,
+                         base_fingerprint=fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +271,10 @@ def inspect(path: str) -> str:
         lines = [
             "kind: RSAD (adapter bundle)",
             f"version: {FORMAT_VERSION}",
+            f"adapter kind: {bundle.kind}",
             f"tensors: {len(named)}",
-            f"rank: {bundle.conv_loras[0].rank if bundle.conv_loras else 0}",
-            f"alpha_r: {bundle.alpha_r}",
+            f"rank: {bundle.loras[0].rank if bundle.loras else 0}",
+            f"alpha_r: {bundle.alpha}",
             f"base_fingerprint: {bundle.base_fingerprint}",
             f"trainable parameters: {trainable_param_count(bundle)}",
             "sites:",

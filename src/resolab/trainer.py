@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import ResAdapterBundle, effective_param_map
+from .adapters import (
+    DELTA_BETA_SUFFIX, DELTA_GAMMA_SUFFIX, LORA_A_SUFFIX, LORA_B_SUFFIX, effective_param_map,
+)
 from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule, simple_loss
 from .errors import ConfigError, NumericError
@@ -246,10 +248,10 @@ def train_adapter(model: UNetModel, bundle, plan: TrainPlan, dataset: SyntheticD
     dataset.validate()
     _check_buckets(model, plan)
     tensors = bundle.named_tensors()
-    lora_names = [n for n in tensors if n.endswith((".lora.A", ".lora.B"))]
-    delta_names = [n for n in tensors if n.endswith((".delta.gamma", ".delta.beta"))]
+    lora_names = [n for n in tensors if n.endswith((LORA_A_SUFFIX, LORA_B_SUFFIX))]
+    delta_names = [n for n in tensors if n.endswith((DELTA_GAMMA_SUFFIX, DELTA_BETA_SUFFIX))]
     trace = TrainTrace()
-    if isinstance(bundle, ResAdapterBundle) and delta_names and not plan.extrapolation_buckets():
+    if delta_names and not plan.extrapolation_buckets():
         trace.notes.append(
             "plan has no extrapolation bucket; norm deltas will never update and stay zero"
         )

@@ -108,9 +108,41 @@ def _patch_entry(path, magic, name, **changes):
     _edit(path, magic, fn)
 
 
+def _rename_sorted(path, magic, old, new):
+    """Rename one entry, then re-sort the table and lay the payload out to match."""
+    def fn(header, payload):
+        blobs = {}
+        for e in header["tensors"]:
+            blob = payload[e["offset"]:e["offset"] + e["nbytes"]]
+            if e["name"] == old:
+                e["name"] = new
+            blobs[e["name"]] = blob
+        header["tensors"].sort(key=lambda e: e["name"])
+        offset = 0
+        for e in header["tensors"]:
+            e["offset"] = offset
+            offset += e["nbytes"]
+        return header, b"".join(blobs[e["name"]] for e in header["tensors"])
+    _edit(path, magic, fn)
+
+
 def _patch_config(path, magic, **changes):
     def fn(header, payload):
         header["config"].update(changes)
+        return header, payload
+    _edit(path, magic, fn)
+
+
+def _set_config(path, magic, config):
+    def fn(header, payload):
+        header["config"] = config
+        return header, payload
+    _edit(path, magic, fn)
+
+
+def _drop_config_key(path, magic, key):
+    def fn(header, payload):
+        del header["config"][key]
         return header, payload
     _edit(path, magic, fn)
 
@@ -218,6 +250,8 @@ MODEL_CASES = [
     ("trailing_payload", _m_trailing_bytes, "trailing payload"),
     ("unknown_config_key", lambda p: _patch_config(p, MODEL_MAGIC, zoom_factor=2),
      "unknown config key"),
+    ("config_not_object", lambda p: _set_config(p, MODEL_MAGIC, []),
+     "'config' must be a JSON object"),
     ("unknown_site", lambda p: _rename(p, MODEL_MAGIC, "embed.class.weight",
                                        "embed.claxx.weight"), "unknown site-path"),
     ("missing_site", _m_missing_site, "missing site-path"),
@@ -253,4 +287,16 @@ BUNDLE_CASES = [
                        "zzz.weird"), "unknown site-path"),
     ("delta_shape_inconsistent",
      lambda p: shrink_entry(p, BUNDLE_MAGIC, ".delta.beta"), "inconsistent"),
+    ("config_not_object", lambda p: _set_config(p, BUNDLE_MAGIC, []),
+     "'config' must be a JSON object"),
+    ("unknown_kind", lambda p: _patch_config(p, BUNDLE_MAGIC, kind="hyper-lora"),
+     "unknown bundle kind"),
+    ("missing_fingerprint", lambda p: _drop_config_key(p, BUNDLE_MAGIC, "base_fingerprint"),
+     "base_fingerprint must be a string"),
+    ("non_string_fingerprint", lambda p: _patch_config(p, BUNDLE_MAGIC, base_fingerprint=7),
+     "base_fingerprint must be a string"),
+    # a style-lora site is not a resadapter site: validation follows the kind
+    ("lora_site_of_other_kind",
+     lambda p: _rename_sorted(p, BUNDLE_MAGIC, "down.0.sampler.conv.weight.lora.A",
+                              "mid.attn.q.weight.lora.A"), "unknown site-path"),
 ]

@@ -192,7 +192,7 @@ def test_criterion_06_norm_delta_gating(verdict, protocol, base_model):
                       steps=40, phase="adapter", batch_size=4, lr=1e-4, seed=6)
     trace2 = train_adapter(base_model, interp, plan2, protocol.dataset, protocol.schedule)
     still_zero = all(not d.dgamma.data.any() and not d.dbeta.data.any()
-                     for d in interp.deltas())
+                     for d in interp.norm_deltas)
     noted = any("no extrapolation bucket" in n for n in trace2.notes)
     check(verdict, 6, "norm-delta gating",
           gated and still_zero and noted,
@@ -291,7 +291,7 @@ def test_criterion_11_persistence(verdict, tmp_path, base_model, adapter_bundle)
     bundle_exact = all(
         np.array_equal(loaded_b.named_tensors()[n].data,
                        t.data.astype("<f4").astype(np.float64))
-        for n, t in orig.items()) and loaded_b.alpha_r == ALPHA_SHIPPED
+        for n, t in orig.items()) and loaded_b.alpha == ALPHA_SHIPPED
 
     twin = tmp_path / "m2.rsbm"
     save_model(load_model(str(mpath)), str(twin))

@@ -8,7 +8,7 @@ from resolab.adapters import (
     DELTA_GAMMA_SUFFIX,
     LORA_A_SUFFIX,
     LORA_B_SUFFIX,
-    ResAdapterBundle,
+    AdapterBundle,
     adapted_forward,
     attach_resadapter,
     attach_style_lora,
@@ -59,7 +59,7 @@ def small_batch(seed=0, n=2, hw=8):
 def test_lora_pair_shapes_on_default_model():
     model = build_unet(UNetConfig(), seed=0)
     bundle = attach_resadapter(model, rank=4, seed=0)
-    by_site = {p.site: p for p in bundle.lora_pairs()}
+    by_site = {p.site: p for p in bundle.loras}
     # down.0 sampler: host [8, 8, 3, 3] -> A [8, 4], B [72, 4] = 320 params
     p = by_site["down.0.sampler.conv.weight"]
     assert p.a.shape == (8, 4) and p.b.shape == (72, 4)
@@ -69,8 +69,8 @@ def test_lora_pair_shapes_on_default_model():
     host = model.params[q.site]
     assert q.a.shape == (host.shape[0], 4)
     assert q.b.shape == (int(np.prod(host.shape[1:])), 4)
-    assert sum(pair.param_count() for pair in bundle.lora_pairs()) == 928
-    assert sum(nd.param_count() for nd in bundle.deltas()) == 354
+    assert sum(pair.param_count() for pair in bundle.loras) == 928
+    assert sum(nd.param_count() for nd in bundle.norm_deltas) == 354
     assert trainable_param_count(bundle) == 1282
 
 
@@ -99,8 +99,8 @@ def test_named_tensor_suffixes():
     names = bundle.named_tensors()
     n_lora = sum(1 for n in names if n.endswith((LORA_A_SUFFIX, LORA_B_SUFFIX)))
     n_delta = sum(1 for n in names if n.endswith((DELTA_GAMMA_SUFFIX, DELTA_BETA_SUFFIX)))
-    assert n_lora == 2 * len(bundle.lora_pairs())
-    assert n_delta == 2 * len(bundle.deltas())
+    assert n_lora == 2 * len(bundle.loras)
+    assert n_delta == 2 * len(bundle.norm_deltas)
     assert n_lora + n_delta == len(names)
     for n in names:
         if n.endswith((LORA_A_SUFFIX, LORA_B_SUFFIX)):
@@ -128,9 +128,9 @@ def test_attach_style_lora_identity_and_sites():
     before = unet_forward(model, x, t, c).data.copy()
     bundle = attach_style_lora(model, rank=2, seed=5)
     np.testing.assert_array_equal(before, adapted_forward(model, bundle, x, t, c).data)
-    sites = sorted(p.site for p in bundle.lora_pairs())
+    sites = sorted(p.site for p in bundle.loras)
     assert sites == [f"mid.attn.{k}.weight" for k in ("k", "o", "q", "v")]
-    assert bundle.deltas() == []
+    assert bundle.norm_deltas == []
 
 
 def test_attach_style_lora_requires_attention():
@@ -151,18 +151,18 @@ def test_alpha_zero_recovers_base_after_training():
     assert np.abs(moved - base_out).max() > 1e-6  # adapter genuinely active
     off = adapted_forward(model, bundle.with_alpha(0.0), x, t, c).data
     np.testing.assert_array_equal(off, base_out)
-    assert bundle.alpha_r == 1.0  # with_alpha returns a new bundle
+    assert bundle.alpha == 1.0  # with_alpha returns a new bundle
 
 
 def test_alpha_scales_param_deltas_linearly():
     model = small_model()
     bundle = randomize_bundle(attach_resadapter(model, rank=2, seed=2), seed=4)
-    pair = bundle.lora_pairs()[0]
+    pair = bundle.loras[0]
     host = model.params[pair.site].data
     full = effective_param_map(model, bundle)[pair.site].data - host
     half = effective_param_map(model, bundle.with_alpha(0.5))[pair.site].data - host
     np.testing.assert_allclose(half, 0.5 * full, rtol=0, atol=1e-15)
-    nd = bundle.deltas()[0]
+    nd = bundle.norm_deltas[0]
     got = effective_param_map(model, bundle.with_alpha(0.25))[nd.site + ".gamma"].data
     np.testing.assert_allclose(got, model.params[nd.site + ".gamma"].data + 0.25 * nd.dgamma.data,
                                rtol=0, atol=1e-15)
@@ -185,15 +185,15 @@ def test_restricted_subsets():
     base_out = unet_forward(model, x, t, c).data.copy()
     bundle = randomize_bundle(attach_resadapter(model, rank=2, seed=9), seed=10)
     lora_only = bundle.restricted({"conv_lora"})
-    assert lora_only.lora_pairs() and not lora_only.deltas()
+    assert lora_only.loras and not lora_only.norm_deltas
     delta_only = bundle.restricted({"norm_delta"})
-    assert delta_only.deltas() and not delta_only.lora_pairs()
+    assert delta_only.norm_deltas and not delta_only.loras
     neither = bundle.restricted(set())
     np.testing.assert_array_equal(adapted_forward(model, neither, x, t, c).data, base_out)
     with pytest.raises(ConfigError, match="unknown ablation mode"):
         bundle.restricted({"conv_lora", "attention"})
     # restriction does not mutate the original
-    assert bundle.lora_pairs() and bundle.deltas()
+    assert bundle.loras and bundle.norm_deltas
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def test_merge_leaves_original_untouched():
     assert merged.frozen == set()
     assert all(t.requires_grad for t in merged.params.values())
     # merged weights actually moved at the wrapped sites
-    site = bundle.lora_pairs()[0].site
+    site = bundle.loras[0].site
     assert np.abs(merged.params[site].data - snapshot[site]).max() > 0.0
 
 
@@ -280,7 +280,7 @@ def test_bundle_kinds_report_alpha():
     model = small_model()
     res = attach_resadapter(model, rank=2)
     style = attach_style_lora(small_model(seed=2), rank=2)
-    assert res.alpha_value() == 1.0 and style.alpha_value() == 1.0
-    assert isinstance(res, ResAdapterBundle)
-    assert res.with_alpha(0.3).alpha_value() == 0.3
-    assert style.with_alpha(0.7).alpha_value() == 0.7
+    assert res.alpha == 1.0 and style.alpha == 1.0
+    assert isinstance(res, AdapterBundle) and res.kind == "resadapter"
+    assert res.with_alpha(0.3).alpha == 0.3
+    assert style.with_alpha(0.7).alpha == 0.7

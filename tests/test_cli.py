@@ -6,6 +6,7 @@ import pytest
 
 from resolab import store
 from resolab.cli import main
+from resolab.unet import UNetConfig, build_unet
 
 TINY_DOC = {
     "model": {"base_channels": 4, "channel_mults": [1, 2],
@@ -111,7 +112,7 @@ def test_train_adapter_reports_budget(work, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "trainable parameters:" in captured.out
-    assert store.load_bundle(str(out)).lora_pairs()
+    assert store.load_bundle(str(out)).loras
 
 
 def test_train_adapter_warns_without_extrapolation(work, capsys):
@@ -171,6 +172,18 @@ def test_sample_off_resolution(work, capsys):
     assert code == 0
     # PGM headers carry width before height
     assert out.read_bytes().startswith(b"P5\n24 8\n255\n")
+
+
+def test_sample_adapter_on_other_model_exits_2(work, capsys):
+    other = work["root"] / "other.rsbm"
+    store.save_model(build_unet(UNetConfig(in_channels=1, base_channels=4, channel_mults=(1, 2),
+                                           num_res_blocks_per_level=2, groups=4,
+                                           time_embed_dim=8, num_classes=2)), str(other))
+    code = main(["sample", "--config", work["config"], "--model", str(other),
+                 "--adapter", work["bundle"], "--steps", "2",
+                 "--out", str(work["root"] / "wrong.pgm")])
+    assert code == 2
+    assert "fingerprint" in capsys.readouterr().err
 
 
 def test_merge_then_sample_matches_adapted(work, capsys):

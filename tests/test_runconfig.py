@@ -132,8 +132,9 @@ def test_negative_weight_decay_rejected():
 
 
 def test_p_uncond_range_checked():
-    with pytest.raises(ConfigError, match=r"p_uncond must lie in \[0, 1\]"):
-        parse_runconfig({"train": {"p_uncond": 1.5}})
+    for bad in (1.5, 1.0):  # 1.0 would drop every label, which TrainPlan rejects too
+        with pytest.raises(ConfigError, match=r"p_uncond must lie in \[0, 1\)"):
+            parse_runconfig({"train": {"p_uncond": bad}})
 
 
 def test_alpha_r_range_checked():

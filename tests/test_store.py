@@ -1,5 +1,7 @@
 """Container round-trips, canonical bytes, and malformed-file diagnostics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from container_fixtures import (
     small_bundle,
     small_model,
 )
-from resolab.adapters import attach_resadapter
+from resolab.adapters import attach_resadapter, attach_style_lora
 from resolab.errors import ContainerError
 from resolab.store import (
     FORMAT_VERSION,
@@ -95,10 +97,10 @@ def test_bundle_round_trip(tmp_path):
     path = tmp_path / "b.rsad"
     save_bundle(bundle, str(path))
     loaded = load_bundle(str(path))
-    assert loaded.alpha_r == 0.75
+    assert loaded.alpha == 0.75
     assert loaded.base_fingerprint == bundle.base_fingerprint
-    assert [p.site for p in loaded.lora_pairs()] == [p.site for p in bundle.lora_pairs()]
-    assert [d.site for d in loaded.deltas()] == [d.site for d in bundle.deltas()]
+    assert [p.site for p in loaded.loras] == [p.site for p in bundle.loras]
+    assert [d.site for d in loaded.norm_deltas] == [d.site for d in bundle.norm_deltas]
     orig, back = bundle.named_tensors(), loaded.named_tensors()
     for name in orig:
         np.testing.assert_array_equal(back[name].data,
@@ -111,8 +113,33 @@ def test_restricted_bundle_round_trip(tmp_path):
     path = tmp_path / "d.rsad"
     save_bundle(bundle, str(path))
     loaded = load_bundle(str(path))
-    assert loaded.lora_pairs() == []
-    assert len(loaded.deltas()) == len(bundle.deltas())
+    assert loaded.loras == []
+    assert len(loaded.norm_deltas) == len(bundle.norm_deltas)
+
+
+def test_style_bundle_round_trip(tmp_path):
+    bundle = attach_style_lora(small_model(), rank=2, seed=3).with_alpha(0.25)
+    rng = np.random.default_rng(4)
+    for t in bundle.named_tensors().values():  # exactly representable in float32
+        t.data = rng.standard_normal(t.shape).astype("<f4").astype(np.float64)
+    path = tmp_path / "s.rsad"
+    save_bundle(bundle, str(path))
+    loaded = load_bundle(str(path))
+    assert loaded.kind == bundle.kind == "style-lora"
+    assert loaded.alpha == 0.25
+    assert loaded.base_fingerprint == bundle.base_fingerprint
+    orig, back = bundle.named_tensors(), loaded.named_tensors()
+    assert sorted(back) == sorted(orig)
+    for name in orig:
+        np.testing.assert_array_equal(back[name].data, orig[name].data, err_msg=name)
+
+
+def test_bundle_bytes_are_pinned(tmp_path):
+    # digest of the canonical layout; the RNG-only fixture makes it platform-stable
+    path = tmp_path / "b.rsad"
+    save_bundle(small_bundle(small_model()).with_alpha(0.4), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "298d125cfe3b208b639cadedb38b42ea989e88630ad171609af3689a9cae7228")
 
 
 def test_no_temp_files_left_behind(tmp_path):
@@ -172,6 +199,7 @@ def test_inspect_bundle(tmp_path):
     save_bundle(small_bundle(model), str(path))
     text = inspect(str(path))
     assert "RSAD" in text and "rank: 2" in text
+    assert "adapter kind: resadapter" in text
     assert "alpha_r: 1.0" in text
     assert "down.0.sampler.conv.weight.lora.A" in text
 

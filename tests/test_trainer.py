@@ -300,11 +300,11 @@ def test_adapter_gating_counts_match_extrapolation_steps():
 def test_adapter_interpolation_only_leaves_deltas_zero():
     model, bundle, trace = adapter_run(steps=30, resolutions=((8, 8), (12, 12)))
     assert any("no extrapolation bucket" in n for n in trace.notes)
-    for nd in bundle.deltas():
+    for nd in bundle.norm_deltas:
         np.testing.assert_array_equal(nd.dgamma.data, 0.0)
         np.testing.assert_array_equal(nd.dbeta.data, 0.0)
     # the low-rank pairs still trained
-    assert any(np.abs(p.b.data).max() > 0 for p in bundle.lora_pairs())
+    assert any(np.abs(p.b.data).max() > 0 for p in bundle.loras)
 
 
 def test_adapter_training_freezes_base_bitwise():
