@@ -95,12 +95,11 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # numerically stable in both tails
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # sigma(x) = (1 + tanh(x/2)) / 2: one pass, no overflow in either tail;
+    # absolute error <= 2.2e-16 (so sigma(-40) rounds to 0, not 4e-18)
+    out = np.tanh(0.5 * x)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -217,14 +216,27 @@ def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray
     return windows.reshape(n, c * k * k, ho * wo)  # copies into C order
 
 
-def _col2im(gcols: np.ndarray, xp_shape, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    n, c, hp, wp = xp_shape
-    g6 = gcols.reshape(n, c, k, k, ho, wo)
-    gxp = np.zeros(xp_shape)
-    for i in range(k):
-        for j in range(k):
-            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += g6[:, :, i, j]
-    return gxp
+def _pad2d(x: np.ndarray, lo: int, size: tuple[int, int], stride: int = 1) -> np.ndarray:
+    """Zeros of [N, C, *size] with x's row/col i placed at lo + stride*i.
+
+    With stride 1 and size = (h + 2*lo, w + 2*lo) this is zero padding (bit
+    equal to np.pad, at a fraction of its call cost); stride > 1 also
+    zero-dilates. Rows/cols that land outside ``size`` are dropped, so a
+    negative ``lo`` crops.
+    """
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, *size))
+    src, dst = [], []
+    for length, extent in zip((h, w), size):
+        first = -(lo // stride) if lo < 0 else 0  # ceil(-lo / stride)
+        last = min(length, -((lo - extent) // stride))  # ceil((extent - lo) / stride)
+        if last <= first:
+            return out
+        start = lo + first * stride
+        src.append(slice(first, last))
+        dst.append(slice(start, start + (last - first - 1) * stride + 1, stride))
+    out[:, :, dst[0], dst[1]] = x[:, :, src[0], src[1]]
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
@@ -248,7 +260,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         raise ShapeError(f"conv2d: padded spatial dims ({hp}, {wp}) smaller than kernel {k}")
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x.data
+    xp = _pad2d(x.data, padding, (hp, wp)) if padding else x.data
     cols = _im2col(xp, k, stride, ho, wo)  # [N, C*k*k, L]
     wmat = w.data.reshape(co, ci * k * k)
     out = (wmat @ cols).reshape(n, co, ho, wo)
@@ -260,10 +272,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         gmat = g.reshape(n, co, ho * wo)
         gx = None
         if x.requires_grad:
-            gcols = wmat.T @ gmat  # [N, C*k*k, L]
-            gxp = _col2im(gcols, xp.shape, k, stride, ho, wo)
-            gx = gxp[:, :, padding : padding + h, padding : padding + wd] if padding else gxp
-        gw = np.einsum("ncl,nkl->ck", gmat, cols).reshape(w.shape) if w.requires_grad else None
+            # gx is the stride-1 correlation of the cotangent, zero-dilated by
+            # stride and padded by k-1-padding (plus the rows/cols the forward
+            # never read at the bottom/right), with the flipped, transposed
+            # kernel: the same im2col + GEMM as the forward, no scatter.
+            gp = _pad2d(g, k - 1 - padding, (h + k - 1, wd + k - 1), stride)
+            wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
+            gx = (wflip @ _im2col(gp, k, 1, h, wd)).reshape(x.shape)
+        gw = None
+        if w.requires_grad:
+            gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         if b is None:
             return [gx, gw]
         return [gx, gw, g.sum(axis=(0, 2, 3))]
@@ -281,10 +299,10 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float =
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"group_norm: gamma/beta must be ({c},), got {gamma.shape} and {beta.shape}")
     xg = x.data.reshape(n, groups, -1)
-    mu = xg.mean(axis=-1, keepdims=True)
-    var = xg.var(axis=-1, keepdims=True)
+    d = xg - xg.mean(axis=-1, keepdims=True)
+    var = (d * d).mean(axis=-1, keepdims=True)  # bit equal to xg.var(axis=-1)
     istd = 1.0 / np.sqrt(var + eps)
-    xhat_g = (xg - mu) * istd
+    xhat_g = d * istd
     xhat = xhat_g.reshape(x.shape)
     g4 = gamma.data.reshape(1, c, 1, 1)
     out = xhat * g4 + beta.data.reshape(1, c, 1, 1)

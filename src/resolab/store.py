@@ -11,6 +11,7 @@ through a temp file in the target directory and an atomic rename.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -21,7 +22,8 @@ from .adapters import (
     BUNDLE_KINDS, DELTA_BETA_SUFFIX, DELTA_GAMMA_SUFFIX, LORA_A_SUFFIX, LORA_B_SUFFIX,
     AdapterBundle, LoRAPair, NormDelta, trainable_param_count,
 )
-from .errors import ContainerError
+from .errors import ConfigError, ContainerError
+from .runconfig import _build_section
 from .tensor import Tensor
 from .unet import _SELECTOR_PATTERNS, UNetConfig, UNetModel, site_shapes
 
@@ -98,18 +100,34 @@ def _read_container(path: str, expected_magic: bytes) -> tuple[dict, bytes]:
     return header, raw[_PREFIX.size + header_len :]
 
 
+def _is_count(value) -> bool:
+    """A JSON integer >= 0 (JSON true/false are not counts)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _validate_table(path: str, table, payload: bytes) -> None:
     if not isinstance(table, list) or not all(isinstance(e, dict) for e in table):
         raise ContainerError(f"{path}: tensor table must be a list of records")
-    names = [e.get("name") for e in table]
+    for e in table:
+        missing = next((key for key in ("name", "shape", "offset", "nbytes") if key not in e), None)
+        if missing:
+            raise ContainerError(f"{path}: tensor record lacks {missing!r}")
+        if not isinstance(e["name"], str):
+            raise ContainerError(f"{path}: tensor name must be a string, got {e['name']!r}")
+        if not isinstance(e["shape"], list) or not all(_is_count(d) for d in e["shape"]):
+            raise ContainerError(
+                f"{path}: {e['name']}: shape must be a list of non-negative ints, got {e['shape']!r}"
+            )
+        for key in ("offset", "nbytes"):
+            if not _is_count(e[key]):
+                raise ContainerError(f"{path}: {e['name']}: {key} must be a non-negative int, got {e[key]!r}")
+    names = [e["name"] for e in table]
     if names != sorted(names) or len(set(names)) != len(names):
         raise ContainerError(f"{path}: tensor names must be unique and sorted")
     cursor = 0
     for e in table:
-        shape = tuple(int(d) for d in e["shape"])
-        nbytes = int(e["nbytes"])
-        offset = int(e["offset"])
-        if nbytes != 4 * int(np.prod(shape, dtype=np.int64)):
+        shape, nbytes, offset = tuple(e["shape"]), e["nbytes"], e["offset"]
+        if nbytes != 4 * math.prod(shape):
             raise ContainerError(f"{path}: {e['name']}: nbytes {nbytes} contradicts shape {shape}")
         if offset < cursor:
             raise ContainerError(f"{path}: overlapping extents at {e['name']}")
@@ -120,13 +138,17 @@ def _validate_table(path: str, table, payload: bytes) -> None:
         raise ContainerError(f"{path}: truncated payload ({len(payload)} bytes, need {cursor})")
     if len(payload) > cursor:
         raise ContainerError(f"{path}: {len(payload) - cursor} trailing payload bytes")
+    bad = np.flatnonzero(~np.isfinite(np.frombuffer(payload, dtype="<f4")))
+    if bad.size:
+        at = 4 * int(bad[0])
+        name = next(e["name"] for e in table if e["offset"] <= at < e["offset"] + e["nbytes"])
+        raise ContainerError(f"{path}: {name}: non-finite value in the payload")
 
 
 def _unpack_tensor(payload: bytes, entry: dict) -> np.ndarray:
-    shape = tuple(int(d) for d in entry["shape"])
-    count = int(np.prod(shape, dtype=np.int64))
-    arr = np.frombuffer(payload, dtype="<f4", count=count, offset=int(entry["offset"]))
-    return arr.astype(np.float64).reshape(shape)
+    count = entry["nbytes"] // 4
+    arr = np.frombuffer(payload, dtype="<f4", count=count, offset=entry["offset"])
+    return arr.astype(np.float64).reshape(entry["shape"])
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +166,10 @@ def save_model(model: UNetModel, path: str) -> None:
 
 def load_model(path: str) -> UNetModel:
     header, payload = _read_container(path, MODEL_MAGIC)
-    cfg_dict = dict(header["config"])
-    if "channel_mults" in cfg_dict:
-        cfg_dict["channel_mults"] = tuple(cfg_dict["channel_mults"])
-    known = set(UNetConfig.__dataclass_fields__)
-    unknown = set(cfg_dict) - known
-    if unknown:
-        raise ContainerError(f"{path}: unknown config key(s) {sorted(unknown)}")
-    config = UNetConfig(**cfg_dict)
+    try:  # the run-config parser's typed fields, unknown-key check included
+        config = _build_section("model", UNetConfig, header["config"])
+    except ConfigError as exc:
+        raise ContainerError(f"{path}: {exc}") from None
     expected = site_shapes(config)
     _validate_table(path, header["tensors"], payload)
     table = {e["name"]: e for e in header["tensors"]}
@@ -194,6 +212,12 @@ def load_bundle(path: str) -> AdapterBundle:
     fingerprint = config.get("base_fingerprint")
     if not isinstance(fingerprint, str):
         raise ContainerError(f"{path}: base_fingerprint must be a string, got {fingerprint!r}")
+    rank = config.get("rank", 0)
+    if not _is_count(rank):
+        raise ContainerError(f"{path}: rank must be a non-negative int, got {rank!r}")
+    alpha = config.get("alpha_r", 1.0)
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 <= alpha <= 1.0:
+        raise ContainerError(f"{path}: alpha_r must be a number in [0, 1], got {alpha!r}")
     _validate_table(path, header["tensors"], payload)
     # suffix -> (selector pattern of the kind, host param tail appended to the site)
     lora_pattern, delta_pattern = (_SELECTOR_PATTERNS.get(sel) for sel in BUNDLE_KINDS[kind])
@@ -210,7 +234,6 @@ def load_bundle(path: str) -> AdapterBundle:
             raise ContainerError(f"{path}: unknown site-path {name!r}")
         arrays[name] = _unpack_tensor(payload, entry)
 
-    rank = int(config.get("rank", 0))
     lora_sites = sorted({n[: -len(LORA_A_SUFFIX)] for n in arrays if n.endswith(LORA_A_SUFFIX)})
     pairs = []
     for site in lora_sites:
@@ -241,8 +264,7 @@ def load_bundle(path: str) -> AdapterBundle:
     if orphan_db:
         raise ContainerError(f"{path}: {sorted(orphan_db)[0]}: delta beta present without gamma")
 
-    alpha = float(config.get("alpha_r", 1.0))
-    return AdapterBundle(kind=kind, loras=pairs, norm_deltas=deltas, alpha=alpha,
+    return AdapterBundle(kind=kind, loras=pairs, norm_deltas=deltas, alpha=float(alpha),
                          base_fingerprint=fingerprint)
 
 

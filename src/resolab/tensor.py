@@ -10,6 +10,7 @@ backward twice without resetting grads doubles them.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 import numpy as np
@@ -18,12 +19,21 @@ from .errors import NumericError, ShapeError
 
 __all__ = ["Tensor", "Tape", "active_tape"]
 
-_TAPE_STACK: list["Tape"] = []
+
+class _TapeStack(threading.local):
+    """Per-thread stack of recording tapes (each thread starts empty)."""
+
+    def __init__(self):
+        self.tapes: list["Tape"] = []
+
+
+_TAPE_STACK = _TapeStack()
 
 
 def active_tape() -> "Tape | None":
-    """The innermost tape currently recording, or None."""
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    """The innermost tape recording on the calling thread, or None."""
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 class Tensor:
@@ -80,19 +90,20 @@ Record = tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], list]]
 class Tape:
     """Ordered record of executed primitives, used as a context manager.
 
-    Only one tape records at a time (the innermost). A tape is confined to
-    the thread that created it; nothing here is shared mutable state.
+    Only one tape per thread records at a time (the innermost). The stack
+    of active tapes is thread-local, so a tape only sees ops run on the
+    thread that entered it.
     """
 
     def __init__(self):
         self._records: list[Record] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        popped = _TAPE_STACK.pop()
+        popped = _TAPE_STACK.tapes.pop()
         assert popped is self, "tapes must unwind in LIFO order"
         return False
 

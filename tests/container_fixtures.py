@@ -100,11 +100,25 @@ def _rename(path, magic, old, new):
     _edit(path, magic, fn)
 
 
-def _patch_entry(path, magic, name, **changes):
+def _patch_entry(path, magic, site, **changes):
     def fn(header, payload):
-        entry = next(e for e in header["tensors"] if e["name"] == name)
+        entry = next(e for e in header["tensors"] if e["name"] == site)
         entry.update(changes)
         return header, payload
+    _edit(path, magic, fn)
+
+
+def _drop_entry_key(path, magic, key):
+    def fn(header, payload):
+        del header["tensors"][0][key]
+        return header, payload
+    _edit(path, magic, fn)
+
+
+def _poison_payload(path, magic, value):
+    """Overwrite the last float32 of the payload with ``value``."""
+    def fn(header, payload):
+        return header, payload[:-4] + np.float32(value).astype("<f4").tobytes()
     _edit(path, magic, fn)
 
 
@@ -252,10 +266,42 @@ MODEL_CASES = [
      "unknown config key"),
     ("config_not_object", lambda p: _set_config(p, MODEL_MAGIC, []),
      "'config' must be a JSON object"),
+    ("config_int_as_string", lambda p: _patch_config(p, MODEL_MAGIC, groups="4"),
+     "model.groups must be an integer"),
+    ("config_bool_as_string", lambda p: _patch_config(p, MODEL_MAGIC, attn_at_bottleneck="no"),
+     "model.attn_at_bottleneck must be a boolean"),
+    ("config_mults_not_list", lambda p: _patch_config(p, MODEL_MAGIC, channel_mults=2),
+     "model.channel_mults must be a list"),
     ("unknown_site", lambda p: _rename(p, MODEL_MAGIC, "embed.class.weight",
                                        "embed.claxx.weight"), "unknown site-path"),
     ("missing_site", _m_missing_site, "missing site-path"),
     ("shape_mismatch", _m_transpose_shape, "stored shape"),
+    ("record_lacks_nbytes", lambda p: _drop_entry_key(p, MODEL_MAGIC, "nbytes"),
+     "lacks 'nbytes'"),
+    ("record_lacks_name", lambda p: _drop_entry_key(p, MODEL_MAGIC, "name"),
+     "lacks 'name'"),
+    ("name_not_string", lambda p: _patch_entry(p, MODEL_MAGIC, "down.0.res.0.conv1.bias",
+                                               name=None), "name must be a string"),
+    ("shape_not_list", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", shape=1),
+     "shape must be a list of non-negative ints"),
+    ("shape_dim_not_int", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", shape=["x"]),
+     "shape must be a list of non-negative ints"),
+    ("shape_dim_float", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", shape=[1.0]),
+     "shape must be a list of non-negative ints"),
+    ("shape_dim_negative", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", shape=[-1]),
+     "shape must be a list of non-negative ints"),
+    ("shape_dim_bool", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", shape=[True]),
+     "shape must be a list of non-negative ints"),
+    ("nbytes_not_int", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", nbytes="4"),
+     "nbytes must be a non-negative int"),
+    ("nbytes_float", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", nbytes=4.0),
+     "nbytes must be a non-negative int"),
+    ("offset_negative", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", offset=-4),
+     "offset must be a non-negative int"),
+    ("offset_null", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", offset=None),
+     "offset must be a non-negative int"),
+    ("nan_payload", lambda p: _poison_payload(p, MODEL_MAGIC, np.nan), "non-finite value"),
+    ("inf_payload", lambda p: _poison_payload(p, MODEL_MAGIC, -np.inf), "non-finite value"),
 ]
 
 
@@ -295,6 +341,27 @@ BUNDLE_CASES = [
      "base_fingerprint must be a string"),
     ("non_string_fingerprint", lambda p: _patch_config(p, BUNDLE_MAGIC, base_fingerprint=7),
      "base_fingerprint must be a string"),
+    ("alpha_above_one", lambda p: _patch_config(p, BUNDLE_MAGIC, alpha_r=5.0),
+     "alpha_r must be a number in \\[0, 1\\]"),
+    ("alpha_negative", lambda p: _patch_config(p, BUNDLE_MAGIC, alpha_r=-0.5),
+     "alpha_r must be a number in \\[0, 1\\]"),
+    ("alpha_not_number", lambda p: _patch_config(p, BUNDLE_MAGIC, alpha_r="x"),
+     "alpha_r must be a number in \\[0, 1\\]"),
+    ("alpha_null", lambda p: _patch_config(p, BUNDLE_MAGIC, alpha_r=None),
+     "alpha_r must be a number in \\[0, 1\\]"),
+    ("alpha_bool", lambda p: _patch_config(p, BUNDLE_MAGIC, alpha_r=True),
+     "alpha_r must be a number in \\[0, 1\\]"),
+    ("alpha_nan", lambda p: _patch_config(p, BUNDLE_MAGIC, alpha_r=float("nan")),
+     "alpha_r must be a number in \\[0, 1\\]"),
+    ("rank_not_int", lambda p: _patch_config(p, BUNDLE_MAGIC, rank="x"),
+     "rank must be a non-negative int"),
+    ("rank_float", lambda p: _patch_config(p, BUNDLE_MAGIC, rank=2.0),
+     "rank must be a non-negative int"),
+    ("rank_negative", lambda p: _patch_config(p, BUNDLE_MAGIC, rank=-2),
+     "rank must be a non-negative int"),
+    ("rank_bool", lambda p: _patch_config(p, BUNDLE_MAGIC, rank=True),
+     "rank must be a non-negative int"),
+    ("nan_payload", lambda p: _poison_payload(p, BUNDLE_MAGIC, np.nan), "non-finite value"),
     # a style-lora site is not a resadapter site: validation follows the kind
     ("lora_site_of_other_kind",
      lambda p: _rename_sorted(p, BUNDLE_MAGIC, "down.0.sampler.conv.weight.lora.A",

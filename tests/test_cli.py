@@ -1,9 +1,11 @@
 """End-to-end command-line flows against a miniature run configuration."""
 
 import json
+import pathlib
 
 import pytest
 
+from container_fixtures import read_parts, write_parts
 from resolab import store
 from resolab.cli import main
 from resolab.unet import UNetConfig, build_unet
@@ -214,6 +216,17 @@ def test_inspect_accepts_file_flag(work, capsys):
 def test_inspect_without_path_exits_2(work, capsys):
     assert main(["inspect"]) == 2
     assert "give a container path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [("alpha_r", 5.0), ("alpha_r", "x"),
+                                         ("alpha_r", None), ("rank", "x")])
+def test_inspect_bundle_with_bad_numbers_exits_2(work, capsys, field, value):
+    magic, version, header, payload = read_parts(pathlib.Path(work["bundle"]))
+    header["config"][field] = value
+    bad = work["root"] / "bad-numbers.rsad"
+    write_parts(bad, magic, version, header, payload)
+    assert main(["inspect", str(bad)]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_inspect_garbage_exits_2(work, capsys):

@@ -4,16 +4,20 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from container_fixtures import (
     BUNDLE_CASES,
     MODEL_CASES,
+    PREFIX,
     SMALL,
     read_parts,
     small_bundle,
     small_model,
 )
 from resolab.adapters import attach_resadapter, attach_style_lora
+from resolab.cli import main
 from resolab.errors import ContainerError
 from resolab.store import (
     FORMAT_VERSION,
@@ -171,6 +175,29 @@ def test_bundle_diagnostics(tmp_path, name, mutate, pattern):
     mutate(path)
     with pytest.raises(ContainerError, match=pattern):
         load_bundle(str(path))
+
+
+@pytest.fixture(scope="module")
+def saved_containers(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    model = small_model()
+    save_model(model, str(root / "m.rsbm"))
+    save_bundle(small_bundle(model), str(root / "b.rsad"))
+    return {name: (root / name).read_bytes() for name in ("m.rsbm", "b.rsad")}, root
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["m.rsbm", "b.rsad"]), where=st.floats(0.0, 1.0, exclude_max=True),
+       value=st.integers(0, 255))
+def test_single_byte_header_mutation_loads_or_exits_2(saved_containers, kind, where, value):
+    # prefix or JSON header, any byte value: never an untyped exception
+    originals, root = saved_containers
+    raw = bytearray(originals[kind])
+    header_end = PREFIX.size + PREFIX.unpack_from(raw)[2]
+    raw[int(where * header_end)] = value
+    path = root / ("mutated-" + kind)
+    path.write_bytes(bytes(raw))
+    assert main(["inspect", str(path)]) in (0, 2)
 
 
 def test_model_magic_rejected_by_bundle_loader(tmp_path):

@@ -1,5 +1,7 @@
 """Tape and Tensor semantics: accumulation, reuse, isolation."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,48 @@ def test_grad_accumulates_across_separate_tapes():
         with Tape() as tape:
             tape.backward(ops.sum_all(ops.mul(x, x)))
     np.testing.assert_allclose(x.grad, [6.0])
+
+
+def _threaded_chain(seed, sync=lambda: None):
+    """conv -> group_norm -> silu -> mean on its own tape; sync() between ops."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((2, 4, 6, 6)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 4, 3, 3)), requires_grad=True)
+    gamma = Tensor(rng.standard_normal(4), requires_grad=True)
+    beta = Tensor(rng.standard_normal(4), requires_grad=True)
+    with Tape() as tape:
+        sync()
+        h = ops.conv2d(x, w, padding=1)
+        sync()
+        h = ops.group_norm(h, 2, gamma, beta)
+        sync()
+        loss = ops.mean_all(ops.silu(h))
+        sync()
+        tape.backward(loss)
+        sync()
+    return [t.grad for t in (x, w, gamma, beta)]
+
+
+def test_tapes_are_confined_to_their_thread():
+    # each thread's ops interleave with the other's while both tapes are open
+    expected = [_threaded_chain(seed) for seed in (1, 2)]
+    barrier = threading.Barrier(2, timeout=30)
+    results, errors = {}, []
+
+    def worker(seed):
+        try:
+            results[seed] = _threaded_chain(seed, barrier.wait)
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+            barrier.abort()
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in (1, 2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not errors, errors
+    assert active_tape() is None
+    for seed, want in zip((1, 2), expected):
+        for got, ref in zip(results[seed], want):
+            assert np.array_equal(got, ref)
