@@ -69,6 +69,26 @@ def _load_bundle_for(path: str, alpha: float | None):
     return bundle if alpha is None else bundle.with_alpha(alpha)
 
 
+def _plan(rc: RunConfig, phase: str, steps: int | None) -> TrainPlan:
+    """The training plan of one phase; ``steps`` (from --steps) overrides the config's."""
+    t = rc.train
+    base = phase == "base"
+    s = t.standard_resolution
+    return TrainPlan(
+        resolutions=((s, s),) if base else t.resolutions,
+        standard_resolution=s,
+        steps=steps if steps is not None else (t.steps_base if base else t.steps_adapter),
+        phase=phase,
+        batch_size=t.batch_size,
+        lr=t.lr_base if base else t.lr,
+        adam_beta1=t.adam_beta1,
+        adam_beta2=t.adam_beta2,
+        weight_decay=t.weight_decay,
+        seed=t.seed,
+        p_uncond=t.p_uncond,
+    )
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -76,19 +96,7 @@ def _load_bundle_for(path: str, alpha: float | None):
 def _cmd_train_base(args) -> int:
     rc = load_runconfig(args.config)
     model = build_unet(rc.model, seed=rc.train.seed)
-    s = rc.train.standard_resolution
-    plan = TrainPlan(
-        resolutions=((s, s),),
-        standard_resolution=s,
-        steps=args.steps if args.steps is not None else rc.train.steps_base,
-        phase="base",
-        batch_size=rc.train.batch_size,
-        lr=rc.train.lr_base,
-        adam_beta1=rc.train.adam_beta1,
-        adam_beta2=rc.train.adam_beta2,
-        seed=rc.train.seed,
-        p_uncond=rc.train.p_uncond,
-    )
+    plan = _plan(rc, "base", args.steps)
     trace = train_base(model, plan, rc.data.build(), rc.schedule.build())
     store.save_model(model, args.out)
     if args.trace:
@@ -104,19 +112,7 @@ def _cmd_train_adapter(args) -> int:
     rc = load_runconfig(args.config)
     model = _load_model_for(args, rc)
     bundle = attach_resadapter(model, rank=rc.train.rank, seed=rc.train.seed)
-    plan = TrainPlan(
-        resolutions=rc.train.resolutions,
-        standard_resolution=rc.train.standard_resolution,
-        steps=args.steps if args.steps is not None else rc.train.steps_adapter,
-        phase="adapter",
-        batch_size=rc.train.batch_size,
-        lr=rc.train.lr,
-        adam_beta1=rc.train.adam_beta1,
-        adam_beta2=rc.train.adam_beta2,
-        weight_decay=rc.train.weight_decay,
-        seed=rc.train.seed,
-        p_uncond=rc.train.p_uncond,
-    )
+    plan = _plan(rc, "adapter", args.steps)
     trace = train_adapter(model, bundle, plan, rc.data.build(), rc.schedule.build())
     bundle = bundle.with_alpha(rc.train.alpha_r)
     store.save_bundle(bundle, args.out)

@@ -70,12 +70,7 @@ def build_schedule(timesteps: int = DESK_TIMESTEPS, beta_start: float = DESK_BET
 
 
 def _per_sample_coeffs(schedule: DiffusionSchedule, t, n: int) -> tuple[np.ndarray, np.ndarray]:
-    t_arr = np.asarray(t)
-    if t_arr.ndim == 0:
-        t_arr = np.full(n, int(t_arr))
-    if t_arr.shape != (n,):
-        raise ShapeError(f"t must be a scalar or length-{n} vector, got shape {t_arr.shape}")
-    idx = t_arr.astype(np.int64)
+    idx = _as_index_vector(t, n, "t")
     if idx.min() < 1 or idx.max() > schedule.timesteps:
         raise ConfigError(f"timestep outside schedule range [1, {schedule.timesteps}]")
     ab = schedule.alpha_bar[idx - 1]

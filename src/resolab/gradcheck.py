@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import ops
+from . import diffusion, ops, unet
 from .errors import NumericError, ShapeError
 from .tensor import Tape, Tensor
 
@@ -68,20 +68,139 @@ def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, step: float = 1e-4)
 
 
 def _check_args(op_name: str, build, n_points: int, seed: int, step: float):
-    """Run grad_check for each differentiable argument over several points."""
-    results = []
-    for k in range(n_points):
-        rng = np.random.default_rng([seed, k])
-        tensors, f_of = build(rng)
-        for arg_name, t in tensors:
-            err = grad_check(f_of(arg_name), t, step=step)
-            results.append((f"{op_name}.{arg_name}[{k}]", err))
-    # collapse points: report worst error per op.arg
+    """Worst grad_check error per ``op.arg`` over ``n_points`` random points.
+
+    Each argument is checked with the others held fixed at their drawn values.
+    """
     worst: dict[str, float] = {}
-    for name, err in results:
-        base = name.rsplit("[", 1)[0]
-        worst[base] = max(worst.get(base, 0.0), err)
+    for k in range(n_points):
+        named, loss = build(np.random.default_rng([seed, k]))
+        for arg, point in named.items():
+            err = grad_check(lambda x: loss({**named, arg: x}), point, step=step)
+            key = f"{op_name}.{arg}"
+            worst[key] = max(worst.get(key, 0.0), err)
     return sorted(worst.items())
+
+
+def _normal(rng, shape, scale: float = 1.0) -> Tensor:
+    return Tensor(rng.standard_normal(shape) * scale)
+
+
+def _normals(shapes: dict, loss):
+    """Builder of a case whose arguments are N(0, 1) draws of ``shapes``, in key order."""
+    return lambda rng: ({name: _normal(rng, shape) for name, shape in shapes.items()}, loss)
+
+
+def _mean_silu(y: Tensor) -> Tensor:
+    return ops.mean_all(ops.silu(y))
+
+
+def _mean_square(y: Tensor) -> Tensor:
+    return ops.mean_all(ops.mul(y, y))
+
+
+def _elementwise(rng):
+    named = {"a": _normal(rng, (3, 4)), "b": _normal(rng, (3, 4))}
+
+    def loss(ts):
+        y = ops.silu(ops.mul(ops.add(ts["a"], ts["b"]), ts["a"]))
+        return ops.mean_all(ops.scale(y, 1.7))
+
+    return named, loss
+
+
+def _conv2d(rng):
+    named = {"x": _normal(rng, (2, 3, 5, 5)), "w": _normal(rng, (4, 3, 3, 3), 0.5)}
+    named["b"] = _normal(rng, 4)
+    return named, lambda ts: _mean_silu(ops.conv2d(ts["x"], ts["w"], ts["b"], stride=1, padding=1))
+
+
+def _conv2d_strided(rng):
+    named = {"x": _normal(rng, (2, 2, 6, 6)), "w": _normal(rng, (3, 2, 3, 3), 0.5)}
+    return named, lambda ts: ops.mean_all(ops.conv2d(ts["x"], ts["w"], None, stride=2, padding=1))
+
+
+def _group_norm(rng):
+    named = {"x": _normal(rng, (2, 4, 3, 3)), "gamma": Tensor(1.0 + 0.2 * rng.standard_normal(4))}
+    named["beta"] = _normal(rng, 4, 0.2)
+    return named, lambda ts: _mean_silu(ops.group_norm(ts["x"], 2, ts["gamma"], ts["beta"]))
+
+
+def _self_attention(rng):
+    named = {"x": _normal(rng, (2, 5, 4)), **{f"w{n}": _normal(rng, (4, 4), 0.5) for n in "qkvo"}}
+    return named, lambda ts: ops.mean_all(
+        ops.self_attention(ts["x"], ts["wq"], ts["wk"], ts["wv"], ts["wo"]))
+
+
+def _embed_rows(rng):
+    named = {"weight": _normal(rng, (5, 3))}
+    ids = rng.integers(0, 5, size=4)
+    return named, lambda ts: _mean_silu(ops.embed_rows(ts["weight"], ids))
+
+
+def _convnet2(rng):
+    """Two-layer conv net: a padded conv, SiLU, then a strided conv."""
+    named = {"x": _normal(rng, (2, 1, 6, 6)), "w1": _normal(rng, (4, 1, 3, 3), 0.5)}
+    named["w2"] = _normal(rng, (2, 4, 3, 3), 0.5)
+
+    def loss(ts):
+        h = ops.silu(ops.conv2d(ts["x"], ts["w1"], None, stride=1, padding=1))
+        return _mean_square(ops.conv2d(h, ts["w2"], None, stride=2, padding=1))
+
+    return named, loss
+
+
+_SOFTMAX_PROBE = Tensor(np.arange(6, dtype=float).reshape(1, 6))
+_LOSS_CONFIG = unet.UNetConfig(
+    in_channels=1, base_channels=4, channel_mults=(1, 2), num_res_blocks_per_level=1,
+    groups=4, attn_at_bottleneck=True, time_embed_dim=8, num_classes=2,
+)
+_LOSS_SITES = ("down.0.sampler.conv.weight", "mid.attn.q.weight", "up.0.res.0.norm2.gamma",
+               "time.mlp1.weight", "out.conv.bias")
+
+
+def _simple_loss(rng):
+    """The full denoiser loss in x0 and in five parameter sites of a tiny UNet."""
+    sched = diffusion.build_schedule(10, 1e-3, 5e-2)
+    model = unet.build_unet(_LOSS_CONFIG, seed=int(rng.integers(0, 2**31)))
+    # move off the zero-init output so the loss actually depends on the net
+    out_w = model.params["out.conv.weight"]
+    out_w.data[:] = 0.3 * rng.standard_normal(out_w.shape)
+    named = {"x0": Tensor(rng.uniform(-1, 1, size=(2, 1, 4, 4)))}
+    named.update({s: model.params[s] for s in _LOSS_SITES})
+    eps = _normal(rng, (2, 1, 4, 4))
+    t = rng.integers(1, sched.timesteps + 1, size=2)
+    c = rng.integers(0, 2, size=2)
+
+    def loss(ts):
+        params = {**model.params, **{s: ts[s] for s in _LOSS_SITES}}
+        return diffusion.simple_loss(model, ts["x0"], t, eps, c, sched, params=params)
+
+    return named, loss
+
+
+# One (name, build) entry per differentiable primitive or composite; build(rng)
+# returns the named argument Tensors and a scalar loss of a name -> Tensor map.
+_CASES = (
+    ("elementwise(add,mul,scale,silu)", _elementwise),
+    ("linear", _normals({"x": (4, 5), "w": (3, 5), "b": 3},
+                        lambda ts: _mean_silu(ops.linear(ts["x"], ts["w"], ts["b"])))),
+    ("matmul", _normals({"a": (2, 3, 4), "b": (4, 5)},
+                        lambda ts: ops.mean_all(ops.matmul(ts["a"], ts["b"])))),
+    ("softmax", _normals({"x": (3, 6)},
+                         lambda ts: ops.mean_all(ops.mul(ops.softmax(ts["x"]), _SOFTMAX_PROBE)))),
+    ("conv2d", _conv2d),
+    ("conv2d(stride=2)", _conv2d_strided),
+    ("group_norm", _group_norm),
+    ("self_attention", _self_attention),
+    ("upsample_nearest2x", _normals({"x": (2, 3, 4, 4)},
+                                    lambda ts: _mean_silu(ops.upsample_nearest2x(ts["x"])))),
+    ("embed_rows", _embed_rows),
+    ("crop_cols", _normals({"x": (3, 6)}, lambda ts: _mean_silu(ops.crop_cols(ts["x"], 4)))),
+    ("reshape+permute", _normals({"x": (2, 3, 4)}, lambda ts: _mean_square(
+        ops.permute(ops.reshape(ts["x"], (2, 4, 3)), (1, 0, 2))))),
+    ("convnet2", _convnet2),
+)
 
 
 def run_suite(seed: int = 0, step: float = 1e-4, n_points: int = 5) -> list[tuple[str, float]]:
@@ -90,239 +209,7 @@ def run_suite(seed: int = 0, step: float = 1e-4, n_points: int = 5) -> list[tupl
     Returns (name, max relative error) pairs, one per op/argument, taking the
     worst case over ``n_points`` random points each.
     """
-    from . import diffusion, unet  # local import: those modules build on ops
-
-    out: list[tuple[str, float]] = []
-
-    def swap(tensors, name, x):
-        return {n: (x if n == name else t) for n, t in tensors}
-
-    def elementwise_case(rng):
-        a = Tensor(rng.standard_normal((3, 4)))
-        b = Tensor(rng.standard_normal((3, 4)))
-
-        def f_of(name):
-            def f(x):
-                ts = swap([("a", a), ("b", b)], name, x)
-                y = ops.silu(ops.mul(ops.add(ts["a"], ts["b"]), ts["a"]))
-                return ops.mean_all(ops.scale(y, 1.7))
-            return f
-
-        return [("a", a), ("b", b)], f_of
-
-    out += _check_args("elementwise(add,mul,scale,silu)", elementwise_case, n_points, seed, step)
-
-    def linear_case(rng):
-        x = Tensor(rng.standard_normal((4, 5)))
-        w = Tensor(rng.standard_normal((3, 5)))
-        b = Tensor(rng.standard_normal(3))
-        named = [("x", x), ("w", w), ("b", b)]
-
-        def f_of(name):
-            def f(t):
-                ts = swap(named, name, t)
-                return ops.mean_all(ops.silu(ops.linear(ts["x"], ts["w"], ts["b"])))
-            return f
-
-        return named, f_of
-
-    out += _check_args("linear", linear_case, n_points, seed, step)
-
-    def matmul_case(rng):
-        a = Tensor(rng.standard_normal((2, 3, 4)))
-        b = Tensor(rng.standard_normal((4, 5)))
-        named = [("a", a), ("b", b)]
-
-        def f_of(name):
-            def f(t):
-                ts = swap(named, name, t)
-                return ops.mean_all(ops.matmul(ts["a"], ts["b"]))
-            return f
-
-        return named, f_of
-
-    out += _check_args("matmul", matmul_case, n_points, seed, step)
-
-    def softmax_case(rng):
-        x = Tensor(rng.standard_normal((3, 6)))
-
-        def f_of(_):
-            def f(t):
-                probe = Tensor(np.arange(6, dtype=float))
-                return ops.mean_all(ops.mul(ops.softmax(t), reshapeb(probe)))
-
-            def reshapeb(p):
-                return ops.reshape(p, (1, 6))
-            return f
-
-        return [("x", x)], f_of
-
-    out += _check_args("softmax", softmax_case, n_points, seed, step)
-
-    def conv_case(rng):
-        x = Tensor(rng.standard_normal((2, 3, 5, 5)))
-        w = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.5)
-        b = Tensor(rng.standard_normal(4))
-        named = [("x", x), ("w", w), ("b", b)]
-
-        def f_of(name):
-            def f(t):
-                ts = swap(named, name, t)
-                return ops.mean_all(ops.silu(ops.conv2d(ts["x"], ts["w"], ts["b"], stride=1, padding=1)))
-            return f
-
-        return named, f_of
-
-    out += _check_args("conv2d", conv_case, n_points, seed, step)
-
-    def conv_strided_case(rng):
-        x = Tensor(rng.standard_normal((2, 2, 6, 6)))
-        w = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.5)
-        named = [("x", x), ("w", w)]
-
-        def f_of(name):
-            def f(t):
-                ts = swap(named, name, t)
-                return ops.mean_all(ops.conv2d(ts["x"], ts["w"], None, stride=2, padding=1))
-            return f
-
-        return named, f_of
-
-    out += _check_args("conv2d(stride=2)", conv_strided_case, n_points, seed, step)
-
-    def gn_case(rng):
-        x = Tensor(rng.standard_normal((2, 4, 3, 3)))
-        gamma = Tensor(1.0 + 0.2 * rng.standard_normal(4))
-        beta = Tensor(0.2 * rng.standard_normal(4))
-        named = [("x", x), ("gamma", gamma), ("beta", beta)]
-
-        def f_of(name):
-            def f(t):
-                ts = swap(named, name, t)
-                return ops.mean_all(ops.silu(ops.group_norm(ts["x"], 2, ts["gamma"], ts["beta"])))
-            return f
-
-        return named, f_of
-
-    out += _check_args("group_norm", gn_case, n_points, seed, step)
-
-    def attn_case(rng):
-        x = Tensor(rng.standard_normal((2, 5, 4)))
-        ws = {n: Tensor(rng.standard_normal((4, 4)) * 0.5) for n in "qkvo"}
-        named = [("x", x)] + [(f"w{n}", ws[n]) for n in "qkvo"]
-
-        def f_of(name):
-            def f(t):
-                ts = swap(named, name, t)
-                return ops.mean_all(ops.self_attention(ts["x"], ts["wq"], ts["wk"], ts["wv"], ts["wo"]))
-            return f
-
-        return named, f_of
-
-    out += _check_args("self_attention", attn_case, n_points, seed, step)
-
-    def upsample_case(rng):
-        x = Tensor(rng.standard_normal((2, 3, 4, 4)))
-
-        def f_of(_):
-            def f(t):
-                return ops.mean_all(ops.silu(ops.upsample_nearest2x(t)))
-            return f
-
-        return [("x", x)], f_of
-
-    out += _check_args("upsample_nearest2x", upsample_case, n_points, seed, step)
-
-    def embed_case(rng):
-        w = Tensor(rng.standard_normal((5, 3)))
-        ids = rng.integers(0, 5, size=4)
-
-        def f_of(_):
-            def f(t):
-                return ops.mean_all(ops.silu(ops.embed_rows(t, ids)))
-            return f
-
-        return [("weight", w)], f_of
-
-    out += _check_args("embed_rows", embed_case, n_points, seed, step)
-
-    def crop_case(rng):
-        x = Tensor(rng.standard_normal((3, 6)))
-
-        def f_of(_):
-            def f(t):
-                return ops.mean_all(ops.silu(ops.crop_cols(t, 4)))
-            return f
-
-        return [("x", x)], f_of
-
-    out += _check_args("crop_cols", crop_case, n_points, seed, step)
-
-    def reshape_permute_case(rng):
-        x = Tensor(rng.standard_normal((2, 3, 4)))
-
-        def f_of(_):
-            def f(t):
-                y = ops.permute(ops.reshape(t, (2, 4, 3)), (1, 0, 2))
-                return ops.mean_all(ops.mul(y, y))
-            return f
-
-        return [("x", x)], f_of
-
-    out += _check_args("reshape+permute", reshape_permute_case, n_points, seed, step)
-
-    # two-layer conv net, then the full denoiser loss
-    def convnet_case(rng):
-        x = Tensor(rng.standard_normal((2, 1, 6, 6)))
-        w1 = Tensor(rng.standard_normal((4, 1, 3, 3)) * 0.5)
-        w2 = Tensor(rng.standard_normal((2, 4, 3, 3)) * 0.5)
-        named = [("x", x), ("w1", w1), ("w2", w2)]
-
-        def f_of(name):
-            def f(t):
-                ts = swap(named, name, t)
-                h = ops.silu(ops.conv2d(ts["x"], ts["w1"], None, stride=1, padding=1))
-                h = ops.conv2d(h, ts["w2"], None, stride=2, padding=1)
-                return ops.mean_all(ops.mul(h, h))
-            return f
-
-        return named, f_of
-
-    out += _check_args("convnet2", convnet_case, n_points, seed, step)
-
-    cfg = unet.UNetConfig(
-        in_channels=1, base_channels=4, channel_mults=(1, 2), num_res_blocks_per_level=1,
-        groups=4, attn_at_bottleneck=True, time_embed_dim=8, num_classes=2,
-    )
-    sched = diffusion.build_schedule(10, 1e-3, 5e-2)
-
-    def loss_case(rng):
-        model = unet.build_unet(cfg, seed=int(rng.integers(0, 2**31)))
-        # move off the zero-init output so the loss actually depends on the net
-        model.params["out.conv.weight"].data[:] = 0.3 * rng.standard_normal(
-            model.params["out.conv.weight"].shape
-        )
-        x0 = Tensor(rng.uniform(-1, 1, size=(2, 1, 4, 4)))
-        eps = Tensor(rng.standard_normal((2, 1, 4, 4)))
-        t = rng.integers(1, sched.timesteps + 1, size=2)
-        c = rng.integers(0, 2, size=2)
-        sites = ["down.0.sampler.conv.weight", "mid.attn.q.weight", "up.0.res.0.norm2.gamma",
-                 "time.mlp1.weight", "out.conv.bias"]
-        named = [("x0", x0)] + [(s, model.params[s]) for s in sites]
-
-        def f_of(name):
-            if name == "x0":
-                def f(t_x):
-                    return diffusion.simple_loss(model, t_x, t, eps, c, sched)
-                return f
-
-            def f(t_w):
-                params = dict(model.params)
-                params[name] = t_w
-                return diffusion.simple_loss(model, x0, t, eps, c, sched, params=params)
-            return f
-
-        return named, f_of
-
-    out += _check_args("simple_loss", loss_case, min(n_points, 3), seed, step)
+    out = [row for name, build in _CASES for row in _check_args(name, build, n_points, seed, step)]
+    # every simple_loss probe runs a whole UNet forward: at most three points
+    out += _check_args("simple_loss", _simple_loss, min(n_points, 3), seed, step)
     return out

@@ -114,9 +114,10 @@ def _validate_table(path: str, table, payload: bytes) -> None:
             raise ContainerError(f"{path}: tensor record lacks {missing!r}")
         if not isinstance(e["name"], str):
             raise ContainerError(f"{path}: tensor name must be a string, got {e['name']!r}")
-        if not isinstance(e["shape"], list) or not all(_is_count(d) for d in e["shape"]):
+        # no stored tensor has a zero dim, and one would let any other dim pass the nbytes check
+        if not isinstance(e["shape"], list) or not all(_is_count(d) and d > 0 for d in e["shape"]):
             raise ContainerError(
-                f"{path}: {e['name']}: shape must be a list of non-negative ints, got {e['shape']!r}"
+                f"{path}: {e['name']}: shape must be a list of positive ints, got {e['shape']!r}"
             )
         for key in ("offset", "nbytes"):
             if not _is_count(e[key]):

@@ -55,17 +55,20 @@ def _edit(path, magic, fn):
     write_parts(path, magic, version, header, payload)
 
 
+def _cut(header, payload, start, size):
+    """Remove payload[start:start + size], moving back the records after it."""
+    for e in header["tensors"]:
+        if e["offset"] > start:
+            e["offset"] -= size
+    return header, payload[:start] + payload[start + size:]
+
+
 def drop_entry(path, magic, predicate):
     """Remove one table entry, compacting offsets and payload around it."""
     def fn(header, payload):
         idx = next(i for i, e in enumerate(header["tensors"]) if predicate(e["name"]))
         entry = header["tensors"].pop(idx)
-        start, size = entry["offset"], entry["nbytes"]
-        payload = payload[:start] + payload[start + size:]
-        for e in header["tensors"]:
-            if e["offset"] > start:
-                e["offset"] -= size
-        return header, payload
+        return _cut(header, payload, entry["offset"], entry["nbytes"])
     _edit(path, magic, fn)
 
 
@@ -73,14 +76,9 @@ def shrink_entry(path, magic, suffix):
     """Drop the last element of a 1-D tensor, keeping the table consistent."""
     def fn(header, payload):
         entry = next(e for e in header["tensors"] if e["name"].endswith(suffix))
-        start, old = entry["offset"], entry["nbytes"]
         entry["shape"] = [entry["shape"][0] - 1]
-        entry["nbytes"] = old - 4
-        payload = payload[:start + old - 4] + payload[start + old:]
-        for e in header["tensors"]:
-            if e["offset"] > start:
-                e["offset"] -= 4
-        return header, payload
+        entry["nbytes"] -= 4
+        return _cut(header, payload, entry["offset"] + entry["nbytes"], 4)
     _edit(path, magic, fn)
 
 
@@ -119,6 +117,16 @@ def _poison_payload(path, magic, value):
     """Overwrite the last float32 of the payload with ``value``."""
     def fn(header, payload):
         return header, payload[:-4] + np.float32(value).astype("<f4").tobytes()
+    _edit(path, magic, fn)
+
+
+def _zero_extent(path, magic, suffix, shape):
+    """Give one record a zero-size ``shape`` and drop its bytes from the payload."""
+    def fn(header, payload):
+        entry = next(e for e in header["tensors"] if e["name"].endswith(suffix))
+        size = entry["nbytes"]
+        entry["shape"], entry["nbytes"] = shape, 0
+        return _cut(header, payload, entry["offset"], size)
     _edit(path, magic, fn)
 
 
@@ -283,15 +291,15 @@ MODEL_CASES = [
     ("name_not_string", lambda p: _patch_entry(p, MODEL_MAGIC, "down.0.res.0.conv1.bias",
                                                name=None), "name must be a string"),
     ("shape_not_list", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", shape=1),
-     "shape must be a list of non-negative ints"),
+     "shape must be a list of positive ints"),
     ("shape_dim_not_int", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", shape=["x"]),
-     "shape must be a list of non-negative ints"),
+     "shape must be a list of positive ints"),
     ("shape_dim_float", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", shape=[1.0]),
-     "shape must be a list of non-negative ints"),
+     "shape must be a list of positive ints"),
     ("shape_dim_negative", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", shape=[-1]),
-     "shape must be a list of non-negative ints"),
+     "shape must be a list of positive ints"),
     ("shape_dim_bool", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", shape=[True]),
-     "shape must be a list of non-negative ints"),
+     "shape must be a list of positive ints"),
     ("nbytes_not_int", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", nbytes="4"),
      "nbytes must be a non-negative int"),
     ("nbytes_float", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", nbytes=4.0),
@@ -331,8 +339,9 @@ BUNDLE_CASES = [
      lambda p: _rename(p, BUNDLE_MAGIC,
                        sorted(e["name"] for e in read_parts(p)[2]["tensors"])[-1],
                        "zzz.weird"), "unknown site-path"),
+    # a 4-channel delta: shrinking a 1-channel one would leave a zero dim, rejected earlier
     ("delta_shape_inconsistent",
-     lambda p: shrink_entry(p, BUNDLE_MAGIC, ".delta.beta"), "inconsistent"),
+     lambda p: shrink_entry(p, BUNDLE_MAGIC, "down.0.res.0.norm2.delta.beta"), "inconsistent"),
     ("config_not_object", lambda p: _set_config(p, BUNDLE_MAGIC, []),
      "'config' must be a JSON object"),
     ("unknown_kind", lambda p: _patch_config(p, BUNDLE_MAGIC, kind="hyper-lora"),
@@ -362,6 +371,10 @@ BUNDLE_CASES = [
     ("rank_bool", lambda p: _patch_config(p, BUNDLE_MAGIC, rank=True),
      "rank must be a non-negative int"),
     ("nan_payload", lambda p: _poison_payload(p, BUNDLE_MAGIC, np.nan), "non-finite value"),
+    # a zero dim makes nbytes 0 whatever the other dims say; reshape would then raise ValueError
+    ("shape_zero_dim_huge_dim",
+     lambda p: _zero_extent(p, BUNDLE_MAGIC, ".delta.beta", [0, 10**30]),
+     "shape must be a list of positive ints"),
     # a style-lora site is not a resadapter site: validation follows the kind
     ("lora_site_of_other_kind",
      lambda p: _rename_sorted(p, BUNDLE_MAGIC, "down.0.sampler.conv.weight.lora.A",

@@ -3,6 +3,7 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from container_fixtures import read_parts, write_parts
@@ -105,6 +106,19 @@ def test_train_base_outputs(work, capsys):
     trace = (work["root"] / "base.trace").read_text().splitlines()
     assert len(trace) == 12
     assert trace[0].startswith("1 16x16 base ")
+
+
+def test_train_base_applies_weight_decay(work):
+    params = {}
+    for decay in (0.0, 0.5):
+        doc = dict(TINY_DOC)
+        doc["train"] = dict(TINY_DOC["train"], weight_decay=decay)
+        cfg = work["root"] / f"decay{decay}.json"
+        cfg.write_text(json.dumps(doc))
+        out = work["root"] / f"decay{decay}.rsbm"
+        assert main(["train-base", "--config", str(cfg), "--out", str(out), "--steps", "2"]) == 0
+        params[decay] = store.load_model(str(out)).params
+    assert any(not np.array_equal(params[0.0][k].data, params[0.5][k].data) for k in params[0.0])
 
 
 def test_train_adapter_reports_budget(work, capsys):
