@@ -102,15 +102,17 @@ class AdapterBundle:
         return out
 
 
-def _new_pair(model: UNetModel, site: str, rank: int, rng: np.random.Generator) -> LoRAPair:
-    host = model.params[site]
+def _host_dims(site: str, host: Tensor) -> tuple[int, int]:
+    """[m, n] of a host weight flattened to [C_out, C_in*k*k] (a linear weight as is)."""
     if host.ndim == 4:
-        m = host.shape[0]
-        n = int(np.prod(host.shape[1:]))
-    elif host.ndim == 2:
-        m, n = host.shape
-    else:
-        raise ConfigError(f"cannot wrap site {site} with shape {host.shape}")
+        return host.shape[0], int(np.prod(host.shape[1:]))
+    if host.ndim == 2:
+        return host.shape
+    raise ConfigError(f"cannot wrap site {site} with shape {host.shape}")
+
+
+def _new_pair(model: UNetModel, site: str, rank: int, rng: np.random.Generator) -> LoRAPair:
+    m, n = _host_dims(site, model.params[site])
     if rank < 1 or rank > min(m, n):
         raise ConfigError(f"rank {rank} invalid for site {site} (must be in [1, {min(m, n)}])")
     a = Tensor(rng.normal(0.0, np.sqrt(1.0 / m), (m, rank)), requires_grad=True)
@@ -159,12 +161,33 @@ def attach_style_lora(model: UNetModel, rank: int = DEFAULT_RANK, seed: int = 0)
     return _attach(model, "style-lora", rank, seed)
 
 
-def _check_fingerprint(model: UNetModel, bundle: AdapterBundle) -> None:
+def _check_host(model: UNetModel, bundle: AdapterBundle) -> None:
+    """Raise ConfigError unless the bundle was built for ``model`` and every tensor fits its site."""
     fp = model_fingerprint(model)
     if fp != bundle.base_fingerprint:
         raise ConfigError(
             f"adapter was built for base fingerprint {bundle.base_fingerprint}, model has {fp}"
         )
+    for pair in bundle.loras:
+        host = model.params.get(pair.site)
+        if host is None:
+            raise ConfigError(f"adapter site {pair.site}: no such parameter in the model")
+        m, n = _host_dims(pair.site, host)
+        r = pair.rank
+        if pair.a.shape != (m, r) or pair.b.shape != (n, r):
+            raise ConfigError(
+                f"adapter site {pair.site}: lora A/B shapes {pair.a.shape}/{pair.b.shape} "
+                f"do not fit host {host.shape} at rank {r}; expected {(m, r)}/{(n, r)}"
+            )
+    for nd in bundle.norm_deltas:
+        host = model.params.get(nd.site + ".gamma")
+        if host is None:
+            raise ConfigError(f"adapter site {nd.site}: no such norm in the model")
+        if nd.dgamma.shape != host.shape or nd.dbeta.shape != host.shape:
+            raise ConfigError(
+                f"adapter site {nd.site}: delta shapes {nd.dgamma.shape}/{nd.dbeta.shape} "
+                f"do not fit host {host.shape}"
+            )
 
 
 def _lora_delta_array(pair: LoRAPair, host_shape: tuple[int, ...]) -> np.ndarray:
@@ -179,7 +202,7 @@ def effective_param_map(model: UNetModel, bundle: AdapterBundle) -> dict[str, Te
     Gradients flow into the bundle tensors only; base parameters are frozen
     leaves and never receive grads through this map.
     """
-    _check_fingerprint(model, bundle)
+    _check_host(model, bundle)
     alpha = bundle.alpha
     p = dict(model.params)
     for pair in bundle.loras:
@@ -199,7 +222,7 @@ def adapted_forward(model: UNetModel, bundle: AdapterBundle, x: Tensor, t, c=Non
 
 def merge(model: UNetModel, bundle: AdapterBundle) -> UNetModel:
     """New model with deltas folded into the weights; the original is untouched."""
-    _check_fingerprint(model, bundle)
+    _check_host(model, bundle)
     merged = model.clone()
     alpha = bundle.alpha
     for pair in bundle.loras:

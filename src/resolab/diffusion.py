@@ -8,6 +8,7 @@ as the reverse-step noise scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,8 +163,8 @@ class SamplerConfig:
             raise ConfigError(f"sampler steps must be >= 1, got {self.steps}")
         if not 0.0 <= self.eta <= 1.0:
             raise ConfigError(f"eta must be in [0, 1], got {self.eta}")
-        if self.guidance_scale < 0.0:
-            raise ConfigError(f"guidance_scale must be >= 0, got {self.guidance_scale}")
+        if not (math.isfinite(self.guidance_scale) and self.guidance_scale >= 0.0):
+            raise ConfigError(f"guidance_scale must be finite and >= 0, got {self.guidance_scale}")
         return self
 
 

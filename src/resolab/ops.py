@@ -18,7 +18,7 @@ from .tensor import Tensor, active_tape
 __all__ = [
     "add", "sub", "mul", "scale", "silu",
     "linear", "matmul", "softmax", "self_attention",
-    "conv2d", "group_norm", "upsample_nearest2x",
+    "conv2d", "group_norm", "group_norm_silu", "upsample_nearest2x",
     "reshape", "permute", "embed_rows", "crop_cols",
     "sum_all", "mean_all",
 ]
@@ -165,13 +165,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), vjp)
 
 
+def _softmax_rows(a: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of ``a``, in place; rejects non-finite input."""
+    if not np.all(np.isfinite(a)):
+        raise NumericError("softmax: non-finite input")
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    return a
+
+
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis; rejects non-finite inputs."""
-    if not np.all(np.isfinite(x.data)):
-        raise NumericError("softmax: non-finite input")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_rows(x.data.copy())
 
     def vjp(g):
         # dx = y * (g - sum(g*y, last))
@@ -184,7 +190,8 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) ->
     """Single-head attention: softmax(QK^T/sqrt(d)) V, then output projection.
 
     x is [N, T, d]; the four projection weights are [d, d] with no bias.
-    Built from taped primitives so gradients flow to x and all weights.
+    One tape record; its vjp keeps q, k^T, v, the probabilities and attn@v,
+    and forms only the gradients of inputs that require one.
     """
     if x.ndim != 3:
         raise ShapeError(f"self_attention: input must be [N, T, d], got {x.shape}")
@@ -192,12 +199,49 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) ->
     for name, w in (("q", wq), ("k", wk), ("v", wv), ("o", wo)):
         if w.shape != (d, d):
             raise ShapeError(f"self_attention: {name} weight shape {w.shape} != ({d}, {d})")
-    q = linear(x, wq)
-    k = linear(x, wk)
-    v = linear(x, wv)
-    scores = scale(matmul(q, permute(k, (0, 2, 1))), 1.0 / math.sqrt(d))
-    attn = softmax(scores)
-    return linear(matmul(attn, v), wo)
+    s = 1.0 / math.sqrt(d)
+    x2 = x.data.reshape(-1, d)
+    q = (x2 @ wq.data.T).reshape(x.shape)
+    kt = (x2 @ wk.data.T).reshape(x.shape).transpose(0, 2, 1).copy()
+    v = (x2 @ wv.data.T).reshape(x.shape)
+    probs = q @ kt
+    probs *= s
+    _softmax_rows(probs)
+    av2 = (probs @ v).reshape(-1, d)
+    out = (av2 @ wo.data.T).reshape(x.shape)
+    need_q = x.requires_grad or wq.requires_grad
+    need_k = x.requires_grad or wk.requires_grad
+    need_v = x.requires_grad or wv.requires_grad
+
+    def vjp(g):
+        # the reverse of x->q,k,v (2-d GEMMs) -> q@k^T -> *s -> softmax -> @v -> @wo^T
+        g2 = g.reshape(-1, d)
+        gwo = g2.T @ av2 if wo.requires_grad else None
+        grads = {}
+        if need_q or need_k or need_v:
+            gav = (g2 @ wo.data).reshape(x.shape)
+            if need_v:
+                grads["v"] = (probs.swapaxes(-1, -2) @ gav).reshape(-1, d)
+            if need_q or need_k:
+                gs = gav @ v.swapaxes(-1, -2)
+                gs -= (gs * probs).sum(axis=-1, keepdims=True)
+                gs *= probs
+                gs *= s
+                if need_q:
+                    grads["q"] = (gs @ kt.swapaxes(-1, -2)).reshape(-1, d)
+                if need_k:
+                    grads["k"] = (q.swapaxes(-1, -2) @ gs).transpose(0, 2, 1).reshape(-1, d)
+        gx = None
+        if x.requires_grad:
+            gx = grads["v"] @ wv.data
+            gx += grads["k"] @ wk.data
+            gx += grads["q"] @ wq.data
+            gx = gx.reshape(x.shape)
+        gw = [grads[p].T @ x2 if w.requires_grad else None
+              for p, w in (("q", wq), ("k", wk), ("v", wv))]
+        return [gx, *gw, gwo]
+
+    return _result(out, (x, wq, wk, wv, wo), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +311,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     if b is not None:
         out = out + b.data.reshape(1, co, 1, 1)
     inputs = (x, w) if b is None else (x, w, b)
+    # cols is k*k times the input: keep it only for the weight gradient
+    need_x = x.requires_grad
+    if not w.requires_grad:
+        cols = None
 
     def vjp(g):
-        gmat = g.reshape(n, co, ho * wo)
         gx = None
-        if x.requires_grad:
+        if need_x:
             # gx is the stride-1 correlation of the cotangent, zero-dilated by
             # stride and padded by k-1-padding (plus the rows/cols the forward
             # never read at the bottom/right), with the flipped, transposed
@@ -280,17 +327,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
             wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
             gx = (wflip @ _im2col(gp, k, 1, h, wd)).reshape(x.shape)
         gw = None
-        if w.requires_grad:
+        if cols is not None:
+            gmat = g.reshape(n, co, ho * wo)
             gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
         if b is None:
             return [gx, gw]
-        return [gx, gw, g.sum(axis=(0, 2, 3))]
+        return [gx, gw, g.sum(axis=(0, 2, 3)) if b.requires_grad else None]
 
     return _result(out, inputs, vjp)
 
 
-def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over channel groups (population variance), then affine."""
+def _group_norm_forward(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float):
+    """Checks, then (xhat_g [N, G, C/G*H*W], istd [N, G, 1], y = xhat*gamma + beta)."""
     if x.ndim != 4:
         raise ShapeError(f"group_norm: input must be [N, C, H, W], got {x.shape}")
     n, c, h, w = x.shape
@@ -302,24 +350,67 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float =
     d = xg - xg.mean(axis=-1, keepdims=True)
     var = (d * d).mean(axis=-1, keepdims=True)  # bit equal to xg.var(axis=-1)
     istd = 1.0 / np.sqrt(var + eps)
-    xhat_g = d * istd
+    d *= istd  # now xhat, per group
+    return d, istd, _group_norm_affine(d, gamma, beta, x.shape)
+
+
+def _group_norm_affine(xhat_g: np.ndarray, gamma: Tensor, beta: Tensor, shape) -> np.ndarray:
+    c = shape[1]
+    y = xhat_g.reshape(shape) * gamma.data.reshape(1, c, 1, 1)
+    y += beta.data.reshape(1, c, 1, 1)
+    return y
+
+
+def _group_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor,
+                         xhat_g: np.ndarray, istd: np.ndarray) -> list:
+    """[gx, ggamma, gbeta] of group_norm for the output cotangent ``g``."""
+    n, c = x.shape[:2]
     xhat = xhat_g.reshape(x.shape)
-    g4 = gamma.data.reshape(1, c, 1, 1)
-    out = xhat * g4 + beta.data.reshape(1, c, 1, 1)
+    ggamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
+    gbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
+    gx = None
+    if x.requires_grad:
+        gxhat = (g * gamma.data.reshape(1, c, 1, 1)).reshape(n, xhat_g.shape[1], -1)
+        # dx = istd * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat))
+        m1 = gxhat.mean(axis=-1, keepdims=True)
+        m2 = (gxhat * xhat_g).mean(axis=-1, keepdims=True)
+        gxhat -= m1
+        gxhat -= xhat_g * m2
+        gxhat *= istd
+        gx = gxhat.reshape(x.shape)
+    return [gx, ggamma, gbeta]
+
+
+def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize over channel groups (population variance), then affine."""
+    xhat_g, istd, out = _group_norm_forward(x, groups, gamma, beta, eps)
 
     def vjp(g):
-        ggamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
-        gbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-        gx = None
-        if x.requires_grad:
-            gxhat = (g * g4).reshape(n, groups, -1)
-            # dx = istd * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat))
-            m1 = gxhat.mean(axis=-1, keepdims=True)
-            m2 = (gxhat * xhat_g).mean(axis=-1, keepdims=True)
-            gx = (istd * (gxhat - m1 - xhat_g * m2)).reshape(x.shape)
-        return [gx, ggamma, gbeta]
+        return _group_norm_backward(g, x, gamma, beta, xhat_g, istd)
 
     return _result(out, (x, gamma, beta), vjp)
+
+
+def group_norm_silu(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """silu(group_norm(x, ...)) as one record, bit-equal to the two ops.
+
+    Keeps xhat and the sigmoid; the pre-activation y = xhat*gamma + beta is
+    recomputed in the backward pass (same arithmetic, same bits).
+    """
+    xhat_g, istd, y = _group_norm_forward(x, groups, gamma, beta, eps)
+    s = _sigmoid(y)
+    y *= s  # the output: y is not kept
+
+    def vjp(g):
+        # silu's d/dy [y*s(y)] = s + y*s*(1-s), evaluated in the same order
+        gy = _group_norm_affine(xhat_g, gamma, beta, x.shape)
+        gy *= s
+        gy *= 1.0 - s
+        gy += s
+        gy *= g
+        return _group_norm_backward(gy, x, gamma, beta, xhat_g, istd)
+
+    return _result(y, (x, gamma, beta), vjp)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

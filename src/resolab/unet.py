@@ -255,13 +255,11 @@ def _as_index_vector(value, n: int, name: str) -> np.ndarray:
 def _res_block(p, prefix: str, h: Tensor, cond: Tensor, config: UNetConfig) -> Tensor:
     cin = h.shape[1]
     cout = p[f"{prefix}.conv1.weight"].shape[0]
-    y = ops.group_norm(h, _norm_groups(config, cin), p[f"{prefix}.norm1.gamma"], p[f"{prefix}.norm1.beta"])
-    y = ops.silu(y)
+    y = ops.group_norm_silu(h, _norm_groups(config, cin), p[f"{prefix}.norm1.gamma"], p[f"{prefix}.norm1.beta"])
     y = ops.conv2d(y, p[f"{prefix}.conv1.weight"], p[f"{prefix}.conv1.bias"], stride=1, padding=1)
     bias = ops.reshape(ops.crop_cols(cond, cout), (h.shape[0], cout, 1, 1))
     y = ops.add(y, bias)
-    y = ops.group_norm(y, _norm_groups(config, cout), p[f"{prefix}.norm2.gamma"], p[f"{prefix}.norm2.beta"])
-    y = ops.silu(y)
+    y = ops.group_norm_silu(y, _norm_groups(config, cout), p[f"{prefix}.norm2.gamma"], p[f"{prefix}.norm2.beta"])
     y = ops.conv2d(y, p[f"{prefix}.conv2.weight"], p[f"{prefix}.conv2.bias"], stride=1, padding=1)
     skip = h
     if cin != cout:
@@ -339,6 +337,5 @@ def unet_forward(model: UNetModel, x: Tensor, t, c=None, params: dict[str, Tenso
         for b in range(config.num_res_blocks_per_level):
             hidden = _res_block(p, f"up.{level}.res.{b}", hidden, cond, config)
 
-    hidden = ops.group_norm(hidden, _norm_groups(config, ch[0]), p["out.norm.gamma"], p["out.norm.beta"])
-    hidden = ops.silu(hidden)
+    hidden = ops.group_norm_silu(hidden, _norm_groups(config, ch[0]), p["out.norm.gamma"], p["out.norm.beta"])
     return ops.conv2d(hidden, p["out.conv.weight"], p["out.conv.bias"], stride=1, padding=1)

@@ -1,8 +1,11 @@
 """Adapter bundles: attach identity, alpha scaling, merge, freeze, budgets."""
 
+import re
+
 import numpy as np
 import pytest
 
+from resolab import store
 from resolab.adapters import (
     DELTA_BETA_SUFFIX,
     DELTA_GAMMA_SUFFIX,
@@ -284,3 +287,36 @@ def test_bundle_kinds_report_alpha():
     assert isinstance(res, AdapterBundle) and res.kind == "resadapter"
     assert res.with_alpha(0.3).alpha == 0.3
     assert style.with_alpha(0.7).alpha == 0.7
+
+
+def _shrink_norm_delta(bundle):
+    nd = next(d for d in bundle.norm_deltas if d.site == "down.0.res.0.norm2")
+    nd.dgamma, nd.dbeta = Tensor(np.full(1, 0.5)), Tensor(np.zeros(1))
+    return nd.site
+
+
+def _drop_lora_b_row(bundle):
+    pair = next(p for p in bundle.loras if p.site == "down.0.sampler.conv.weight")
+    pair.b = Tensor(pair.b.data[:-1])  # [35, r] where the host needs 36 rows
+    return pair.site
+
+
+def _move_lora_off_model(bundle):
+    bundle.loras[0].site = "down.5.sampler.conv.weight"
+    return bundle.loras[0].site
+
+
+@pytest.mark.parametrize("mutate", [_shrink_norm_delta, _drop_lora_b_row, _move_lora_off_model])
+def test_bundle_tensor_that_misfits_its_host_is_rejected(tmp_path, mutate):
+    # each file is well formed on its own; only the host model shows the misfit
+    model = small_model()
+    bundle = attach_resadapter(model, rank=2, seed=3)
+    site = mutate(bundle)
+    path = str(tmp_path / "misfit.rsad")
+    store.save_bundle(bundle, path)
+    loaded = store.load_bundle(path)
+    x, t, c = small_batch()
+    with pytest.raises(ConfigError, match=re.escape(f"adapter site {site}:")):
+        adapted_forward(model, loaded, x, t, c)
+    with pytest.raises(ConfigError, match=re.escape(f"adapter site {site}:")):
+        merge(model, loaded)

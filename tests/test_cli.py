@@ -202,6 +202,16 @@ def test_sample_adapter_on_other_model_exits_2(work, capsys):
     assert "fingerprint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_sample_non_finite_guidance_exits_2(work, capsys, value):
+    code = main(["sample", "--config", work["config"], "--model", work["model"],
+                 "--size", "16x16", "--steps", "2", "--guidance", value,
+                 "--out", str(work["root"] / "guided.pgm")])
+    assert code == 2
+    assert "guidance_scale must be finite" in capsys.readouterr().err
+    assert not (work["root"] / "guided.pgm").exists()
+
+
 def test_merge_then_sample_matches_adapted(work, capsys):
     merged = work["root"] / "merged.rsbm"
     code = main(["merge", "--model", work["model"], "--adapter", work["bundle"],

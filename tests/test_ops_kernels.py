@@ -1,15 +1,26 @@
-"""The conv, sigmoid, padding and GroupNorm kernels against plain references.
+"""The conv, sigmoid, padding, GroupNorm and attention kernels against plain references.
 
 The references are the straightforward forms the kernels replaced: the conv
 input gradient as a k*k scatter of the column gradient (col2im), the weight
 gradient as one einsum, the two-branch masked sigmoid, np.pad and np.var.
+The fused GroupNorm-SiLU and attention records are compared bitwise with the
+chains of taped primitives they replace, and the tape's retained memory is
+measured with tracemalloc.
 """
+
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from resolab import ops
+from resolab.adapters import attach_resadapter
+from resolab.errors import NumericError
+from resolab.runconfig import default_runconfig
 from resolab.tensor import Tape, Tensor
+from resolab.trainer import TrainPlan, train_adapter
+from resolab.unet import build_unet
 
 
 def _col2im_reference(gcols, xp_shape, k, stride, ho, wo):
@@ -107,3 +118,112 @@ def test_group_norm_forward_equals_np_var_form():
     xhat = ((xg - xg.mean(axis=-1, keepdims=True)) * istd).reshape(x.shape)
     ref = xhat * gamma.reshape(1, 8, 1, 1) + beta.reshape(1, 8, 1, 1)
     assert np.array_equal(got, ref)
+
+
+def _value_and_grads(fn, arrays, needs, g):
+    """fn's output and the gradient of sum(fn(...) * g) in each input (None if frozen)."""
+    ts = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs)]
+    with Tape() as tape:
+        out = fn(*ts)
+        if out.requires_grad:
+            tape.backward(ops.sum_all(ops.mul(out, Tensor(g))))
+    return out.data, [t.grad for t in ts]
+
+
+def _assert_bit_equal(got, ref):
+    (y, grads), (y_ref, grads_ref) = got, ref
+    assert np.array_equal(y, y_ref)
+    for gr, gr_ref in zip(grads, grads_ref):
+        assert (gr is None) == (gr_ref is None)
+        if gr is not None:
+            assert np.array_equal(gr, gr_ref)
+
+
+@pytest.mark.parametrize("needs", list(itertools.product((True, False), repeat=3)))
+def test_group_norm_silu_is_bit_equal_to_the_unfused_ops(needs):
+    rng = np.random.default_rng(3)
+    arrays = [rng.standard_normal((3, 8, 5, 4)), 1.0 + 0.3 * rng.standard_normal(8),
+              0.3 * rng.standard_normal(8)]
+    g = rng.standard_normal((3, 8, 5, 4))
+    fused = _value_and_grads(lambda x, ga, be: ops.group_norm_silu(x, 4, ga, be), arrays, needs, g)
+    chain = _value_and_grads(lambda x, ga, be: ops.silu(ops.group_norm(x, 4, ga, be)),
+                             arrays, needs, g)
+    _assert_bit_equal(fused, chain)
+
+
+def _attention_chain(x, wq, wk, wv, wo):
+    """self_attention as the taped primitive chain the fused record replaced."""
+    q, k, v = ops.linear(x, wq), ops.linear(x, wk), ops.linear(x, wv)
+    scores = ops.scale(ops.matmul(q, ops.permute(k, (0, 2, 1))), 1.0 / np.sqrt(x.shape[-1]))
+    return ops.linear(ops.matmul(ops.softmax(scores), v), wo)
+
+
+# (x, wq, wk, wv, wo): all trainable, frozen projections (the resadapter case),
+# frozen input, and single trainable weights
+ATTENTION_NEEDS = [
+    (True,) * 5, (True,) + (False,) * 4, (False,) + (True,) * 4,
+    (False, True, False, False, False), (False, False, True, False, False),
+    (False, False, False, True, False), (False, False, False, False, True),
+]
+
+
+@pytest.mark.parametrize("needs", ATTENTION_NEEDS)
+def test_self_attention_is_bit_equal_to_the_primitive_chain(needs):
+    rng = np.random.default_rng(4)
+    arrays = [rng.standard_normal((2, 9, 6))] + [0.5 * rng.standard_normal((6, 6)) for _ in range(4)]
+    g = rng.standard_normal((2, 9, 6))
+    _assert_bit_equal(_value_and_grads(ops.self_attention, arrays, needs, g),
+                      _value_and_grads(_attention_chain, arrays, needs, g))
+
+
+def test_softmax_leaves_its_input_alone():
+    x = np.random.default_rng(5).standard_normal((3, 7))
+    before = x.copy()
+    ops.softmax(Tensor(x))
+    assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("poisoned", ["x", "wk"])
+def test_self_attention_rejects_non_finite_scores(poisoned):
+    rng = np.random.default_rng(6)
+    args = {"x": rng.standard_normal((1, 4, 3)), **{w: np.eye(3) for w in ("wq", "wk", "wv", "wo")}}
+    args[poisoned].flat[-1] = np.nan
+    with pytest.raises(NumericError, match="softmax: non-finite input"):
+        ops.self_attention(*(Tensor(a) for a in args.values()))
+
+
+def test_frozen_weight_conv_retains_about_its_output():
+    # the im2col matrix is 9x the input; a frozen weight never reads it back
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((8, 8, 32, 32)), requires_grad=True)
+    w, b = Tensor(rng.standard_normal((8, 8, 3, 3))), Tensor(rng.standard_normal(8))
+    tracemalloc.start()
+    try:
+        with Tape():
+            before = tracemalloc.get_traced_memory()[0]
+            out = ops.conv2d(x, w, b, stride=1, padding=1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.1 * out.data.nbytes
+
+
+# One 32x32 batch-8 adapter step on the desk model peaks at 58.9 MiB traced
+# (126.1 MiB when every conv kept its im2col matrix and attention kept three
+# score-sized arrays); the bound leaves 19% headroom.
+ADAPTER_STEP_PEAK_MIB = 70.0
+
+
+def test_adapter_step_peak_memory_is_bounded():
+    rc = default_runconfig()
+    model = build_unet(rc.model, seed=0)
+    bundle = attach_resadapter(model, rank=rc.train.rank, seed=0)
+    plan = TrainPlan(((32, 32),), rc.train.standard_resolution, 1, "adapter", batch_size=8)
+    data, sched = rc.data.build(), rc.schedule.build()
+    tracemalloc.start()
+    try:
+        train_adapter(model, bundle, plan, data, sched)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= ADAPTER_STEP_PEAK_MIB
