@@ -7,6 +7,7 @@ error, 3 numeric failure (divergence, gradient-check breach).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -166,6 +167,11 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    # tolerance 0 is allowed: it demands exact agreement and fails (exit 3)
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     worst_overall = 0.0
     failures = []
     for i in range(args.seeds):

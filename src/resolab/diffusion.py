@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, check_seed
 from .tensor import Tensor
 from .unet import _as_index_vector, unet_forward
 
@@ -165,6 +165,7 @@ class SamplerConfig:
             raise ConfigError(f"eta must be in [0, 1], got {self.eta}")
         if not (math.isfinite(self.guidance_scale) and self.guidance_scale >= 0.0):
             raise ConfigError(f"guidance_scale must be finite and >= 0, got {self.guidance_scale}")
+        check_seed("sampler seed", self.seed)
         return self
 
 

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, plus the one seed check.
 
 The CLI maps these onto exit codes: configuration/compatibility/container
 problems exit 2, numeric failures exit 3, usage errors exit 1.
@@ -27,3 +27,9 @@ class NumericError(ResolabError):
 
 class ContainerError(ResolabError):
     """Malformed or incompatible serialized checkpoint/bundle file."""
+
+
+def check_seed(name: str, seed: int) -> None:
+    """Raise ConfigError unless ``seed`` is >= 0 (numpy's generators reject negatives)."""
+    if seed < 0:
+        raise ConfigError(f"{name} must be >= 0, got {seed}")

@@ -12,12 +12,13 @@ honest implementations well below the 1e-4 tolerance used by the op suite.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
 from . import diffusion, ops, unet
-from .errors import NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, check_seed
 from .tensor import Tape, Tensor
 
 __all__ = ["grad_check", "run_suite", "DEFAULT_TOLERANCE"]
@@ -31,6 +32,8 @@ def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, step: float = 1e-4)
     f must map one Tensor to a scalar Tensor and be free of side effects;
     close over any other arguments it needs.
     """
+    if not (math.isfinite(step) and step > 0.0):
+        raise ConfigError(f"grad_check: step must be finite and > 0, got {step}")
     x = Tensor(point.data.copy(), requires_grad=True)
     with Tape() as tape:
         y = f(x)
@@ -214,6 +217,7 @@ def run_suite(seed: int = 0, step: float = 1e-4, n_points: int = 5) -> list[tupl
     Returns (name, max relative error) pairs, one per op/argument, taking the
     worst case over ``n_points`` random points each.
     """
+    check_seed("gradcheck seed", seed)
     out = [row for name, build in _CASES for row in _check_args(name, build, n_points, seed, step)]
     # every simple_loss probe runs a whole UNet forward: at most three points
     out += _check_args("simple_loss", _simple_loss, min(n_points, 3), seed, step)

@@ -2,8 +2,11 @@
 
 Every op computes its forward pass with plain numpy (float64) and, when an
 input requires a gradient and a tape is active, records a vector-Jacobian
-closure. Backward formulas follow the standard derivations; they are noted
-inline where non-obvious.
+closure. A closure holds only the arrays its backward reads, plus shapes and
+flags taken at forward time, never an input or output Tensor (parameters such
+as conv weights excepted), so the tape keeps no activation alive that backward
+does not need. Backward formulas follow the standard derivations; they are
+noted inline where non-obvious.
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from None
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return [_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)]
+        return [_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)]
 
     return _result(data, (a, b), vjp)
 
@@ -66,9 +70,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         data = a.data - b.data
     except ValueError:
         raise ShapeError(f"sub: cannot broadcast {a.shape} with {b.shape}") from None
+    a_shape, b_shape = a.shape, b.shape
 
     def vjp(g):
-        return [_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)]
+        return [_unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)]
 
     return _result(data, (a, b), vjp)
 
@@ -78,9 +83,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
+    ad, bd = a.data, b.data
 
     def vjp(g):
-        return [_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)]
+        return [_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)]
 
     return _result(data, (a, b), vjp)
 
@@ -104,13 +110,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def silu(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
+    xd = x.data
+    s = _sigmoid(xd)
 
     def vjp(g):
         # d/dx [x*s(x)] = s + x*s*(1-s)
-        return [g * (s + x.data * s * (1.0 - s))]
+        return [g * (s + xd * s * (1.0 - s))]
 
-    return _result(x.data * s, (x,), vjp)
+    return _result(xd * s, (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +141,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         y2 = y2 + b.data
     inputs = (x, w) if b is None else (x, w, b)
+    x_shape = x.shape
 
     def vjp(g):
         g2 = g.reshape(-1, m)
-        gx = (g2 @ w.data).reshape(x.shape)
+        gx = (g2 @ w.data).reshape(x_shape)
         gw = g2.T @ x2
         if b is None:
             return [gx, gw]
@@ -156,10 +164,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data @ b.data
     except ValueError:
         raise ShapeError(f"matmul: cannot broadcast batch dims of {a.shape} and {b.shape}") from None
+    ad, bd = a.data, b.data
 
     def vjp(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)
+        gb = _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape)
         return [ga, gb]
 
     return _result(data, (a, b), vjp)
@@ -190,8 +199,9 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) ->
     """Single-head attention: softmax(QK^T/sqrt(d)) V, then output projection.
 
     x is [N, T, d]; the four projection weights are [d, d] with no bias.
-    One tape record; its vjp keeps q, k^T, v, the probabilities and attn@v,
-    and forms only the gradients of inputs that require one.
+    One tape record; its vjp keeps q, k^T, v and the probabilities, plus
+    attn@v when wo needs a gradient and x when wq, wk or wv does, and forms
+    only the gradients of inputs that require one.
     """
     if x.ndim != 3:
         raise ShapeError(f"self_attention: input must be [N, T, d], got {x.shape}")
@@ -199,19 +209,28 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) ->
     for name, w in (("q", wq), ("k", wk), ("v", wv), ("o", wo)):
         if w.shape != (d, d):
             raise ShapeError(f"self_attention: {name} weight shape {w.shape} != ({d}, {d})")
+    if not np.all(np.isfinite(x.data)):
+        # the scores would be non-finite; fail before the projection GEMMs
+        # meet inf * 0 and warn
+        raise NumericError("softmax: non-finite input")
     s = 1.0 / math.sqrt(d)
+    x_shape, need_x = x.shape, x.requires_grad
     x2 = x.data.reshape(-1, d)
-    q = (x2 @ wq.data.T).reshape(x.shape)
-    kt = (x2 @ wk.data.T).reshape(x.shape).transpose(0, 2, 1).copy()
-    v = (x2 @ wv.data.T).reshape(x.shape)
+    q = (x2 @ wq.data.T).reshape(x_shape)
+    kt = (x2 @ wk.data.T).reshape(x_shape).transpose(0, 2, 1).copy()
+    v = (x2 @ wv.data.T).reshape(x_shape)
     probs = q @ kt
     probs *= s
     _softmax_rows(probs)
     av2 = (probs @ v).reshape(-1, d)
-    out = (av2 @ wo.data.T).reshape(x.shape)
-    need_q = x.requires_grad or wq.requires_grad
-    need_k = x.requires_grad or wk.requires_grad
-    need_v = x.requires_grad or wv.requires_grad
+    out = (av2 @ wo.data.T).reshape(x_shape)
+    need_q = need_x or wq.requires_grad
+    need_k = need_x or wk.requires_grad
+    need_v = need_x or wv.requires_grad
+    if not (wq.requires_grad or wk.requires_grad or wv.requires_grad):
+        x2 = None  # only the projection weight gradients read the input
+    if not wo.requires_grad:
+        av2 = None
 
     def vjp(g):
         # the reverse of x->q,k,v (2-d GEMMs) -> q@k^T -> *s -> softmax -> @v -> @wo^T
@@ -219,7 +238,7 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) ->
         gwo = g2.T @ av2 if wo.requires_grad else None
         grads = {}
         if need_q or need_k or need_v:
-            gav = (g2 @ wo.data).reshape(x.shape)
+            gav = (g2 @ wo.data).reshape(x_shape)
             if need_v:
                 grads["v"] = (probs.swapaxes(-1, -2) @ gav).reshape(-1, d)
             if need_q or need_k:
@@ -232,11 +251,11 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) ->
                 if need_k:
                     grads["k"] = (q.swapaxes(-1, -2) @ gs).transpose(0, 2, 1).reshape(-1, d)
         gx = None
-        if x.requires_grad:
+        if need_x:
             gx = grads["v"] @ wv.data
             gx += grads["k"] @ wk.data
             gx += grads["q"] @ wq.data
-            gx = gx.reshape(x.shape)
+            gx = gx.reshape(x_shape)
         gw = [grads[p].T @ x2 if w.requires_grad else None
               for p, w in (("q", wq), ("k", wk), ("v", wv))]
         return [gx, *gw, gwo]
@@ -312,7 +331,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         out = out + b.data.reshape(1, co, 1, 1)
     inputs = (x, w) if b is None else (x, w, b)
     # cols is k*k times the input: keep it only for the weight gradient
-    need_x = x.requires_grad
+    x_shape, need_x = x.shape, x.requires_grad
     if not w.requires_grad:
         cols = None
 
@@ -325,7 +344,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
             # kernel: the same im2col + GEMM as the forward, no scatter.
             gp = _pad2d(g, k - 1 - padding, (h + k - 1, wd + k - 1), stride)
             wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
-            gx = (wflip @ _im2col(gp, k, 1, h, wd)).reshape(x.shape)
+            gx = (wflip @ _im2col(gp, k, 1, h, wd)).reshape(x_shape)
         gw = None
         if cols is not None:
             gmat = g.reshape(n, co, ho * wo)
@@ -361,15 +380,15 @@ def _group_norm_affine(xhat_g: np.ndarray, gamma: Tensor, beta: Tensor, shape) -
     return y
 
 
-def _group_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor,
-                         xhat_g: np.ndarray, istd: np.ndarray) -> list:
+def _group_norm_backward(g: np.ndarray, x_shape: tuple[int, ...], need_x: bool, gamma: Tensor,
+                         beta: Tensor, xhat_g: np.ndarray, istd: np.ndarray) -> list:
     """[gx, ggamma, gbeta] of group_norm for the output cotangent ``g``."""
-    n, c = x.shape[:2]
-    xhat = xhat_g.reshape(x.shape)
+    n, c = x_shape[:2]
+    xhat = xhat_g.reshape(x_shape)
     ggamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
     gbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
     gx = None
-    if x.requires_grad:
+    if need_x:
         gxhat = (g * gamma.data.reshape(1, c, 1, 1)).reshape(n, xhat_g.shape[1], -1)
         # dx = istd * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat))
         m1 = gxhat.mean(axis=-1, keepdims=True)
@@ -377,16 +396,17 @@ def _group_norm_backward(g: np.ndarray, x: Tensor, gamma: Tensor, beta: Tensor,
         gxhat -= m1
         gxhat -= xhat_g * m2
         gxhat *= istd
-        gx = gxhat.reshape(x.shape)
+        gx = gxhat.reshape(x_shape)
     return [gx, ggamma, gbeta]
 
 
 def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over channel groups (population variance), then affine."""
     xhat_g, istd, out = _group_norm_forward(x, groups, gamma, beta, eps)
+    x_shape, need_x = x.shape, x.requires_grad
 
     def vjp(g):
-        return _group_norm_backward(g, x, gamma, beta, xhat_g, istd)
+        return _group_norm_backward(g, x_shape, need_x, gamma, beta, xhat_g, istd)
 
     return _result(out, (x, gamma, beta), vjp)
 
@@ -400,15 +420,16 @@ def group_norm_silu(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: fl
     xhat_g, istd, y = _group_norm_forward(x, groups, gamma, beta, eps)
     s = _sigmoid(y)
     y *= s  # the output: y is not kept
+    x_shape, need_x = x.shape, x.requires_grad
 
     def vjp(g):
         # silu's d/dy [y*s(y)] = s + y*s*(1-s), evaluated in the same order
-        gy = _group_norm_affine(xhat_g, gamma, beta, x.shape)
+        gy = _group_norm_affine(xhat_g, gamma, beta, x_shape)
         gy *= s
         gy *= 1.0 - s
         gy += s
         gy *= g
-        return _group_norm_backward(gy, x, gamma, beta, xhat_g, istd)
+        return _group_norm_backward(gy, x_shape, need_x, gamma, beta, xhat_g, istd)
 
     return _result(y, (x, gamma, beta), vjp)
 
@@ -435,9 +456,10 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
         data = x.data.reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}") from None
+    x_shape = x.shape
 
     def vjp(g):
-        return [g.reshape(x.shape)]
+        return [g.reshape(x_shape)]
 
     return _result(data, (x,), vjp)
 
@@ -465,9 +487,10 @@ def embed_rows(weight: Tensor, ids) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise ConfigError(f"embed_rows: id out of range [0, {rows})")
     data = weight.data[idx]
+    w_shape = weight.shape
 
     def vjp(g):
-        gw = np.zeros_like(weight.data)
+        gw = np.zeros(w_shape)
         np.add.at(gw, idx, g)
         return [gw]
 
@@ -481,9 +504,10 @@ def crop_cols(x: Tensor, n: int) -> Tensor:
     if not 1 <= n <= x.shape[1]:
         raise ShapeError(f"crop_cols: n={n} out of range for width {x.shape[1]}")
     data = x.data[:, :n].copy()
+    x_shape = x.shape
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(x_shape)
         gx[:, :n] = g
         return [gx]
 
@@ -491,16 +515,19 @@ def crop_cols(x: Tensor, n: int) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
+    x_shape = x.shape
+
     def vjp(g):
-        return [np.full(x.shape, g.item())]
+        return [np.full(x_shape, g.item())]
 
     return _result(np.asarray(x.data.sum()), (x,), vjp)
 
 
 def mean_all(x: Tensor) -> Tensor:
     inv = 1.0 / x.size
+    x_shape = x.shape
 
     def vjp(g):
-        return [np.full(x.shape, g.item() * inv)]
+        return [np.full(x_shape, g.item() * inv)]
 
     return _result(np.asarray(x.data.mean()), (x,), vjp)

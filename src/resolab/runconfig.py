@@ -22,7 +22,7 @@ from .diffusion import (
     SamplerConfig,
     build_schedule,
 )
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .unet import UNetConfig
 
 __all__ = [
@@ -80,6 +80,7 @@ class TrainConfig:
             raise ConfigError("train.rank must be >= 1")
         if not (0.0 <= self.alpha_r <= 1.0):
             raise ConfigError(f"train.alpha_r must lie in [0, 1], got {self.alpha_r}")
+        check_seed("train.seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -107,6 +108,7 @@ class EvalConfig:
             raise ConfigError("eval.buckets must be non-empty")
         if self.n_batches < 1 or self.batch_size < 1:
             raise ConfigError("eval.n_batches and eval.batch_size must be >= 1")
+        check_seed("eval.seed", self.seed)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,19 @@ record to the innermost active ``Tape`` while any of their inputs requires a
 gradient. ``Tape.backward`` replays records in exact reverse execution order
 and *adds* the resulting gradients into each leaf's ``grad`` slot, so running
 backward twice without resetting grads doubles them.
+
+A record holds no activation. Its output is named by a key (the tape's serial
+and the record's index), stored on the output Tensor, and each input is held
+as that key when a record of the same tape produced it, as the Tensor itself
+when it is a leaf (a parameter or an input), or as None when it needs no
+gradient. Each vjp closes over only the arrays its backward reads, so an
+activation is freed as soon as its last reader -- the caller or a vjp --
+drops it.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Callable
 
@@ -28,6 +37,7 @@ class _TapeStack(threading.local):
 
 
 _TAPE_STACK = _TapeStack()
+_TAPE_SERIALS = itertools.count()
 
 
 def active_tape() -> "Tape | None":
@@ -39,12 +49,14 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """N-dimensional float64 array with an optional gradient slot."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        # (tape serial, record index) of the record that produced this tensor
+        self._key: tuple[int, int] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -82,9 +94,12 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-# A record is (output, inputs, vjp) where vjp maps the output cotangent to a
-# list of input cotangents aligned with ``inputs`` (None for no gradient).
-Record = tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], list]]
+# A record is (inputs, vjp); record i's output is the tensor whose key is
+# (tape serial, i). Each input entry is the index of the record that produced
+# it on this tape, the leaf Tensor itself, or None when it needs no gradient.
+# vjp maps the output cotangent to a list of input cotangents aligned with the
+# inputs (None for no gradient).
+Record = tuple[tuple[int | Tensor | None, ...], Callable[[np.ndarray], list]]
 
 
 class Tape:
@@ -96,6 +111,8 @@ class Tape:
     """
 
     def __init__(self):
+        # keys are (serial, index), never id(): ids of freed outputs get reused
+        self._serial = next(_TAPE_SERIALS)
         self._records: list[Record] = []
 
     def __enter__(self) -> "Tape":
@@ -110,8 +127,21 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
+    def _index(self, t: Tensor) -> int | None:
+        """Index of the record on this tape that produced ``t``, else None."""
+        key = t._key
+        return key[1] if key is not None and key[0] == self._serial else None
+
+    def _entry(self, t: Tensor) -> int | Tensor | None:
+        if not t.requires_grad:
+            return None
+        index = self._index(t)
+        return t if index is None else index
+
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], vjp) -> None:
-        self._records.append((out, inputs, vjp))
+        entries = tuple(self._entry(t) for t in inputs)
+        out._key = (self._serial, len(self._records))
+        self._records.append((entries, vjp))
 
     def backward(self, output: Tensor) -> None:
         """Accumulate d(output)/d(leaf) into every reachable leaf's grad.
@@ -121,24 +151,30 @@ class Tape:
         """
         if output.data.size != 1:
             raise ShapeError(f"backward requires a scalar output, got shape {output.shape}")
-        # Cotangents for this traversal; additive accumulation into .grad
-        # happens only at the end so repeated backward calls stack cleanly.
-        pending: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
-        holders: dict[int, Tensor] = {id(output): output}
-        for out, inputs, vjp in reversed(self._records):
-            g = pending.pop(id(out), None)
-            holders.pop(id(out), None)
+        # Cotangents for this traversal, per record output and per leaf;
+        # additive accumulation into .grad happens only at the end so repeated
+        # backward calls stack cleanly.
+        pending: list[np.ndarray | None] = [None] * len(self._records)
+        leaves: dict[Tensor, np.ndarray] = {}
+        start = self._index(output)
+        if start is None:
+            leaves[output] = np.ones_like(output.data)
+        else:
+            pending[start] = np.ones_like(output.data)
+        for i in range(len(self._records) - 1, -1, -1):
+            g = pending[i]
             if g is None:
                 continue  # this record does not feed the requested output
-            for inp, gi in zip(inputs, vjp(g)):
-                if gi is None or not inp.requires_grad:
+            pending[i] = None
+            entries, vjp = self._records[i]
+            for entry, gi in zip(entries, vjp(g)):
+                if gi is None or entry is None:
                     continue
-                key = id(inp)
-                if key in pending:
-                    pending[key] = pending[key] + gi
+                if type(entry) is int:
+                    prev = pending[entry]
+                    pending[entry] = gi if prev is None else prev + gi
                 else:
-                    pending[key] = gi
-                    holders[key] = inp
-        for key, g in pending.items():
-            leaf = holders[key]
+                    prev = leaves.get(entry)
+                    leaves[entry] = gi if prev is None else prev + gi
+        for leaf, g in leaves.items():
             leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g

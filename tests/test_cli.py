@@ -309,3 +309,53 @@ def test_gradcheck_passes_and_reports(capsys):
 def test_gradcheck_zero_tolerance_exits_3(capsys):
     assert main(["gradcheck", "--seeds", "1", "--tolerance", "0"]) == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--step", "0", "step must be finite and > 0"),
+    ("--step", "nan", "step must be finite and > 0"),
+    ("--tolerance", "nan", "--tolerance must be finite and >= 0"),
+    ("--tolerance", "-1e-4", "--tolerance must be finite and >= 0"),
+    ("--seeds", "0", "--seeds must be >= 1"),
+])
+def test_gradcheck_bad_argument_exits_2(capsys, flag, value, message):
+    assert main(["gradcheck", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "ok" not in captured.out and "FAIL" not in captured.out
+
+
+# ---------------------------------------------------------------------------
+# seeds
+
+
+def test_negative_seed_argument_exits_2(work, capsys):
+    common = ["--config", work["config"], "--model", work["model"], "--steps", "2", "--seed", "-1"]
+    argvs = [
+        ["sample", *common, "--out", str(work["root"] / "negative.pgm")],
+        ["bench-tiled", *common, "--target", "16x16", "--tile", "8x8", "--overlap", "0",
+         "--repeats", "1"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 2, argv[0]
+        assert "sampler seed must be >= 0, got -1" in capsys.readouterr().err
+    assert main(["gradcheck", "--seed", "-1"]) == 2
+    assert "gradcheck seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (work["root"] / "negative.pgm").exists()
+
+
+@pytest.mark.parametrize("section,seed,command", [
+    ("train", -3, ["train-base", "--steps", "1"]),
+    ("eval", -2, ["eval"]),
+])
+def test_negative_config_seed_exits_2(work, capsys, section, seed, command):
+    doc = dict(TINY_DOC)
+    doc[section] = dict(TINY_DOC[section], seed=seed)
+    bad = work["root"] / f"negative_{section}_seed.json"
+    bad.write_text(json.dumps(doc))
+    out = work["root"] / "negative.rsbm"
+    argv = [command[0], "--config", str(bad), *command[1:]]
+    argv += ["--out", str(out)] if command[0] == "train-base" else ["--model", work["model"]]
+    assert main(argv) == 2
+    assert f"{section}.seed must be >= 0, got {seed}" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from resolab import ops
-from resolab.errors import NumericError, ShapeError
+from resolab.errors import ConfigError, NumericError, ShapeError
 from resolab.gradcheck import DEFAULT_TOLERANCE, grad_check, run_suite
 from resolab.tensor import Tensor, active_tape
 
@@ -86,6 +86,17 @@ def test_suite_covers_all_primitives_and_passes():
         assert expected in names, f"suite missing {expected}"
     worst = max(err for _, err in results)
     assert worst <= DEFAULT_TOLERANCE, f"worst suite error {worst}"
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-4, float("nan"), float("inf")])
+def test_step_must_be_finite_and_positive(step):
+    with pytest.raises(ConfigError, match="step must be finite and > 0"):
+        grad_check(lambda x: ops.sum_all(ops.mul(x, x)), Tensor(np.array([1.0])), step=step)
+
+
+def test_suite_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="gradcheck seed must be >= 0, got -1"):
+        run_suite(seed=-1)
 
 
 def test_suite_seeds_vary_points():

@@ -4,12 +4,13 @@ The references are the straightforward forms the kernels replaced: the conv
 input gradient as a k*k scatter of the column gradient (col2im), the weight
 gradient as one einsum, the two-branch masked sigmoid, np.pad and np.var.
 The fused GroupNorm-SiLU and attention records are compared bitwise with the
-chains of taped primitives they replace, and the tape's retained memory is
-measured with tracemalloc.
+chains of taped primitives they replace, and the tape's retained memory and
+a training step's peak are measured with tracemalloc.
 """
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from resolab.adapters import attach_resadapter
 from resolab.errors import NumericError
 from resolab.runconfig import default_runconfig
 from resolab.tensor import Tape, Tensor
-from resolab.trainer import TrainPlan, train_adapter
+from resolab.trainer import TrainPlan, train_adapter, train_base
 from resolab.unet import build_unet
 
 
@@ -183,6 +184,16 @@ def test_softmax_leaves_its_input_alone():
     assert np.array_equal(x, before)
 
 
+def test_self_attention_rejects_non_finite_input_without_warnings():
+    # an inf in x used to reach the projection GEMMs (inf * 0) and warn first
+    args = [np.ones((1, 4, 3))] + [np.eye(3)] * 4
+    args[0][0, 1, 2] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="softmax: non-finite input"):
+            ops.self_attention(*(Tensor(a) for a in args))
+
+
 @pytest.mark.parametrize("poisoned", ["x", "wk"])
 def test_self_attention_rejects_non_finite_scores(poisoned):
     rng = np.random.default_rng(6)
@@ -208,22 +219,69 @@ def test_frozen_weight_conv_retains_about_its_output():
     assert retained <= 1.1 * out.data.nbytes
 
 
-# One 32x32 batch-8 adapter step on the desk model peaks at 58.9 MiB traced
+def test_tape_retains_only_what_backward_reads():
+    # frozen conv -> GN-SiLU -> frozen conv -> residual add, every
+    # intermediate dropped by the caller: only the GN-SiLU's xhat and sigmoid
+    # (two activations) stay for backward. Records that held their outputs
+    # kept about six.
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((8, 8, 32, 32)), requires_grad=True)
+    w1, w2 = (Tensor(0.1 * rng.standard_normal((8, 8, 3, 3))) for _ in range(2))
+    gamma, beta = Tensor(np.ones(8)), Tensor(np.zeros(8))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            h = ops.conv2d(x, w1, padding=1)
+            h = ops.group_norm_silu(h, 4, gamma, beta)
+            h = ops.conv2d(h, w2, padding=1)
+            loss = ops.mean_all(ops.add(h, x))
+            del h
+            retained = tracemalloc.get_traced_memory()[0] - before
+            tape.backward(loss)
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 5
+    assert retained <= 2.2 * x.data.nbytes
+    assert x.grad is not None and x.grad.shape == x.shape
+
+
+def _step_peak_mib(phase: str, size: int) -> float:
+    """tracemalloc peak of one batch-8 training step of the desk model at size x size."""
+    rc = default_runconfig()
+    model = build_unet(rc.model, seed=0)
+    plan = TrainPlan(((size, size),), rc.train.standard_resolution, 1, phase, batch_size=8)
+    data, sched = rc.data.build(), rc.schedule.build()
+    bundle = attach_resadapter(model, rank=rc.train.rank, seed=0) if phase == "adapter" else None
+    tracemalloc.start()
+    try:
+        if bundle is None:
+            train_base(model, plan, data, sched)
+        else:
+            train_adapter(model, bundle, plan, data, sched)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# One 32x32 batch-8 adapter step on the desk model peaked at 58.9 MiB traced
 # (126.1 MiB when every conv kept its im2col matrix and attention kept three
 # score-sized arrays); the bound leaves 19% headroom.
 ADAPTER_STEP_PEAK_MIB = 70.0
 
+# With records holding keys and each vjp only the arrays it reads, the same
+# adapter step peaks at 36.6 MiB and a 16x16 batch-8 base step at 21.9 MiB
+# (58.9 and 27.3 MiB when records held their tensors). The bounds leave 15%
+# and 10% headroom.
+KEYED_ADAPTER_STEP_PEAK_MIB = 42.0
+BASE_STEP_PEAK_MIB = 24.0
+
 
 def test_adapter_step_peak_memory_is_bounded():
-    rc = default_runconfig()
-    model = build_unet(rc.model, seed=0)
-    bundle = attach_resadapter(model, rank=rc.train.rank, seed=0)
-    plan = TrainPlan(((32, 32),), rc.train.standard_resolution, 1, "adapter", batch_size=8)
-    data, sched = rc.data.build(), rc.schedule.build()
-    tracemalloc.start()
-    try:
-        train_adapter(model, bundle, plan, data, sched)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / 2**20 <= ADAPTER_STEP_PEAK_MIB
+    assert _step_peak_mib("adapter", 32) <= ADAPTER_STEP_PEAK_MIB
+
+
+@pytest.mark.parametrize("phase,size,bound", [
+    ("adapter", 32, KEYED_ADAPTER_STEP_PEAK_MIB), ("base", 16, BASE_STEP_PEAK_MIB)])
+def test_step_peak_memory_holds_only_live_activations(phase, size, bound):
+    assert _step_peak_mib(phase, size) <= bound

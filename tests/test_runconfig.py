@@ -152,6 +152,13 @@ def test_sampler_section_validated():
         parse_runconfig({"sampler": {"steps": 0}})
 
 
+@pytest.mark.parametrize("section,name", [
+    ("train", "train.seed"), ("eval", "eval.seed"), ("sampler", "sampler seed")])
+def test_negative_seed_rejected(section, name):
+    with pytest.raises(ConfigError, match=f"{name} must be >= 0, got -3"):
+        parse_runconfig({section: {"seed": -3}})
+
+
 def test_load_from_file_round_trips(tmp_path):
     doc = {"train": {"lr": 0.003, "steps_base": 50},
            "data": {"generator": "discs"}}

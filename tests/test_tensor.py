@@ -128,6 +128,34 @@ def test_backward_targets_only_requested_output():
     assert loss2 is not None
 
 
+def test_leaf_created_mid_tape_gets_its_gradient():
+    # the tape keeps no outputs, so a leaf made after an interior tensor was
+    # freed may take its address: interior tensors are known by key, not id
+    w = Tensor([2.0], requires_grad=True)
+    leaves = []
+    with Tape() as tape:
+        total = ops.mul(w, w)
+        for i in range(30):
+            ops.scale(w, 3.0)  # an interior temporary, dropped at once
+            leaf = Tensor([float(i)], requires_grad=True)
+            leaves.append(leaf)
+            total = ops.add(total, ops.mul(leaf, w))
+        tape.backward(ops.sum_all(total))
+    for leaf in leaves:
+        np.testing.assert_array_equal(leaf.grad, [2.0])
+    np.testing.assert_array_equal(w.grad, [4.0 + sum(range(30))])
+
+
+def test_outer_tape_output_is_a_leaf_of_an_inner_tape():
+    x = Tensor([3.0], requires_grad=True)
+    with Tape():
+        y = ops.mul(x, x)  # produced by a record of the outer tape
+        with Tape() as inner:
+            inner.backward(ops.sum_all(ops.scale(y, 2.0)))
+    np.testing.assert_array_equal(y.grad, [2.0])
+    assert x.grad is None
+
+
 def test_copy_is_independent():
     x = Tensor([1.0], requires_grad=True)
     with Tape() as tape:
