@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ops
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .tensor import Tensor
 from .unet import UNetModel, list_sites, model_fingerprint, unet_forward
 
@@ -127,6 +127,7 @@ def _freeze(model: UNetModel) -> None:
 
 
 def _attach(model: UNetModel, kind: str, rank: int, seed: int) -> AdapterBundle:
+    check_seed("adapter seed", seed)
     lora_selector, delta_selector = BUNDLE_KINDS[kind]
     rng = np.random.default_rng(seed)
     pairs = [_new_pair(model, site, rank, rng) for site in list_sites(model, lora_selector)]

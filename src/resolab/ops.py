@@ -267,16 +267,21 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) ->
 # convolution / normalization / resampling
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+def _windows(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Read-only [N, C, k, k, ho, wo] view of xp's k x k windows; copies nothing."""
     n, c, _, _ = xp.shape
     sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         xp,
         shape=(n, c, k, k, ho, wo),
         strides=(sn, sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
-    return windows.reshape(n, c * k * k, ho * wo)  # copies into C order
+
+
+def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    n, c, _, _ = xp.shape
+    return _windows(xp, k, stride, ho, wo).reshape(n, c * k * k, ho * wo)  # copies into C order
 
 
 def _pad2d(x: np.ndarray, lo: int, size: tuple[int, int], stride: int = 1) -> np.ndarray:
@@ -324,16 +329,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
     xp = _pad2d(x.data, padding, (hp, wp)) if padding else x.data
-    cols = _im2col(xp, k, stride, ho, wo)  # [N, C*k*k, L]
     wmat = w.data.reshape(co, ci * k * k)
-    out = (wmat @ cols).reshape(n, co, ho, wo)
+    out = (wmat @ _im2col(xp, k, stride, ho, wo)).reshape(n, co, ho, wo)
     if b is not None:
-        out = out + b.data.reshape(1, co, 1, 1)
+        out += b.data.reshape(1, co, 1, 1)
     inputs = (x, w) if b is None else (x, w, b)
-    # cols is k*k times the input: keep it only for the weight gradient
+    # The im2col matrix is k*k times the input, so it is never kept: the weight
+    # gradient rebuilds one sample's columns at a time from the padded input.
     x_shape, need_x = x.shape, x.requires_grad
     if not w.requires_grad:
-        cols = None
+        xp = None
 
     def vjp(g):
         gx = None
@@ -346,9 +351,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
             wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
             gx = (wflip @ _im2col(gp, k, 1, h, wd)).reshape(x_shape)
         gw = None
-        if cols is not None:
+        if xp is not None:
+            # sum over samples of gmat[i] @ cols_i^T, added in sample order
+            # from sample 0: the same GEMMs and the same sequential sum as the
+            # batched matmul(...).sum(axis=0), so the bits match, while only
+            # one sample's columns exist at a time
             gmat = g.reshape(n, co, ho * wo)
-            gw = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)
+            win = _windows(xp, k, stride, ho, wo)
+            gw = np.zeros((co, ci * k * k))  # an empty batch's sum
+            for i in range(n):
+                gi = gmat[i] @ win[i].reshape(ci * k * k, ho * wo).T
+                if i:
+                    gw += gi
+                else:
+                    gw = gi
+            gw = gw.reshape(w.shape)
         if b is None:
             return [gx, gw]
         return [gx, gw, g.sum(axis=(0, 2, 3)) if b.requires_grad else None]

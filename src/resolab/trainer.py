@@ -18,7 +18,7 @@ from .adapters import (
 )
 from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule, simple_loss
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_seed
 from .tensor import Tape, Tensor
 from .unet import UNetModel, unet_forward
 
@@ -104,6 +104,7 @@ class TrainPlan:
             raise ConfigError(f"p_uncond must be in [0, 1), got {self.p_uncond}")
         if self.weight_decay < 0.0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        check_seed("plan seed", self.seed)
         self.resolutions = tuple((int(h), int(w)) for h, w in self.resolutions)
         if not self.resolutions:
             raise ConfigError("plan needs at least one resolution bucket")

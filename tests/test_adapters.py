@@ -96,6 +96,14 @@ def test_rank_validation():
         attach_resadapter(model2, rank=5)
 
 
+def test_attach_rejects_negative_seed():
+    for attach in (attach_resadapter, attach_style_lora):
+        model = small_model()
+        with pytest.raises(ConfigError, match="adapter seed must be >= 0, got -1"):
+            attach(model, seed=-1)
+        assert frozen_param_count(model) == 0  # rejected before freezing the base
+
+
 def test_named_tensor_suffixes():
     model = small_model()
     bundle = attach_resadapter(model, rank=2, seed=1)

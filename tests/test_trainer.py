@@ -116,6 +116,11 @@ def test_train_plan_validation():
 # batches
 
 
+def test_train_plan_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="plan seed must be >= 0, got -1"):
+        TrainPlan(resolutions=((8, 8),), standard_resolution=16, steps=1, phase="base", seed=-1)
+
+
 def test_make_batch_shape_and_range():
     ds = SyntheticDataset("checkers", 4, 1)
     x, labels = make_batch(ds, (16, 24), 3, np.random.default_rng(0))

@@ -85,6 +85,11 @@ def test_build_is_deterministic_and_initialized_by_role():
     assert 0.5 * np.sqrt(2 / 36) < w.data.std() < 2.0 * np.sqrt(2 / 36)
 
 
+def test_build_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="model seed must be >= 0, got -1"):
+        build_unet(TINY, seed=-1)
+
+
 def test_fresh_model_predicts_exactly_zero():
     model = build_unet(TINY, seed=0)
     x = Tensor(np.random.default_rng(0).standard_normal((2, 1, 8, 8)))
