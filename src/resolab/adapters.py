@@ -120,12 +120,6 @@ def _new_pair(model: UNetModel, site: str, rank: int, rng: np.random.Generator) 
     return LoRAPair(site=site, a=a, b=b, rank=rank)
 
 
-def _freeze(model: UNetModel) -> None:
-    for name, tensor in model.params.items():
-        tensor.requires_grad = False
-        model.frozen.add(name)
-
-
 def _attach(model: UNetModel, kind: str, rank: int, seed: int) -> AdapterBundle:
     check_seed("adapter seed", seed)
     lora_selector, delta_selector = BUNDLE_KINDS[kind]
@@ -143,7 +137,8 @@ def _attach(model: UNetModel, kind: str, rank: int, seed: int) -> AdapterBundle:
             ))
     if not pairs and not deltas:
         raise ConfigError(f"model has no {lora_selector!r} sites to wrap")
-    _freeze(model)
+    for tensor in model.params.values():
+        tensor.requires_grad = False
     return AdapterBundle(kind=kind, loras=pairs, norm_deltas=deltas, alpha=1.0,
                          base_fingerprint=model_fingerprint(model))
 
@@ -191,12 +186,6 @@ def _check_host(model: UNetModel, bundle: AdapterBundle) -> None:
             )
 
 
-def _lora_delta_array(pair: LoRAPair, host_shape: tuple[int, ...]) -> np.ndarray:
-    # identical arithmetic to the taped path in effective_param_map
-    bt = np.ascontiguousarray(pair.b.data.transpose())
-    return np.matmul(pair.a.data, bt).reshape(host_shape)
-
-
 def effective_param_map(model: UNetModel, bundle: AdapterBundle) -> dict[str, Tensor]:
     """Parameter map with adapter deltas applied as taped expressions.
 
@@ -223,23 +212,10 @@ def adapted_forward(model: UNetModel, bundle: AdapterBundle, x: Tensor, t, c=Non
 
 def merge(model: UNetModel, bundle: AdapterBundle) -> UNetModel:
     """New model with deltas folded into the weights; the original is untouched."""
-    _check_host(model, bundle)
-    merged = model.clone()
-    alpha = bundle.alpha
-    for pair in bundle.loras:
-        host = merged.params[pair.site]
-        host.data = host.data + alpha * _lora_delta_array(pair, host.shape)
-    for nd in bundle.norm_deltas:
-        merged.params[nd.site + ".gamma"].data = (
-            merged.params[nd.site + ".gamma"].data + alpha * nd.dgamma.data
-        )
-        merged.params[nd.site + ".beta"].data = (
-            merged.params[nd.site + ".beta"].data + alpha * nd.dbeta.data
-        )
-    merged.frozen = set()
-    for tensor in merged.params.values():
-        tensor.requires_grad = True
-    return merged
+    params = effective_param_map(model, bundle)
+    return UNetModel(config=model.config, params={
+        name: Tensor(t.data.copy(), requires_grad=True) for name, t in params.items()
+    })
 
 
 def trainable_param_count(bundle: AdapterBundle) -> int:
@@ -247,7 +223,7 @@ def trainable_param_count(bundle: AdapterBundle) -> int:
 
 
 def frozen_param_count(model: UNetModel) -> int:
-    return sum(model.params[name].size for name in model.frozen)
+    return sum(t.size for t in model.params.values() if not t.requires_grad)
 
 
 def total_param_count(model: UNetModel) -> int:

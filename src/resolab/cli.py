@@ -20,7 +20,7 @@ from .evalbench import ablation_grid, bench_latency, multires_eval, tiled_genera
 from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .pgm import write as write_pgm
 from .runconfig import RunConfig, load_runconfig
-from .trainer import TrainPlan, train_adapter, train_base
+from .trainer import train_adapter, train_base
 from .unet import build_unet, model_fingerprint
 
 __all__ = ["main", "app"]
@@ -70,26 +70,6 @@ def _load_bundle_for(path: str, alpha: float | None):
     return bundle if alpha is None else bundle.with_alpha(alpha)
 
 
-def _plan(rc: RunConfig, phase: str, steps: int | None) -> TrainPlan:
-    """The training plan of one phase; ``steps`` (from --steps) overrides the config's."""
-    t = rc.train
-    base = phase == "base"
-    s = t.standard_resolution
-    return TrainPlan(
-        resolutions=((s, s),) if base else t.resolutions,
-        standard_resolution=s,
-        steps=steps if steps is not None else (t.steps_base if base else t.steps_adapter),
-        phase=phase,
-        batch_size=t.batch_size,
-        lr=t.lr_base if base else t.lr,
-        adam_beta1=t.adam_beta1,
-        adam_beta2=t.adam_beta2,
-        weight_decay=t.weight_decay,
-        seed=t.seed,
-        p_uncond=t.p_uncond,
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -97,7 +77,7 @@ def _plan(rc: RunConfig, phase: str, steps: int | None) -> TrainPlan:
 def _cmd_train_base(args) -> int:
     rc = load_runconfig(args.config)
     model = build_unet(rc.model, seed=rc.train.seed)
-    plan = _plan(rc, "base", args.steps)
+    plan = rc.train.plan("base", args.steps)
     trace = train_base(model, plan, rc.data.build(), rc.schedule.build())
     store.save_model(model, args.out)
     if args.trace:
@@ -113,7 +93,7 @@ def _cmd_train_adapter(args) -> int:
     rc = load_runconfig(args.config)
     model = _load_model_for(args, rc)
     bundle = attach_resadapter(model, rank=rc.train.rank, seed=rc.train.seed)
-    plan = _plan(rc, "adapter", args.steps)
+    plan = rc.train.plan("adapter", args.steps)
     trace = train_adapter(model, bundle, plan, rc.data.build(), rc.schedule.build())
     bundle = bundle.with_alpha(rc.train.alpha_r)
     store.save_bundle(bundle, args.out)
@@ -137,7 +117,6 @@ def _cmd_sample(args) -> int:
         params = effective_param_map(model, bundle)
     cfg = SamplerConfig(steps=args.steps, guidance_scale=args.guidance,
                         eta=args.eta, seed=args.seed)
-    cfg.validate()
     h, w = _parse_size(args.size)
     shape = (1, model.config.in_channels, h, w)
     schedule = load_runconfig(args.config).schedule.build()
@@ -220,7 +199,6 @@ def _cmd_bench_tiled(args) -> int:
     rc = load_runconfig(args.config)
     cfg = SamplerConfig(steps=args.steps, guidance_scale=args.guidance,
                         eta=0.0, seed=args.seed)
-    cfg.validate()
     result = bench_latency(
         model, bundle, _parse_size(args.target), _parse_size(args.tile), args.overlap,
         cfg, np.array([args.class_id]), rc.schedule.build(), repeats=args.repeats,

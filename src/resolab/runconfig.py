@@ -1,6 +1,6 @@
 """Declarative run configuration: one JSON document drives every CLI command.
 
-The document has six sections -- model, schedule, data, train, sampler, eval --
+The document has five sections -- model, schedule, data, train, eval --
 each mapping onto a frozen dataclass below. Loading is strict: unknown keys
 and wrong types are rejected with the exact dotted path of the offender, so a
 typo in a config file fails loudly instead of silently using a default.
@@ -19,10 +19,10 @@ from .diffusion import (
     DESK_BETA_START,
     DESK_TIMESTEPS,
     DiffusionSchedule,
-    SamplerConfig,
     build_schedule,
 )
 from .errors import ConfigError, check_seed
+from .trainer import TrainPlan
 from .unet import UNetConfig
 
 __all__ = [
@@ -58,29 +58,35 @@ class TrainConfig:
     rank: int = DEFAULT_RANK
     alpha_r: float = 0.4
 
+    def plan(self, phase: str, steps: int | None = None) -> TrainPlan:
+        """The training plan of one phase; ``steps`` overrides the config's step count."""
+        base = phase == "base"
+        s = self.standard_resolution
+        return TrainPlan(
+            resolutions=((s, s),) if base else self.resolutions,
+            standard_resolution=s,
+            steps=steps if steps is not None else (self.steps_base if base else self.steps_adapter),
+            phase=phase,
+            batch_size=self.batch_size,
+            lr=self.lr_base if base else self.lr,
+            adam_beta1=self.adam_beta1,
+            adam_beta2=self.adam_beta2,
+            weight_decay=self.weight_decay,
+            seed=self.seed,
+            p_uncond=self.p_uncond,
+        )
+
     def validate(self) -> None:
-        if self.standard_resolution < 1:
-            raise ConfigError("train.standard_resolution must be >= 1")
-        if not self.resolutions:
-            raise ConfigError("train.resolutions must be non-empty")
-        for hw in self.resolutions:
-            if len(hw) != 2 or any(int(v) < 1 for v in hw):
-                raise ConfigError(f"train.resolutions entries must be [H, W] pairs, got {hw!r}")
-        if self.steps_base < 0 or self.steps_adapter < 0:
-            raise ConfigError("train step counts must be >= 0")
-        if self.batch_size < 1:
-            raise ConfigError("train.batch_size must be >= 1")
-        if not (0.0 <= self.p_uncond < 1.0):
-            raise ConfigError(f"train.p_uncond must lie in [0, 1), got {self.p_uncond}")
-        if self.weight_decay < 0.0:
-            raise ConfigError("train.weight_decay must be >= 0")
-        if self.lr_base < 0.0:
-            raise ConfigError("train.lr_base must be >= 0")
+        check_seed("train.seed", self.seed)
         if self.rank < 1:
             raise ConfigError("train.rank must be >= 1")
         if not (0.0 <= self.alpha_r <= 1.0):
             raise ConfigError(f"train.alpha_r must lie in [0, 1], got {self.alpha_r}")
-        check_seed("train.seed", self.seed)
+        for phase in ("base", "adapter"):
+            try:
+                self.plan(phase)
+            except ConfigError as exc:
+                raise ConfigError(f"train ({phase} phase): {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -117,16 +123,13 @@ class RunConfig:
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     data: DataConfig = field(default_factory=DataConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def validate(self) -> "RunConfig":
         self.model.validate()
-        if self.schedule.timesteps < 1:
-            raise ConfigError("schedule.timesteps must be >= 1")
+        self.schedule.build()
         self.data.build()
         self.train.validate()
-        self.sampler.validate()
         self.eval.validate()
         if self.data.channels != self.model.in_channels:
             raise ConfigError(
@@ -144,7 +147,6 @@ _SECTION_TYPES = {
     "schedule": ScheduleConfig,
     "data": DataConfig,
     "train": TrainConfig,
-    "sampler": SamplerConfig,
     "eval": EvalConfig,
 }
 
@@ -170,15 +172,15 @@ def _coerce_leaf(path: str, expected, value):
         return tuple(
             _int_at(path, v) if kind is int else _float_at(path, v) for v in value
         )
-    if expected is bool or expected == "bool":
+    if expected is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{path} must be a boolean, got {value!r}")
         return value
-    if expected is int or expected == "int":
+    if expected is int:
         return _int_at(path, value)
-    if expected is float or expected == "float":
+    if expected is float:
         return _float_at(path, value)
-    if expected is str or expected == "str":
+    if expected is str:
         if not isinstance(value, str):
             raise ConfigError(f"{path} must be a string, got {value!r}")
         return value

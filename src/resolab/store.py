@@ -187,7 +187,7 @@ def load_model(path: str) -> UNetModel:
                 f"{path}: {name}: stored shape {tuple(entry['shape'])} != expected {expected[name]}"
             )
         params[name] = Tensor(_unpack_tensor(payload, entry), requires_grad=True)
-    return UNetModel(config=config, params=params, frozen=set())
+    return UNetModel(config=config, params=params)
 
 
 # ---------------------------------------------------------------------------

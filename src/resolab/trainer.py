@@ -9,6 +9,7 @@ leave their optimizer moments untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,18 +97,31 @@ class TrainPlan:
     probs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        # each range is written as not (lo <= x < hi) so that NaN fails it too
         if self.phase not in ("base", "adapter"):
             raise ConfigError(f"phase must be 'base' or 'adapter', got {self.phase!r}")
-        if self.steps < 0:
+        if not 0 <= self.steps:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
+        if not 1 <= self.standard_resolution:
+            raise ConfigError(f"standard_resolution must be >= 1, got {self.standard_resolution}")
+        if not 1 <= self.batch_size:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        for name, beta in (("adam_beta1", self.adam_beta1), ("adam_beta2", self.adam_beta2)):
+            if not 0.0 <= beta < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {beta}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not 0.0 <= self.p_uncond < 1.0:
-            raise ConfigError(f"p_uncond must be in [0, 1), got {self.p_uncond}")
-        if self.weight_decay < 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+            raise ConfigError(f"p_uncond must lie in [0, 1), got {self.p_uncond}")
         check_seed("plan seed", self.seed)
         self.resolutions = tuple((int(h), int(w)) for h, w in self.resolutions)
         if not self.resolutions:
             raise ConfigError("plan needs at least one resolution bucket")
+        for hw in self.resolutions:
+            if not 1 <= min(hw):
+                raise ConfigError(f"resolution bucket sides must be >= 1, got {hw}")
         if len(self.resolutions) == 1:
             self.probs = np.array([1.0])
         else:

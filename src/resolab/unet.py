@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,14 +164,6 @@ def site_shapes(config: UNetConfig) -> dict[str, tuple[int, ...]]:
 class UNetModel:
     config: UNetConfig
     params: dict[str, Tensor]
-    frozen: set[str] = field(default_factory=set)
-
-    def clone(self) -> "UNetModel":
-        return UNetModel(
-            config=self.config,
-            params={k: Tensor(v.data.copy(), requires_grad=v.requires_grad) for k, v in self.params.items()},
-            frozen=set(self.frozen),
-        )
 
 
 def build_unet(config: UNetConfig, seed: int = 0) -> UNetModel:
@@ -199,7 +191,7 @@ def build_unet(config: UNetConfig, seed: int = 0) -> UNetModel:
             fan_in = int(np.prod(shape[1:]))
             arr = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
         params[name] = Tensor(arr, requires_grad=True)
-    return UNetModel(config=config, params=params, frozen=set())
+    return UNetModel(config=config, params=params)
 
 
 _SELECTOR_PATTERNS = {

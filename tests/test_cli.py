@@ -95,6 +95,30 @@ def test_unknown_config_key_exits_2(work, capsys):
     assert "train.stepz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,command,message", [
+    ("lr_base", float("nan"), ["train-base", "--steps", "1"],
+     "train (base phase): lr must be finite and >= 0, got nan"),
+    ("weight_decay", float("inf"), ["train-base", "--steps", "1"],
+     "train (base phase): weight_decay must be >= 0 and finite, got inf"),
+    ("adam_beta1", 1.0, ["train-base", "--steps", "1"],
+     "train (base phase): adam_beta1 must lie in [0, 1), got 1.0"),
+    ("lr", -1.0, ["train-adapter", "--steps", "2"],
+     "train (adapter phase): lr must be finite and >= 0, got -1.0"),
+])
+def test_bad_training_value_exits_2(work, capsys, key, value, command, message):
+    doc = dict(TINY_DOC)
+    doc["train"] = dict(TINY_DOC["train"], **{key: value})
+    bad = work["root"] / f"bad_{key}.json"
+    bad.write_text(json.dumps(doc))  # NaN and Infinity as JSON's extension literals
+    out = work["root"] / f"bad_{key}.out"
+    argv = [command[0], "--config", str(bad), *command[1:], "--out", str(out)]
+    if command[0] == "train-adapter":
+        argv += ["--model", work["model"]]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # training commands
 

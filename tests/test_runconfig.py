@@ -1,6 +1,7 @@
 """Strict run-configuration parsing: dotted-path errors, coercion, defaults."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -132,7 +133,7 @@ def test_negative_weight_decay_rejected():
 
 
 def test_p_uncond_range_checked():
-    for bad in (1.5, 1.0):  # 1.0 would drop every label, which TrainPlan rejects too
+    for bad in (1.5, 1.0):  # 1.0 would drop every label
         with pytest.raises(ConfigError, match=r"p_uncond must lie in \[0, 1\)"):
             parse_runconfig({"train": {"p_uncond": bad}})
 
@@ -147,13 +148,25 @@ def test_empty_eval_buckets_rejected():
         parse_runconfig({"eval": {"buckets": []}})
 
 
-def test_sampler_section_validated():
-    with pytest.raises(ConfigError):
-        parse_runconfig({"sampler": {"steps": 0}})
+def test_sampler_section_is_an_unknown_key():
+    # sampler settings come from the sample and bench-tiled flags alone
+    with pytest.raises(ConfigError, match=r"unknown config key\(s\): sampler"):
+        parse_runconfig({"sampler": {"steps": 25}})
 
 
-@pytest.mark.parametrize("section,name", [
-    ("train", "train.seed"), ("eval", "eval.seed"), ("sampler", "sampler seed")])
+def test_schedule_betas_checked_at_load():
+    with pytest.raises(ConfigError, match="beta_end"):
+        parse_runconfig({"schedule": {"beta_end": 1.5}})
+
+
+def test_readme_defaults_block_equals_the_code():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Run configuration\n", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == json.loads(json.dumps(default_runconfig().to_dict()))
+
+
+@pytest.mark.parametrize("section,name", [("train", "train.seed"), ("eval", "eval.seed")])
 def test_negative_seed_rejected(section, name):
     with pytest.raises(ConfigError, match=f"{name} must be >= 0, got -3"):
         parse_runconfig({section: {"seed": -3}})

@@ -110,6 +110,18 @@ def test_train_plan_validation():
     with pytest.raises(ConfigError, match="degenerate"):
         TrainPlan(resolutions=((16, 16), (16, 16)), standard_resolution=16, steps=1,
                   phase="adapter")
+    with pytest.raises(ConfigError, match="lr must be finite and >= 0, got nan"):
+        TrainPlan(resolutions=((8, 8),), standard_resolution=16, steps=1, phase="base",
+                  lr=float("nan"))
+    with pytest.raises(ConfigError, match=r"adam_beta2 must lie in \[0, 1\), got 1.0"):
+        TrainPlan(resolutions=((8, 8),), standard_resolution=16, steps=1, phase="base",
+                  adam_beta2=1.0)
+    with pytest.raises(ConfigError, match="batch_size must be >= 1, got 0"):
+        TrainPlan(resolutions=((8, 8),), standard_resolution=16, steps=1, phase="base",
+                  batch_size=0)
+    with pytest.raises(ConfigError, match=r"bucket sides must be >= 1, got \(0, 8\)"):
+        TrainPlan(resolutions=((0, 8), (24, 24)), standard_resolution=16, steps=1,
+                  phase="adapter")
 
 
 # ---------------------------------------------------------------------------
