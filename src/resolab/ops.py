@@ -5,8 +5,14 @@ input requires a gradient and a tape is active, records a vector-Jacobian
 closure. A closure holds only the arrays its backward reads, plus shapes and
 flags taken at forward time, never an input or output Tensor (parameters such
 as conv weights excepted), so the tape keeps no activation alive that backward
-does not need. Backward formulas follow the standard derivations; they are
-noted inline where non-obvious.
+does not need. What is cheap to recompute is recomputed instead of kept:
+``group_norm_silu`` keeps only xhat and the inverse deviations, and
+``self_attention`` keeps q, k^T and v but not its [N, T, T] probabilities.
+The large scratch arrays -- conv2d's im2col columns and the attention
+probabilities -- are built for a bounded batch of samples at a time (see
+``_BATCH_BYTES``), each batch with the same per-sample BLAS calls as the whole
+batch, so the bits do not depend on the bound. Backward formulas follow the
+standard derivations; they are noted inline where non-obvious.
 """
 
 from __future__ import annotations
@@ -25,6 +31,17 @@ __all__ = [
     "reshape", "permute", "embed_rows", "crop_cols",
     "sum_all", "mean_all",
 ]
+
+
+# The most bytes that one batch of conv2d's im2col columns or of
+# self_attention's [T, T] scratch may take; an input within it runs as a
+# single batch. The bits do not depend on it: every GEMM is per sample either way.
+_BATCH_BYTES = 1 << 20
+
+
+def _batch_step(sample_bytes: int) -> int:
+    """Samples per batch whose scratch of ``sample_bytes`` each fits _BATCH_BYTES (>= 1)."""
+    return max(1, _BATCH_BYTES // max(1, sample_bytes))
 
 
 def _result(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
@@ -195,17 +212,26 @@ def softmax(x: Tensor) -> Tensor:
     return _result(y, (x,), vjp)
 
 
+def _attention_probs(q: np.ndarray, kt: np.ndarray, s: float) -> np.ndarray:
+    """softmax(q @ k^T * s) over the last axis, for [B, T, d] q and [B, d, T] k^T."""
+    probs = q @ kt
+    probs *= s
+    return _softmax_rows(probs)
+
+
 def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
     """Single-head attention: softmax(QK^T/sqrt(d)) V, then output projection.
 
     x is [N, T, d]; the four projection weights are [d, d] with no bias.
-    One tape record; its vjp keeps q, k^T, v and the probabilities, plus
-    attn@v when wo needs a gradient and x when wq, wk or wv does, and forms
-    only the gradients of inputs that require one.
+    One tape record; its vjp keeps q, k^T and v, plus attn@v when wo needs a
+    gradient and x when wq, wk or wv does, and forms only the gradients of
+    inputs that require one. It keeps no [N, T, T] array: the forward and the
+    vjp each form the probabilities for a bounded batch of samples at a time,
+    the vjp recomputing them with the forward's exact arithmetic.
     """
     if x.ndim != 3:
         raise ShapeError(f"self_attention: input must be [N, T, d], got {x.shape}")
-    d = x.shape[-1]
+    n, t, d = x.shape
     for name, w in (("q", wq), ("k", wk), ("v", wv), ("o", wo)):
         if w.shape != (d, d):
             raise ShapeError(f"self_attention: {name} weight shape {w.shape} != ({d}, {d})")
@@ -219,10 +245,14 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) ->
     q = (x2 @ wq.data.T).reshape(x_shape)
     kt = (x2 @ wk.data.T).reshape(x_shape).transpose(0, 2, 1).copy()
     v = (x2 @ wv.data.T).reshape(x_shape)
-    probs = q @ kt
-    probs *= s
-    _softmax_rows(probs)
-    av2 = (probs @ v).reshape(-1, d)
+    # the vjp holds three [T, T] arrays per sample: probabilities, their
+    # cotangent and one product
+    step = _batch_step(3 * x.data.itemsize * t * t)
+    av = np.empty(x_shape)
+    for lo in range(0, n, step):
+        sl = slice(lo, lo + step)
+        np.matmul(_attention_probs(q[sl], kt[sl], s), v[sl], out=av[sl])
+    av2 = av.reshape(-1, d)
     out = (av2 @ wo.data.T).reshape(x_shape)
     need_q = need_x or wq.requires_grad
     need_k = need_x or wk.requires_grad
@@ -236,20 +266,25 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) ->
         # the reverse of x->q,k,v (2-d GEMMs) -> q@k^T -> *s -> softmax -> @v -> @wo^T
         g2 = g.reshape(-1, d)
         gwo = g2.T @ av2 if wo.requires_grad else None
-        grads = {}
-        if need_q or need_k or need_v:
+        grads = {p: np.empty(x_shape) for p, need in (("q", need_q), ("k", need_k), ("v", need_v))
+                 if need}
+        if grads:
             gav = (g2 @ wo.data).reshape(x_shape)
-            if need_v:
-                grads["v"] = (probs.swapaxes(-1, -2) @ gav).reshape(-1, d)
-            if need_q or need_k:
-                gs = gav @ v.swapaxes(-1, -2)
-                gs -= (gs * probs).sum(axis=-1, keepdims=True)
-                gs *= probs
-                gs *= s
-                if need_q:
-                    grads["q"] = (gs @ kt.swapaxes(-1, -2)).reshape(-1, d)
-                if need_k:
-                    grads["k"] = (q.swapaxes(-1, -2) @ gs).transpose(0, 2, 1).reshape(-1, d)
+            for lo in range(0, n, step):
+                sl = slice(lo, lo + step)
+                probs = _attention_probs(q[sl], kt[sl], s)
+                if need_v:
+                    np.matmul(probs.swapaxes(-1, -2), gav[sl], out=grads["v"][sl])
+                if need_q or need_k:
+                    gs = gav[sl] @ v[sl].swapaxes(-1, -2)
+                    gs -= (gs * probs).sum(axis=-1, keepdims=True)
+                    gs *= probs
+                    gs *= s
+                    if need_q:
+                        np.matmul(gs, kt[sl].swapaxes(-1, -2), out=grads["q"][sl])
+                    if need_k:
+                        grads["k"][sl] = (q[sl].swapaxes(-1, -2) @ gs).transpose(0, 2, 1)
+            grads = {p: gp.reshape(-1, d) for p, gp in grads.items()}
         gx = None
         if need_x:
             gx = grads["v"] @ wv.data
@@ -271,12 +306,11 @@ def _windows(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarra
     """Read-only [N, C, k, k, ho, wo] view of xp's k x k windows; copies nothing."""
     n, c, _, _ = xp.shape
     sn, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, k, k, ho, wo),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
+    # np.ndarray over xp's buffer costs a quarter of as_strided; it rejects an
+    # xp that is not C-contiguous, and every caller's is
+    view = np.ndarray((n, c, k, k, ho, wo), xp.dtype, xp, 0, (sn, sc, sh, sw, sh * stride, sw * stride))
+    view.flags.writeable = False
+    return view
 
 
 def _im2col(xp: np.ndarray, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
@@ -330,7 +364,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     wo = (wp - k) // stride + 1
     xp = _pad2d(x.data, padding, (hp, wp)) if padding else x.data
     wmat = w.data.reshape(co, ci * k * k)
-    out = (wmat @ _im2col(xp, k, stride, ho, wo)).reshape(n, co, ho, wo)
+    # im2col for a bounded batch of samples at a time, each batch's GEMM
+    # written into its slice of the output
+    step = _batch_step(xp.itemsize * ci * k * k * ho * wo)
+    out = np.empty((n, co, ho * wo))
+    for lo in range(0, n, step):
+        np.matmul(wmat, _im2col(xp[lo:lo + step], k, stride, ho, wo), out=out[lo:lo + step])
+    out = out.reshape(n, co, ho, wo)
     if b is not None:
         out += b.data.reshape(1, co, 1, 1)
     inputs = (x, w) if b is None else (x, w, b)
@@ -346,10 +386,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
             # gx is the stride-1 correlation of the cotangent, zero-dilated by
             # stride and padded by k-1-padding (plus the rows/cols the forward
             # never read at the bottom/right), with the flipped, transposed
-            # kernel: the same im2col + GEMM as the forward, no scatter.
-            gp = _pad2d(g, k - 1 - padding, (h + k - 1, wd + k - 1), stride)
+            # kernel: the same batched im2col + GEMM as the forward, no scatter.
             wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
-            gx = (wflip @ _im2col(gp, k, 1, h, wd)).reshape(x_shape)
+            gstep = _batch_step(g.itemsize * co * k * k * h * wd)
+            gx = np.empty((n, ci, h * wd))
+            for lo in range(0, n, gstep):
+                gp = _pad2d(g[lo:lo + gstep], k - 1 - padding, (h + k - 1, wd + k - 1), stride)
+                np.matmul(wflip, _im2col(gp, k, 1, h, wd), out=gx[lo:lo + gstep])
+            gx = gx.reshape(x_shape)
         gw = None
         if xp is not None:
             # sum over samples of gmat[i] @ cols_i^T, added in sample order
@@ -383,8 +427,10 @@ def _group_norm_forward(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"group_norm: gamma/beta must be ({c},), got {gamma.shape} and {beta.shape}")
     xg = x.data.reshape(n, groups, -1)
-    d = xg - xg.mean(axis=-1, keepdims=True)
-    var = (d * d).mean(axis=-1, keepdims=True)  # bit equal to xg.var(axis=-1)
+    count = xg.shape[-1]
+    # the sums over count as ndarray.mean forms them, at less call cost
+    d = xg - np.add.reduce(xg, axis=-1, keepdims=True) / count
+    var = np.add.reduce(d * d, axis=-1, keepdims=True) / count  # bit equal to xg.var(axis=-1)
     istd = 1.0 / np.sqrt(var + eps)
     d *= istd  # now xhat, per group
     return d, istd, _group_norm_affine(d, gamma, beta, x.shape)
@@ -431,17 +477,18 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float =
 def group_norm_silu(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """silu(group_norm(x, ...)) as one record, bit-equal to the two ops.
 
-    Keeps xhat and the sigmoid; the pre-activation y = xhat*gamma + beta is
-    recomputed in the backward pass (same arithmetic, same bits).
+    Keeps only xhat and the per-group inverse deviations (about one input's
+    worth); the backward pass recomputes the pre-activation y = xhat*gamma +
+    beta and its sigmoid with the forward's arithmetic, so the bits match.
     """
     xhat_g, istd, y = _group_norm_forward(x, groups, gamma, beta, eps)
-    s = _sigmoid(y)
-    y *= s  # the output: y is not kept
+    y *= _sigmoid(y)  # the output: neither y nor the sigmoid is kept
     x_shape, need_x = x.shape, x.requires_grad
 
     def vjp(g):
         # silu's d/dy [y*s(y)] = s + y*s*(1-s), evaluated in the same order
         gy = _group_norm_affine(xhat_g, gamma, beta, x_shape)
+        s = _sigmoid(gy)
         gy *= s
         gy *= 1.0 - s
         gy += s

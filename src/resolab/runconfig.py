@@ -22,7 +22,7 @@ from .diffusion import (
     build_schedule,
 )
 from .errors import ConfigError, check_seed
-from .trainer import TrainPlan
+from .trainer import TrainPlan, check_buckets
 from .unet import UNetConfig
 
 __all__ = [
@@ -110,8 +110,10 @@ class EvalConfig:
     alphas: tuple[float, ...] = (0.0, 0.5, 1.0)
 
     def validate(self) -> None:
-        if not self.buckets:
-            raise ConfigError("eval.buckets must be non-empty")
+        check_buckets("eval.buckets", self.buckets)
+        for alpha in self.alphas:
+            if not 0.0 <= alpha <= 1.0:  # NaN fails too
+                raise ConfigError(f"eval.alphas must lie in [0, 1], got {alpha}")
         if self.n_batches < 1 or self.batch_size < 1:
             raise ConfigError("eval.n_batches and eval.batch_size must be >= 1")
         check_seed("eval.seed", self.seed)

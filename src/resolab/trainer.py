@@ -62,6 +62,17 @@ def sample_resolution(probs, u: float) -> int:
     return int(p.size - 1)  # guards rounding at the tail
 
 
+def check_buckets(name: str, buckets) -> tuple[tuple[int, int], ...]:
+    """``buckets`` as (H, W) int pairs; ConfigError if there are none or a side is < 1."""
+    buckets = tuple((int(h), int(w)) for h, w in buckets)
+    if not buckets:
+        raise ConfigError(f"{name} must be non-empty")
+    for hw in buckets:
+        if not 1 <= min(hw):
+            raise ConfigError(f"{name}: bucket sides must be >= 1, got {hw}")
+    return buckets
+
+
 def make_batch(dataset: SyntheticDataset, bucket: tuple[int, int], batch_size: int,
                rng: np.random.Generator, p_uncond: float = 0.0,
                null_class: int | None = None) -> tuple[Tensor, np.ndarray]:
@@ -116,12 +127,7 @@ class TrainPlan:
         if not 0.0 <= self.p_uncond < 1.0:
             raise ConfigError(f"p_uncond must lie in [0, 1), got {self.p_uncond}")
         check_seed("plan seed", self.seed)
-        self.resolutions = tuple((int(h), int(w)) for h, w in self.resolutions)
-        if not self.resolutions:
-            raise ConfigError("plan needs at least one resolution bucket")
-        for hw in self.resolutions:
-            if not 1 <= min(hw):
-                raise ConfigError(f"resolution bucket sides must be >= 1, got {hw}")
+        self.resolutions = check_buckets("resolutions", self.resolutions)
         if len(self.resolutions) == 1:
             self.probs = np.array([1.0])
         else:
@@ -203,7 +209,7 @@ class AdamW:
             p.grad = None
 
 
-def _check_buckets(model: UNetModel, plan: TrainPlan) -> None:
+def _check_divisible(model: UNetModel, plan: TrainPlan) -> None:
     div = model.config.spatial_divisor
     for h, w in plan.resolutions:
         if h % div or w % div:
@@ -229,7 +235,7 @@ def train_base(model: UNetModel, plan: TrainPlan, dataset: SyntheticDataset,
     if plan.phase != "base":
         raise ConfigError(f"train_base requires a 'base' plan, got phase {plan.phase!r}")
     dataset.validate()
-    _check_buckets(model, plan)
+    _check_divisible(model, plan)
     trainable = {k: t for k, t in model.params.items() if t.requires_grad}
     if not trainable:
         raise ConfigError("train_base: no trainable parameters (model is frozen)")
@@ -261,7 +267,7 @@ def train_adapter(model: UNetModel, bundle, plan: TrainPlan, dataset: SyntheticD
     if plan.phase != "adapter":
         raise ConfigError(f"train_adapter requires an 'adapter' plan, got phase {plan.phase!r}")
     dataset.validate()
-    _check_buckets(model, plan)
+    _check_divisible(model, plan)
     tensors = bundle.named_tensors()
     lora_names = [n for n in tensors if n.endswith((LORA_A_SUFFIX, LORA_B_SUFFIX))]
     delta_names = [n for n in tensors if n.endswith((DELTA_GAMMA_SUFFIX, DELTA_BETA_SUFFIX))]

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,19 @@ def test_eval_without_adapter_skips_ablation(work, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "alpha=" not in captured.out
+
+
+def test_eval_with_a_zero_bucket_side_exits_2_without_warnings(work, capsys):
+    # the bucket used to reach the model and warn "Mean of empty slice" first
+    doc = dict(TINY_DOC, eval=dict(TINY_DOC["eval"], buckets=[[0, 8]]))
+    bad = work["root"] / "zero_bucket.json"
+    bad.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["eval", "--config", str(bad), "--model", work["model"]])
+    assert code == 2
+    assert "eval.buckets: bucket sides must be >= 1, got (0, 8)" in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_bench_tiled_reports_ratio(work, capsys):

@@ -5,8 +5,9 @@ input gradient as a k*k scatter of the column gradient (col2im), the weight
 gradient as one einsum or as one batched GEMM over the whole im2col matrix,
 the two-branch masked sigmoid, np.pad and np.var.
 The fused GroupNorm-SiLU and attention records are compared bitwise with the
-chains of taped primitives they replace, and the tape's retained memory and
-a training step's peak are measured with tracemalloc.
+chains of taped primitives they replace, conv2d and attention also on inputs
+that span several of their bounded sample batches, and the tape's retained
+memory and a training step's peak are measured with tracemalloc.
 """
 
 import itertools
@@ -114,6 +115,41 @@ def test_conv2d_trainable_weight_is_bit_equal_to_the_batch_formulation(k, stride
         _assert_bit_equal(got, _conv_batch_reference(*arrays, g, stride, padding))
 
 
+# (size, stride): at 8 channels and 3x3 the 32x32 columns take one sample per
+# batch and the 24x24 ones three, so five samples leave the first batch with
+# and without a remainder; stride 2 shrinks the forward's columns to one batch
+# while the input gradient's stay batched
+CROSS_BATCH_CONVS = [(32, 1), (32, 2), (24, 1), (24, 2)]
+
+
+@pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
+@pytest.mark.parametrize("size,stride", CROSS_BATCH_CONVS)
+def test_conv2d_across_sample_batches_is_bit_equal_to_the_batch_formulation(size, stride, trainable):
+    n, c = 5, 8
+    # the input gradient's columns (8 bytes x c x 3 x 3 per pixel) span several batches
+    assert ops._batch_step(8 * c * 9 * size * size) < n
+    rng = np.random.default_rng(2000 + 10 * size + stride)
+    arrays = [rng.standard_normal((n, c, size, size)), rng.standard_normal((c, c, 3, 3)),
+              rng.standard_normal(c)]
+    ho = (size + 2 - 3) // stride + 1
+    g = rng.standard_normal((n, c, ho, ho))
+    needs = (True, trainable, trainable)
+    got = _value_and_grads(lambda x, w, b: ops.conv2d(x, w, b, stride=stride, padding=1),
+                           arrays, needs, g)
+    out, grads = _conv_batch_reference(*arrays, g, stride, 1)
+    _assert_bit_equal(got, (out, [gr if need else None for gr, need in zip(grads, needs)]))
+
+
+def test_windows_view_is_read_only_and_copies_nothing():
+    xp = np.arange(2.0 * 3 * 6 * 5).reshape(2, 3, 6, 5)
+    win = ops._windows(xp, 3, 2, 2, 2)
+    assert not win.flags.writeable and np.shares_memory(win, xp)
+    ref = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::2, ::2]
+    assert np.array_equal(win, ref.transpose(0, 1, 4, 5, 2, 3))
+    # a batch slice of the padded input gives the same windows as the whole
+    assert np.array_equal(ops._windows(xp[1:], 3, 2, 2, 2), win[1:])
+
+
 def test_sigmoid_matches_two_branch_form():
     rng = np.random.default_rng(0)
     for x in (np.linspace(-800.0, 800.0, 20001), 6.0 * rng.standard_normal((8, 16, 32, 32))):
@@ -211,6 +247,19 @@ def test_self_attention_is_bit_equal_to_the_primitive_chain(needs):
                       _value_and_grads(_attention_chain, arrays, needs, g))
 
 
+@pytest.mark.parametrize("t", [128, 256])
+@pytest.mark.parametrize("needs", ATTENTION_NEEDS)
+def test_self_attention_across_sample_batches_is_bit_equal_to_the_chain(needs, t):
+    # five samples: two per batch at T=128 (a remainder of one), one at T=256
+    n = 5
+    assert 1 < ops._batch_step(3 * 8 * 128 * 128) < n and n % ops._batch_step(3 * 8 * 128 * 128)
+    rng = np.random.default_rng(40 + t)
+    arrays = [rng.standard_normal((n, t, 6))] + [0.5 * rng.standard_normal((6, 6)) for _ in range(4)]
+    g = rng.standard_normal((n, t, 6))
+    _assert_bit_equal(_value_and_grads(ops.self_attention, arrays, needs, g),
+                      _value_and_grads(_attention_chain, arrays, needs, g))
+
+
 def test_softmax_leaves_its_input_alone():
     x = np.random.default_rng(5).standard_normal((3, 7))
     before = x.copy()
@@ -237,19 +286,24 @@ def test_self_attention_rejects_non_finite_scores(poisoned):
         ops.self_attention(*(Tensor(a) for a in args.values()))
 
 
+def _retained_bytes(op, *args):
+    """Traced bytes still held after ``op(*args)`` under a tape, its output included."""
+    tracemalloc.start()
+    try:
+        with Tape():
+            before = tracemalloc.get_traced_memory()[0]
+            out = op(*args)
+            return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_frozen_weight_conv_retains_about_its_output():
     # the im2col matrix is 9x the input; a frozen weight never reads it back
     rng = np.random.default_rng(7)
     x = Tensor(rng.standard_normal((8, 8, 32, 32)), requires_grad=True)
     w, b = Tensor(rng.standard_normal((8, 8, 3, 3))), Tensor(rng.standard_normal(8))
-    tracemalloc.start()
-    try:
-        with Tape():
-            before = tracemalloc.get_traced_memory()[0]
-            out = ops.conv2d(x, w, b, stride=1, padding=1)
-            retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    out, retained = _retained_bytes(ops.conv2d, x, w, b, 1, 1)
     assert retained <= 1.1 * out.data.nbytes
 
 
@@ -261,22 +315,35 @@ def test_trainable_weight_conv_retains_its_padded_input_not_im2col():
     x = Tensor(rng.standard_normal((8, 8, 32, 32)), requires_grad=True)
     w = Tensor(rng.standard_normal((8, 8, 3, 3)), requires_grad=True)
     b = Tensor(rng.standard_normal(8), requires_grad=True)
-    tracemalloc.start()
-    try:
-        with Tape():
-            before = tracemalloc.get_traced_memory()[0]
-            out = ops.conv2d(x, w, b, stride=1, padding=1)
-            retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    out, retained = _retained_bytes(ops.conv2d, x, w, b, 1, 1)
     assert retained <= out.data.nbytes + 1.2 * x.data.nbytes
+
+
+def test_group_norm_silu_record_keeps_about_one_input():
+    # xhat (one input's worth) and the per-group inverse deviations; keeping
+    # the sigmoid as well made it two
+    rng = np.random.default_rng(10)
+    x = Tensor(rng.standard_normal((8, 8, 32, 32)), requires_grad=True)
+    gamma, beta = Tensor(np.ones(8), requires_grad=True), Tensor(np.zeros(8), requires_grad=True)
+    out, retained = _retained_bytes(ops.group_norm_silu, x, 4, gamma, beta)
+    assert retained <= out.data.nbytes + 1.1 * x.data.nbytes
+
+
+def test_self_attention_record_keeps_no_probabilities():
+    # q, k^T, v and attn@v are one input's worth each; the [N, T, T]
+    # probabilities would be 16x the input (4 MiB) at [8, 256, 16]
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((8, 256, 16)), requires_grad=True)
+    ws = [Tensor(0.25 * rng.standard_normal((16, 16)), requires_grad=True) for _ in range(4)]
+    out, retained = _retained_bytes(ops.self_attention, x, *ws)
+    assert retained <= out.data.nbytes + 4.2 * x.data.nbytes
 
 
 def test_tape_retains_only_what_backward_reads():
     # frozen conv -> GN-SiLU -> frozen conv -> residual add, every
-    # intermediate dropped by the caller: only the GN-SiLU's xhat and sigmoid
-    # (two activations) stay for backward. Records that held their outputs
-    # kept about six.
+    # intermediate dropped by the caller: only the GN-SiLU's xhat (one
+    # activation) stays for backward. Keeping its sigmoid too made it two,
+    # and records that held their outputs kept about six.
     rng = np.random.default_rng(8)
     x = Tensor(rng.standard_normal((8, 8, 32, 32)), requires_grad=True)
     w1, w2 = (Tensor(0.1 * rng.standard_normal((8, 8, 3, 3))) for _ in range(2))
@@ -295,7 +362,7 @@ def test_tape_retains_only_what_backward_reads():
     finally:
         tracemalloc.stop()
     assert len(tape) == 5
-    assert retained <= 2.2 * x.data.nbytes
+    assert retained <= 1.2 * x.data.nbytes
     assert x.grad is not None and x.grad.shape == x.shape
 
 
@@ -336,6 +403,13 @@ BASE_STEP_PEAK_MIB = 24.0
 INPUT_KEPT_BASE_STEP_PEAK_MIB = 10.0
 INPUT_KEPT_ADAPTER_STEP_PEAK_MIB = 32.5
 
+# With GN-SiLU recomputing its sigmoid, attention recomputing its
+# probabilities, and im2col and the probabilities built for a bounded batch of
+# samples at a time, the adapter step peaks at 12.3 MiB and the base step at
+# 6.6 MiB (28.2 and 8.5 MiB before). The bounds leave 18% and 14% headroom.
+RECOMPUTED_ADAPTER_STEP_PEAK_MIB = 14.5
+RECOMPUTED_BASE_STEP_PEAK_MIB = 7.5
+
 
 def test_adapter_step_peak_memory_is_bounded():
     assert _step_peak_mib("adapter", 32) <= ADAPTER_STEP_PEAK_MIB
@@ -343,6 +417,7 @@ def test_adapter_step_peak_memory_is_bounded():
 
 @pytest.mark.parametrize("phase,size,bound", [
     ("adapter", 32, KEYED_ADAPTER_STEP_PEAK_MIB), ("base", 16, BASE_STEP_PEAK_MIB),
-    ("adapter", 32, INPUT_KEPT_ADAPTER_STEP_PEAK_MIB), ("base", 16, INPUT_KEPT_BASE_STEP_PEAK_MIB)])
+    ("adapter", 32, INPUT_KEPT_ADAPTER_STEP_PEAK_MIB), ("base", 16, INPUT_KEPT_BASE_STEP_PEAK_MIB),
+    ("adapter", 32, RECOMPUTED_ADAPTER_STEP_PEAK_MIB), ("base", 16, RECOMPUTED_BASE_STEP_PEAK_MIB)])
 def test_step_peak_memory_holds_only_live_activations(phase, size, bound):
     assert _step_peak_mib(phase, size) <= bound

@@ -148,6 +148,18 @@ def test_empty_eval_buckets_rejected():
         parse_runconfig({"eval": {"buckets": []}})
 
 
+@pytest.mark.parametrize("bucket", [[0, 8], [8, 0], [-8, 8]])
+def test_eval_bucket_sides_checked_at_load(bucket):
+    with pytest.raises(ConfigError, match=r"eval.buckets: bucket sides must be >= 1"):
+        parse_runconfig({"eval": {"buckets": [[8, 8], bucket]}})
+
+
+@pytest.mark.parametrize("alpha", [2.0, -0.1, float("nan"), float("inf")])
+def test_eval_alphas_range_checked(alpha):
+    with pytest.raises(ConfigError, match=r"eval.alphas must lie in \[0, 1\]"):
+        parse_runconfig({"eval": {"alphas": [0.5, alpha]}})
+
+
 def test_sampler_section_is_an_unknown_key():
     # sampler settings come from the sample and bench-tiled flags alone
     with pytest.raises(ConfigError, match=r"unknown config key\(s\): sampler"):
