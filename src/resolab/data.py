@@ -32,18 +32,16 @@ class SyntheticDataset:
     num_classes: int = 4
     channels: int = 1
 
-    def validate(self) -> "SyntheticDataset":
+    def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ConfigError(f"unknown generator {self.generator!r} (choose from {GENERATORS})")
         if self.num_classes < 1:
             raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
-        return self
 
     def render(self, class_id: int, height: int, width: int, rng: np.random.Generator) -> np.ndarray:
         """One [C, H, W] sample in [-1, 1]; consumes a fixed number of draws."""
-        self.validate()
         if not 0 <= class_id < self.num_classes:
             raise ConfigError(f"class id {class_id} outside [0, {self.num_classes})")
         jitter = rng.uniform(0.0, 1.0, size=4)

@@ -27,6 +27,8 @@ __all__ = [
 DESK_TIMESTEPS = 50
 DESK_BETA_START = 1e-3
 DESK_BETA_END = 5e-2
+# DDPM uses 1,000; the bound keeps a typo from allocating gigabytes of schedule
+MAX_TIMESTEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -58,8 +60,8 @@ class DiffusionSchedule:
 
 def build_schedule(timesteps: int = DESK_TIMESTEPS, beta_start: float = DESK_BETA_START,
                    beta_end: float = DESK_BETA_END) -> DiffusionSchedule:
-    if timesteps < 1:
-        raise ConfigError(f"timesteps must be >= 1, got {timesteps}")
+    if not 1 <= timesteps <= MAX_TIMESTEPS:
+        raise ConfigError(f"timesteps must be in [1, {MAX_TIMESTEPS}], got {timesteps}")
     if not 0.0 < beta_start <= beta_end < 1.0:
         raise ConfigError(f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]")
     beta = np.linspace(beta_start, beta_end, timesteps)
@@ -158,7 +160,7 @@ class SamplerConfig:
     eta: float = 0.0
     seed: int = 0
 
-    def validate(self) -> "SamplerConfig":
+    def __post_init__(self):
         if self.steps < 1:
             raise ConfigError(f"sampler steps must be >= 1, got {self.steps}")
         if not 0.0 <= self.eta <= 1.0:
@@ -166,7 +168,6 @@ class SamplerConfig:
         if not (math.isfinite(self.guidance_scale) and self.guidance_scale >= 0.0):
             raise ConfigError(f"guidance_scale must be finite and >= 0, got {self.guidance_scale}")
         check_seed("sampler seed", self.seed)
-        return self
 
 
 def ddim_timesteps(timesteps: int, steps: int) -> list[int]:
@@ -208,7 +209,6 @@ def ddim_denoise(x: np.ndarray, predict, schedule: DiffusionSchedule, steps: int
 def ddim_sample(model, shape: tuple[int, int, int, int], cfg: SamplerConfig, c,
                 schedule: DiffusionSchedule, params=None, forward=unet_forward) -> Tensor:
     """Deterministically sample from seeded standard-normal noise."""
-    cfg.validate()
     if len(shape) != 4:
         raise ShapeError(f"ddim_sample: shape must be [N, C, H, W], got {shape}")
     rng = np.random.default_rng(cfg.seed)

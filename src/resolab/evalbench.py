@@ -17,8 +17,9 @@ import numpy as np
 from .adapters import AdapterBundle, effective_param_map
 from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule, SamplerConfig, cfg_predict, ddim_denoise, simple_loss
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_seed
 from .tensor import Tensor
+from .trainer import check_buckets
 from .unet import UNetModel, _as_index_vector, model_fingerprint, unet_forward
 
 __all__ = [
@@ -92,40 +93,48 @@ def _heldout_batches(dataset: SyntheticDataset, bucket: tuple[int, int], n_batch
     return batches
 
 
-def _eval_variants(model, variants, schedule, dataset, buckets, n_batches, seed,
-                   batch_size, report: EvalReport) -> None:
+def _evaluate(who: str, model: UNetModel, adapted, schedule: DiffusionSchedule,
+              dataset: SyntheticDataset, buckets, n_batches: int, seed: int, batch_size: int,
+              metadata: dict) -> EvalReport:
+    """Check the eval inputs, then report the base and each ``adapted`` variant per bucket.
+
+    ``adapted`` yields (name, params) pairs; it is consumed after the checks and
+    inside the timed region.
+    """
+    if not buckets:
+        raise ConfigError(f"{who}: empty bucket list")
+    buckets = check_buckets(f"{who}: buckets", buckets)
+    if n_batches < 1 or batch_size < 1:
+        raise ConfigError(
+            f"{who}: n_batches and batch_size must be >= 1, got {n_batches} and {batch_size}")
+    check_seed(f"{who}: seed", seed)
+    started = time.perf_counter()
+    variants = [("base", None), *adapted]
+    report = EvalReport(metadata={"seed": seed, "fingerprint": model_fingerprint(model),
+                                  **metadata})
     for bucket in buckets:
-        batches = _heldout_batches(dataset, tuple(bucket), n_batches, batch_size, seed,
+        batches = _heldout_batches(dataset, bucket, n_batches, batch_size, seed,
                                    schedule.timesteps)
         for name, params in variants:
             losses = [
                 simple_loss(model, x0, t, eps, c, schedule, params=params).item()
                 for x0, c, t, eps in batches
             ]
-            report.add(EvalRow(tuple(bucket), name, HELDOUT_METRIC, float(np.mean(losses))))
+            report.add(EvalRow(bucket, name, HELDOUT_METRIC, float(np.mean(losses))))
+    report.metadata["wall_clock_s"] = time.perf_counter() - started
+    return report
 
 
 def multires_eval(model: UNetModel, bundle, schedule: DiffusionSchedule,
                   dataset: SyntheticDataset, buckets, n_batches: int = 4, seed: int = 0,
                   batch_size: int = 4) -> EvalReport:
     """Mean held-out noise-prediction loss per bucket, base and adapted variants."""
-    if not buckets:
-        raise ConfigError("multires_eval: empty bucket list")
-    dataset.validate()
-    started = time.perf_counter()
-    variants = [("base", None)]
-    if bundle is not None:
-        variants.append((f"base+{bundle.kind}", effective_param_map(model, bundle)))
-    report = EvalReport(metadata={
-        "seed": seed,
-        "fingerprint": model_fingerprint(model),
-        "n_batches": n_batches,
-        "batch_size": batch_size,
-    })
-    _eval_variants(model, variants, schedule, dataset, [tuple(b) for b in buckets],
-                   n_batches, seed, batch_size, report)
-    report.metadata["wall_clock_s"] = time.perf_counter() - started
-    return report
+    def adapted():
+        if bundle is not None:
+            yield f"base+{bundle.kind}", effective_param_map(model, bundle)
+
+    return _evaluate("multires_eval", model, adapted(), schedule, dataset, buckets, n_batches,
+                     seed, batch_size, {"n_batches": n_batches, "batch_size": batch_size})
 
 
 def ablation_grid(model: UNetModel, bundle: AdapterBundle, modes, alphas,
@@ -135,22 +144,18 @@ def ablation_grid(model: UNetModel, bundle: AdapterBundle, modes, alphas,
     modes = [frozenset(m) for m in modes]
     if not modes or not alphas:
         raise ConfigError("ablation_grid: modes and alphas must be non-empty")
-    started = time.perf_counter()
-    variants = [("base", None)]
-    for mode in modes:
-        restricted = bundle.restricted(mode)
-        label = "+".join(sorted(mode)) if mode else "none"
-        for alpha in alphas:
-            cell = restricted.with_alpha(float(alpha))
-            variants.append((
-                f"base+{bundle.kind}[{label}]@alpha={float(alpha):g}",
-                effective_param_map(model, cell),
-            ))
-    report = EvalReport(metadata={"seed": seed, "fingerprint": model_fingerprint(model)})
-    _eval_variants(model, variants, schedule, dataset, [tuple(b) for b in buckets],
-                   n_batches, seed, batch_size, report)
-    report.metadata["wall_clock_s"] = time.perf_counter() - started
-    return report
+
+    def cells():
+        for mode in modes:
+            restricted = bundle.restricted(mode)
+            label = "+".join(sorted(mode)) if mode else "none"
+            for alpha in alphas:
+                cell = restricted.with_alpha(float(alpha))
+                yield (f"base+{bundle.kind}[{label}]@alpha={float(alpha):g}",
+                       effective_param_map(model, cell))
+
+    return _evaluate("ablation_grid", model, cells(), schedule, dataset, buckets, n_batches,
+                     seed, batch_size, {})
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +199,6 @@ def tiled_generate(model: UNetModel, schedule: DiffusionSchedule, target: tuple[
     to one at every pixel by construction. With target == tile and overlap 0
     this reduces bitwise to ddim_sample.
     """
-    cfg.validate()
     origins, counts = tile_layout(target, tile, overlap)
     th, tw = target
     h, w = tile

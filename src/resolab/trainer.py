@@ -234,7 +234,6 @@ def train_base(model: UNetModel, plan: TrainPlan, dataset: SyntheticDataset,
     """Train every base parameter in place; returns the loss trace."""
     if plan.phase != "base":
         raise ConfigError(f"train_base requires a 'base' plan, got phase {plan.phase!r}")
-    dataset.validate()
     _check_divisible(model, plan)
     trainable = {k: t for k, t in model.params.items() if t.requires_grad}
     if not trainable:
@@ -266,7 +265,6 @@ def train_adapter(model: UNetModel, bundle, plan: TrainPlan, dataset: SyntheticD
     """
     if plan.phase != "adapter":
         raise ConfigError(f"train_adapter requires an 'adapter' plan, got phase {plan.phase!r}")
-    dataset.validate()
     _check_divisible(model, plan)
     tensors = bundle.named_tensors()
     lora_names = [n for n in tensors if n.endswith((LORA_A_SUFFIX, LORA_B_SUFFIX))]

@@ -74,7 +74,7 @@ class UNetConfig:
     def null_class(self) -> int | None:
         return self.num_classes if (self.num_classes > 0 and self.null_class_reserved) else None
 
-    def validate(self) -> "UNetConfig":
+    def __post_init__(self):
         if self.in_channels < 1:
             raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
         if self.base_channels < 1:
@@ -100,7 +100,6 @@ class UNetConfig:
             g = min(self.groups, c)
             if c % g:
                 raise ConfigError(f"channel count {c} not divisible by effective groups {g}")
-        return self
 
 
 def _norm_groups(config: UNetConfig, channels: int) -> int:
@@ -109,7 +108,6 @@ def _norm_groups(config: UNetConfig, channels: int) -> int:
 
 def site_shapes(config: UNetConfig) -> dict[str, tuple[int, ...]]:
     """Shape of every parameter site implied by the config."""
-    config.validate()
     d = config.time_embed_dim
     ch = config.level_channels
     shapes: dict[str, tuple[int, ...]] = {

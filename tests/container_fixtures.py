@@ -280,6 +280,9 @@ MODEL_CASES = [
      "model.attn_at_bottleneck must be a boolean"),
     ("config_mults_not_list", lambda p: _patch_config(p, MODEL_MAGIC, channel_mults=2),
      "model.channel_mults must be a list"),
+    # parses, but SMALL's 4-channel level does not split into 3 groups
+    ("config_groups_indivisible", lambda p: _patch_config(p, MODEL_MAGIC, groups=3),
+     r"\.rsbm: channel count 4 not divisible by effective groups 3"),
     ("unknown_site", lambda p: _rename(p, MODEL_MAGIC, "embed.class.weight",
                                        "embed.claxx.weight"), "unknown site-path"),
     ("missing_site", _m_missing_site, "missing site-path"),

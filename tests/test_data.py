@@ -10,16 +10,16 @@ from resolab.errors import ConfigError
 def test_generator_registry():
     assert GENERATORS == ("checkers", "discs", "gradients")
     for g in GENERATORS:
-        SyntheticDataset(g, 4, 1).validate()
+        SyntheticDataset(g, 4, 1)
 
 
 def test_validation_errors():
     with pytest.raises(ConfigError, match="unknown generator"):
-        SyntheticDataset("plaid", 4, 1).validate()
+        SyntheticDataset("plaid", 4, 1)
     with pytest.raises(ConfigError):
-        SyntheticDataset("checkers", 0, 1).validate()
+        SyntheticDataset("checkers", 0, 1)
     with pytest.raises(ConfigError):
-        SyntheticDataset("checkers", 4, 0).validate()
+        SyntheticDataset("checkers", 4, 0)
     ds = SyntheticDataset("checkers", 4, 1)
     for bad in (-1, 4, 99):
         with pytest.raises(ConfigError, match="class id"):

@@ -332,13 +332,13 @@ def test_ddim_sample_deterministic_and_seed_sensitive():
 
 
 def test_sampler_config_validation():
-    SamplerConfig().validate()
+    SamplerConfig()
     with pytest.raises(ConfigError):
-        SamplerConfig(steps=0).validate()
+        SamplerConfig(steps=0)
     with pytest.raises(ConfigError):
-        SamplerConfig(eta=1.5).validate()
+        SamplerConfig(eta=1.5)
     with pytest.raises(ConfigError):
-        SamplerConfig(guidance_scale=-1.0).validate()
+        SamplerConfig(guidance_scale=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,38 @@ def test_metadata_fields_present():
         report.metadata)
 
 
+_BAD_EVAL_INPUTS = [
+    (dict(buckets=[]), "empty bucket list"),
+    (dict(buckets=[(8, 8), (0, 8)]), "bucket sides must be >= 1"),
+    (dict(n_batches=0), "n_batches and batch_size must be >= 1"),
+    (dict(batch_size=0), "n_batches and batch_size must be >= 1"),
+    (dict(seed=-1), "seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("kwargs,message", _BAD_EVAL_INPUTS,
+                         ids=["empty", "zero_side", "n_batches", "batch_size", "seed"])
+@pytest.mark.parametrize("who", ["multires_eval", "ablation_grid"])
+def test_eval_inputs_checked_in_both_entry_points(who, kwargs, message):
+    # n_batches=0 used to report a NaN loss, the others a raw numpy error or an empty report
+    model = small_model()
+    args = {"buckets": [(8, 8)], "n_batches": 1, "seed": 3, **kwargs}
+    buckets = args.pop("buckets")
+    with pytest.raises(ConfigError, match=f"{who}: .*{message}"):
+        if who == "multires_eval":
+            multires_eval(model, None, SCHED, DS, buckets, **args)
+        else:
+            ablation_grid(model, randomized_bundle(model), [{"conv_lora"}], (1.0,), SCHED, DS,
+                          buckets, **args)
+
+
+def test_ablation_metadata_keys_unchanged():
+    model = small_model()
+    report = ablation_grid(model, randomized_bundle(model), [{"conv_lora"}], (1.0,), SCHED, DS,
+                           [(8, 8)], n_batches=1, seed=3)
+    assert set(report.metadata) == {"seed", "fingerprint", "wall_clock_s"}
+
+
 # ---------------------------------------------------------------------------
 # ablation grid
 

@@ -4,16 +4,24 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resolab.adapters import DEFAULT_RANK
-from resolab.data import GENERATORS
-from resolab.diffusion import DESK_TIMESTEPS
+from resolab.data import GENERATORS, SyntheticDataset
+from resolab.diffusion import DESK_TIMESTEPS, MAX_TIMESTEPS, SamplerConfig
 from resolab.errors import ConfigError
 from resolab.runconfig import (
+    DataConfig,
+    EvalConfig,
+    RunConfig,
+    ScheduleConfig,
+    TrainConfig,
     default_runconfig,
     load_runconfig,
     parse_runconfig,
 )
+from resolab.unet import UNetConfig
 
 
 def test_defaults_are_valid_and_coherent():
@@ -205,3 +213,87 @@ def test_to_dict_survives_json_round_trip():
     rc = default_runconfig()
     reparsed = parse_runconfig(json.loads(json.dumps(rc.to_dict())))
     assert reparsed == rc
+
+
+@pytest.mark.parametrize("document,message", [
+    ({"train": {"standard_resolution": 10**30}},
+     "train.standard_resolution must fit in 64 bits, got a 100-bit integer"),
+    ({"train": {"resolutions": [[10**30, 8], [8, 8]]}}, r"train.resolutions\[0\] must fit in 64 bits"),
+    ({"train": {"steps_base": 2**63}}, "train.steps_base must fit in 64 bits"),
+    ({"train": {"lr": 10**400}}, "train.lr must fit in 64 bits"),  # float(10**400) overflows
+    ({"schedule": {"timesteps": 10**30}}, "schedule.timesteps must fit in 64 bits"),
+    ({"schedule": {"timesteps": 10**12}}, rf"timesteps must be in \[1, {MAX_TIMESTEPS}\], got 10+$"),
+    ({"schedule": {"timesteps": MAX_TIMESTEPS + 1}}, "timesteps must be in"),
+], ids=["standard_resolution", "resolution_side", "steps_base", "lr", "timesteps_int64",
+        "timesteps_1e12", "timesteps_bound"])
+def test_oversized_integers_fail_typed(document, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_runconfig(document)
+
+
+def test_int64_edges_and_largest_schedule_parse():
+    rc = parse_runconfig({"train": {"steps_base": 2**63 - 1},
+                          "schedule": {"timesteps": MAX_TIMESTEPS}})
+    assert rc.train.steps_base == 2**63 - 1
+    assert rc.schedule.build().beta.shape == (MAX_TIMESTEPS,)
+
+
+def test_json_integer_past_the_digit_limit_is_a_config_error(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('{"train": {"steps_base": 1' + "0" * 5000 + "}}")
+    with pytest.raises(ConfigError, match="malformed run configuration JSON"):
+        load_runconfig(str(path))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UNetConfig(groups=0),
+    lambda: SamplerConfig(steps=0),
+    lambda: SyntheticDataset("plaid"),
+    lambda: ScheduleConfig(beta_end=2.0),
+    lambda: DataConfig(channels=0),
+    lambda: TrainConfig(lr=-1.0),
+    lambda: EvalConfig(n_batches=0),
+    lambda: RunConfig(data=DataConfig(channels=3)),
+], ids=["UNetConfig", "SamplerConfig", "SyntheticDataset", "ScheduleConfig", "DataConfig",
+        "TrainConfig", "EvalConfig", "RunConfig"])
+def test_configs_are_checked_when_built(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
+# --- fuzz: every document parses or raises ConfigError -----------------------
+
+_DEFAULTS = default_runconfig().to_dict()
+_LEAVES = [(section, key) for section, body in _DEFAULTS.items() for key in body]
+_INTS = [-1, 0, 1, 7, 2**63, 10**30]
+_SCALARS = st.sampled_from([*_INTS, True, False, None, "", "discs", float("nan"), float("inf"),
+                            float("-inf"), float("1e400")])
+# flat lists for scalar-list fields; pairs of every length (the right one included)
+_LISTS = st.lists(st.one_of(_SCALARS, st.lists(st.sampled_from([*_INTS, 8]), max_size=3)),
+                  max_size=3)
+_VALUES = st.one_of(_SCALARS, _LISTS)
+
+
+# 150 examples x 34 leaves: about 5,100 documents in ~2.5 s
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(values=st.lists(_VALUES, min_size=len(_LEAVES), max_size=len(_LEAVES)),
+       extra=st.sampled_from([""] * 15 + ["key", "section", "scalar section"]),
+       scalar=_SCALARS)
+def test_fuzzed_documents_parse_or_raise_config_error(values, extra, scalar):
+    # Each example fuzzes every leaf, one document per leaf over the defaults, so every
+    # leaf meets each kind of value within the example budget. An unknown key, an unknown
+    # section or a non-object section fails before the leaf is read, so those stay rare.
+    for (section, key), value in zip(_LEAVES, values):
+        document = {section: {key: value}}
+        if extra == "key":
+            document[section]["zoom"] = 1
+        elif extra == "section":
+            document["sampler"] = {}
+        elif extra == "scalar section":
+            document["eval" if section == "train" else "train"] = scalar
+        try:
+            parse_runconfig(document)
+        except ConfigError:
+            pass
+        except Exception as exc:
+            raise AssertionError(f"{document!r} raised {exc!r}") from exc

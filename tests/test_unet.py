@@ -212,14 +212,14 @@ def test_fingerprint_fnv1a_reference():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        UNetConfig(channel_mults=(1,)).validate()
+        UNetConfig(channel_mults=(1,))
     with pytest.raises(ConfigError):
-        UNetConfig(time_embed_dim=7).validate()
+        UNetConfig(time_embed_dim=7)
     with pytest.raises(ConfigError, match="widest"):
-        UNetConfig(time_embed_dim=8, base_channels=8).validate()  # widest level is 16
+        UNetConfig(time_embed_dim=8, base_channels=8)  # widest level is 16
     with pytest.raises(ConfigError, match="groups"):
-        UNetConfig(base_channels=6, groups=4, time_embed_dim=32).validate()
-    assert UNetConfig().validate() is not None
+        UNetConfig(base_channels=6, groups=4, time_embed_dim=32)
+    UNetConfig()
     # unconditional model: no embedding rows, no class ids needed
     cfg = UNetConfig(base_channels=4, groups=4, time_embed_dim=8, num_classes=0,
                      num_res_blocks_per_level=1)
