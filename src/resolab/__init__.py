@@ -8,8 +8,6 @@ finite differences or recomputed by hand.
 from .adapters import (
     DEFAULT_RANK,
     AdapterBundle,
-    LoRAPair,
-    NormDelta,
     adapted_forward,
     attach_resadapter,
     attach_style_lora,
@@ -108,7 +106,7 @@ __all__ = [
     "ddpm_step", "cfg_predict", "ddim_timesteps", "ddim_denoise", "ddim_sample",
     "SamplerConfig", "DESK_TIMESTEPS", "DESK_BETA_START", "DESK_BETA_END",
     # adapters
-    "LoRAPair", "NormDelta", "AdapterBundle",
+    "AdapterBundle",
     "attach_resadapter", "attach_style_lora", "effective_param_map",
     "adapted_forward", "merge", "trainable_param_count", "frozen_param_count",
     "total_param_count", "DEFAULT_RANK",

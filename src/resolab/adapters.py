@@ -1,9 +1,11 @@
 """Low-rank adapters over frozen base models.
 
-A LoRA pair holds A [m, r] and B [n, r] for a host weight flattened to
-[m, n] = [C_out, C_in*k*k]; the applied delta is alpha * reshape(A @ B^T).
-B starts at zero so attaching is an exact identity. Norm deltas are
-zero-initialized per-channel offsets added to resnet gamma/beta.
+A bundle is its tensor table, keyed by saved name. A LoRA pair is ``<site>.lora.A``
+[m, r] and ``<site>.lora.B`` [n, r] for a host weight flattened to [m, n] =
+[C_out, C_in*k*k]; the applied delta is alpha * reshape(A @ B^T). B starts at zero
+so attaching is an exact identity. A norm delta is ``<norm>.delta.gamma``/``beta``:
+zero-initialized per-channel offsets added to a resnet norm's gamma/beta.
+``paired_sites`` is the one rule for how the names pair up.
 
 One bundle type serves every kind; BUNDLE_KINDS names the sites each wraps.
 The resolution adapter ("resadapter") wraps the down/up sampler conv weights
@@ -13,6 +15,7 @@ attention projections and serves as a contrast baseline in evaluations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +26,7 @@ from .tensor import Tensor
 from .unet import UNetModel, list_sites, model_fingerprint, unet_forward
 
 __all__ = [
-    "LoRAPair", "NormDelta", "AdapterBundle", "BUNDLE_KINDS",
+    "AdapterBundle", "BUNDLE_KINDS",
     "attach_resadapter", "attach_style_lora", "adapted_forward", "merge",
     "effective_param_map", "trainable_param_count", "frozen_param_count",
     "total_param_count",
@@ -37,27 +40,6 @@ DELTA_GAMMA_SUFFIX = ".delta.gamma"
 DELTA_BETA_SUFFIX = ".delta.beta"
 
 
-@dataclass
-class LoRAPair:
-    site: str
-    a: Tensor  # [m, r]
-    b: Tensor  # [n, r]
-    rank: int
-
-    def param_count(self) -> int:
-        return self.a.size + self.b.size
-
-
-@dataclass
-class NormDelta:
-    site: str  # norm prefix, e.g. "down.0.res.1.norm2"
-    dgamma: Tensor
-    dbeta: Tensor
-
-    def param_count(self) -> int:
-        return self.dgamma.size + self.dbeta.size
-
-
 # Site rules per bundle kind: (LoRA selector, norm-delta selector or None),
 # both keys of unet._SELECTOR_PATTERNS. Attach and the bundle loader share it.
 BUNDLE_KINDS = {
@@ -69,10 +51,15 @@ BUNDLE_KINDS = {
 @dataclass
 class AdapterBundle:
     kind: str  # a key of BUNDLE_KINDS
-    loras: list[LoRAPair]
-    norm_deltas: list[NormDelta]
+    tensors: dict[str, Tensor]  # LoRA A/B and norm-delta gamma/beta leaves by saved name
     alpha: float
     base_fingerprint: str
+
+    @property
+    def rank(self) -> int:
+        """Columns of a 2-D ``.lora.A``; 0 for a bundle without LoRA pairs."""
+        return next((t.shape[1] for name, t in self.tensors.items()
+                     if name.endswith(LORA_A_SUFFIX) and t.ndim == 2), 0)
 
     def with_alpha(self, alpha: float) -> "AdapterBundle":
         if not 0.0 <= alpha <= 1.0:
@@ -85,61 +72,82 @@ class AdapterBundle:
         unknown = modes - {"conv_lora", "norm_delta"}
         if unknown:
             raise ConfigError(f"unknown ablation mode(s) {sorted(unknown)}")
-        return replace(
-            self,
-            loras=self.loras if "conv_lora" in modes else [],
-            norm_deltas=self.norm_deltas if "norm_delta" in modes else [],
-        )
+        return replace(self, tensors={
+            name: t for name, t in self.tensors.items()
+            if ("conv_lora" if name.endswith((LORA_A_SUFFIX, LORA_B_SUFFIX)) else "norm_delta") in modes
+        })
 
-    def named_tensors(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for pair in self.loras:
-            out[pair.site + LORA_A_SUFFIX] = pair.a
-            out[pair.site + LORA_B_SUFFIX] = pair.b
-        for nd in self.norm_deltas:
-            out[nd.site + DELTA_GAMMA_SUFFIX] = nd.dgamma
-            out[nd.site + DELTA_BETA_SUFFIX] = nd.dbeta
-        return out
+
+def paired_sites(tensors: dict[str, Tensor], rank: int) -> tuple[list[tuple], list[tuple]]:
+    """(site, A, B) per LoRA pair and (norm prefix, dgamma, dbeta) per delta, in table order.
+
+    The one pairing rule of a bundle: every name ends in a known suffix and has
+    its partner, each LoRA pair is 2-D with ``rank`` columns and each delta pair
+    is 1-D of one shape. Raises ConfigError "<site>: ..." at the first breach.
+    """
+    lora, norms = [], []
+    for name, x in tensors.items():
+        if name.endswith(LORA_A_SUFFIX):
+            site = name.removesuffix(LORA_A_SUFFIX)
+            y = tensors.get(site + LORA_B_SUFFIX)
+            if y is None:
+                raise ConfigError(f"{site}: lora A present without B")
+            xs, ys = x.shape, y.shape
+            if len(xs) != 2 or len(ys) != 2 or xs[1] != rank or ys[1] != rank:
+                raise ConfigError(f"{site}: lora shapes {xs}/{ys} contradict rank {rank}")
+            lora.append((site, x, y))
+        elif name.endswith(DELTA_GAMMA_SUFFIX):
+            site = name.removesuffix(DELTA_GAMMA_SUFFIX)
+            y = tensors.get(site + DELTA_BETA_SUFFIX)
+            if y is None:
+                raise ConfigError(f"{site}: delta gamma present without beta")
+            xs = x.shape
+            if xs != y.shape or len(xs) != 1:
+                raise ConfigError(f"{site}: delta shapes {xs}/{y.shape} inconsistent")
+            norms.append((site, x, y))
+    if 2 * (len(lora) + len(norms)) != len(tensors):  # some name is in no pair
+        paired = {site + s for site, _, _ in lora for s in (LORA_A_SUFFIX, LORA_B_SUFFIX)}
+        paired |= {site + s for site, _, _ in norms for s in (DELTA_GAMMA_SUFFIX, DELTA_BETA_SUFFIX)}
+        stray = next(name for name in tensors if name not in paired)
+        for suffix, breach in ((LORA_B_SUFFIX, "lora B present without A"),
+                               (DELTA_BETA_SUFFIX, "delta beta present without gamma")):
+            if stray.endswith(suffix):
+                raise ConfigError(f"{stray.removesuffix(suffix)}: {breach}")
+        raise ConfigError(f"{stray}: not a lora A/B or delta gamma/beta name")
+    return lora, norms
 
 
 def _host_dims(site: str, host: Tensor) -> tuple[int, int]:
     """[m, n] of a host weight flattened to [C_out, C_in*k*k] (a linear weight as is)."""
     if host.ndim == 4:
-        return host.shape[0], int(np.prod(host.shape[1:]))
+        return host.shape[0], math.prod(host.shape[1:])
     if host.ndim == 2:
         return host.shape
     raise ConfigError(f"cannot wrap site {site} with shape {host.shape}")
-
-
-def _new_pair(model: UNetModel, site: str, rank: int, rng: np.random.Generator) -> LoRAPair:
-    m, n = _host_dims(site, model.params[site])
-    if rank < 1 or rank > min(m, n):
-        raise ConfigError(f"rank {rank} invalid for site {site} (must be in [1, {min(m, n)}])")
-    a = Tensor(rng.normal(0.0, np.sqrt(1.0 / m), (m, rank)), requires_grad=True)
-    b = Tensor(np.zeros((n, rank)), requires_grad=True)
-    return LoRAPair(site=site, a=a, b=b, rank=rank)
 
 
 def _attach(model: UNetModel, kind: str, rank: int, seed: int) -> AdapterBundle:
     check_seed("adapter seed", seed)
     lora_selector, delta_selector = BUNDLE_KINDS[kind]
     rng = np.random.default_rng(seed)
-    pairs = [_new_pair(model, site, rank, rng) for site in list_sites(model, lora_selector)]
-    deltas = []
+    tensors: dict[str, Tensor] = {}
+    for site in list_sites(model, lora_selector):
+        m, n = _host_dims(site, model.params[site])
+        if rank < 1 or rank > min(m, n):
+            raise ConfigError(f"rank {rank} invalid for site {site} (must be in [1, {min(m, n)}])")
+        tensors[site + LORA_A_SUFFIX] = Tensor(rng.normal(0.0, np.sqrt(1.0 / m), (m, rank)),
+                                               requires_grad=True)
+        tensors[site + LORA_B_SUFFIX] = Tensor(np.zeros((n, rank)), requires_grad=True)
     if delta_selector is not None:
-        prefixes = sorted({site.rsplit(".", 1)[0] for site in list_sites(model, delta_selector)})
-        for prefix in prefixes:
+        for prefix in sorted({site.rsplit(".", 1)[0] for site in list_sites(model, delta_selector)}):
             c = model.params[prefix + ".gamma"].shape[0]
-            deltas.append(NormDelta(
-                site=prefix,
-                dgamma=Tensor(np.zeros(c), requires_grad=True),
-                dbeta=Tensor(np.zeros(c), requires_grad=True),
-            ))
-    if not pairs and not deltas:
+            tensors[prefix + DELTA_GAMMA_SUFFIX] = Tensor(np.zeros(c), requires_grad=True)
+            tensors[prefix + DELTA_BETA_SUFFIX] = Tensor(np.zeros(c), requires_grad=True)
+    if not tensors:
         raise ConfigError(f"model has no {lora_selector!r} sites to wrap")
     for tensor in model.params.values():
         tensor.requires_grad = False
-    return AdapterBundle(kind=kind, loras=pairs, norm_deltas=deltas, alpha=1.0,
+    return AdapterBundle(kind=kind, tensors=tensors, alpha=1.0,
                          base_fingerprint=model_fingerprint(model))
 
 
@@ -157,33 +165,38 @@ def attach_style_lora(model: UNetModel, rank: int = DEFAULT_RANK, seed: int = 0)
     return _attach(model, "style-lora", rank, seed)
 
 
-def _check_host(model: UNetModel, bundle: AdapterBundle) -> None:
-    """Raise ConfigError unless the bundle was built for ``model`` and every tensor fits its site."""
+def _check_host(model: UNetModel, bundle: AdapterBundle) -> tuple[list[tuple], list[tuple]]:
+    """The bundle's ``paired_sites``; ConfigError unless it was built for ``model`` and fits it."""
     fp = model_fingerprint(model)
     if fp != bundle.base_fingerprint:
         raise ConfigError(
             f"adapter was built for base fingerprint {bundle.base_fingerprint}, model has {fp}"
         )
-    for pair in bundle.loras:
-        host = model.params.get(pair.site)
+    try:
+        lora, norms = paired_sites(bundle.tensors, bundle.rank)
+    except ConfigError as exc:
+        raise ConfigError(f"adapter site {exc}") from None
+    for site, a, b in lora:  # both are [*, rank] by now
+        host = model.params.get(site)
         if host is None:
-            raise ConfigError(f"adapter site {pair.site}: no such parameter in the model")
-        m, n = _host_dims(pair.site, host)
-        r = pair.rank
-        if pair.a.shape != (m, r) or pair.b.shape != (n, r):
+            raise ConfigError(f"adapter site {site}: no such parameter in the model")
+        m, n = _host_dims(site, host)
+        if a.shape[0] != m or b.shape[0] != n:
+            r = a.shape[1]
             raise ConfigError(
-                f"adapter site {pair.site}: lora A/B shapes {pair.a.shape}/{pair.b.shape} "
+                f"adapter site {site}: lora A/B shapes {a.shape}/{b.shape} "
                 f"do not fit host {host.shape} at rank {r}; expected {(m, r)}/{(n, r)}"
             )
-    for nd in bundle.norm_deltas:
-        host = model.params.get(nd.site + ".gamma")
+    for site, dgamma, dbeta in norms:  # one 1-D shape by now
+        host = model.params.get(site + ".gamma")
         if host is None:
-            raise ConfigError(f"adapter site {nd.site}: no such norm in the model")
-        if nd.dgamma.shape != host.shape or nd.dbeta.shape != host.shape:
+            raise ConfigError(f"adapter site {site}: no such norm in the model")
+        if dgamma.shape != host.shape:
             raise ConfigError(
-                f"adapter site {nd.site}: delta shapes {nd.dgamma.shape}/{nd.dbeta.shape} "
+                f"adapter site {site}: delta shapes {dgamma.shape}/{dbeta.shape} "
                 f"do not fit host {host.shape}"
             )
+    return lora, norms
 
 
 def effective_param_map(model: UNetModel, bundle: AdapterBundle) -> dict[str, Tensor]:
@@ -192,16 +205,16 @@ def effective_param_map(model: UNetModel, bundle: AdapterBundle) -> dict[str, Te
     Gradients flow into the bundle tensors only; base parameters are frozen
     leaves and never receive grads through this map.
     """
-    _check_host(model, bundle)
+    lora, norms = _check_host(model, bundle)
     alpha = bundle.alpha
     p = dict(model.params)
-    for pair in bundle.loras:
-        host = model.params[pair.site]
-        delta = ops.reshape(ops.matmul(pair.a, ops.permute(pair.b, (1, 0))), host.shape)
-        p[pair.site] = ops.add(host, ops.scale(delta, alpha))
-    for nd in bundle.norm_deltas:
-        for field, leaf in (("gamma", nd.dgamma), ("beta", nd.dbeta)):
-            site = f"{nd.site}.{field}"
+    for site, a, b in lora:
+        host = model.params[site]
+        delta = ops.reshape(ops.matmul(a, ops.permute(b, (1, 0))), host.shape)
+        p[site] = ops.add(host, ops.scale(delta, alpha))
+    for prefix, dgamma, dbeta in norms:
+        for field, leaf in (("gamma", dgamma), ("beta", dbeta)):
+            site = f"{prefix}.{field}"
             p[site] = ops.add(model.params[site], ops.scale(leaf, alpha))
     return p
 
@@ -219,7 +232,7 @@ def merge(model: UNetModel, bundle: AdapterBundle) -> UNetModel:
 
 
 def trainable_param_count(bundle: AdapterBundle) -> int:
-    return sum(t.size for t in bundle.named_tensors().values())
+    return sum(t.size for t in bundle.tensors.values())
 
 
 def frozen_param_count(model: UNetModel) -> int:

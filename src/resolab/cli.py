@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import store
-from .adapters import attach_resadapter, effective_param_map, merge, trainable_param_count
+from .adapters import attach_resadapter, effective_param_map, merge, paired_sites, trainable_param_count
 from .diffusion import SamplerConfig, ddim_sample
 from .errors import ConfigError, ContainerError, NumericError, ShapeError
 from .evalbench import ablation_grid, bench_latency, multires_eval, tiled_generate
@@ -131,8 +131,8 @@ def _cmd_merge(args) -> int:
     bundle = _load_bundle_for(args.adapter, args.alpha)
     merged = merge(model, bundle)
     store.save_model(merged, args.out)
-    print(f"merged {len(bundle.loras)} low-rank pairs and "
-          f"{len(bundle.norm_deltas)} norm deltas at alpha={bundle.alpha:g}")
+    lora, norms = paired_sites(bundle.tensors, bundle.rank)
+    print(f"merged {len(lora)} low-rank pairs and {len(norms)} norm deltas at alpha={bundle.alpha:g}")
     print(f"saved: {args.out}")
     return 0
 
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing file, a directory where a file should be, ...
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_EXIT
 

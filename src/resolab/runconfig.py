@@ -156,7 +156,7 @@ _SECTION_TYPES = {
 def _coerce_leaf(path: str, expected, value):
     if expected is bool:
         if not isinstance(value, bool):
-            raise ConfigError(f"{path} must be a boolean, got {value!r}")
+            raise ConfigError(f"{path} must be a boolean, got {_shown(value)}")
         return value
     if expected is int:
         return _int_at(path, value)
@@ -164,7 +164,7 @@ def _coerce_leaf(path: str, expected, value):
         return _float_at(path, value)
     if expected is str:
         if not isinstance(value, str):
-            raise ConfigError(f"{path} must be a string, got {value!r}")
+            raise ConfigError(f"{path} must be a string, got {_shown(value)}")
         return value
     if expected == tuple[tuple[int, int], ...]:
         if not isinstance(value, (list, tuple)):
@@ -172,7 +172,7 @@ def _coerce_leaf(path: str, expected, value):
         out = []
         for hw in value:
             if not isinstance(hw, (list, tuple)) or len(hw) != 2:
-                raise ConfigError(f"{path} entries must be [H, W] pairs, got {hw!r}")
+                raise ConfigError(f"{path} entries must be [H, W] pairs, got {_shown(hw)}")
             out.append((_int_at(f"{path}[0]", hw[0]), _int_at(f"{path}[1]", hw[1])))
         return tuple(out)
     if typing.get_origin(expected) is tuple:  # tuple[T, ...]
@@ -183,17 +183,29 @@ def _coerce_leaf(path: str, expected, value):
     raise ConfigError(f"{path}: unsupported config field type {expected!r}")
 
 
+def _shown(value) -> str:
+    """``repr`` for error messages, made total: repr raises ValueError on an int past
+    Python's 4,300-digit limit, so an int past 63 bits shows its bit length, nested too."""
+    if isinstance(value, int) and value.bit_length() > 63:
+        return f"a {value.bit_length()}-bit integer"
+    if isinstance(value, (list, tuple)):
+        return f"[{', '.join(map(_shown, value))}]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_shown(k)}: {_shown(v)}" for k, v in value.items()) + "}"
+    return repr(value)
+
+
 def _int_at(path: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
+        raise ConfigError(f"{path} must be an integer, got {_shown(value)}")
     if not -2**63 <= value < 2**63:  # numpy indexes and sizes with int64
-        raise ConfigError(f"{path} must fit in 64 bits, got a {value.bit_length()}-bit integer")
+        raise ConfigError(f"{path} must fit in 64 bits, got {_shown(value)}")
     return value
 
 
 def _float_at(path: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
+        raise ConfigError(f"{path} must be a number, got {_shown(value)}")
     return float(_int_at(path, value) if isinstance(value, int) else value)
 
 
@@ -206,7 +218,7 @@ def _field_types(cls) -> dict:
 
 def _build_section(name: str, cls, payload: dict):
     if not isinstance(payload, dict):
-        raise ConfigError(f"section '{name}' must be an object, got {payload!r}")
+        raise ConfigError(f"section '{name}' must be an object, got {_shown(payload)}")
     valid = _field_types(cls)
     unknown = sorted(set(payload) - set(valid))
     if unknown:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .adapters import (
     BUNDLE_KINDS, DELTA_BETA_SUFFIX, DELTA_GAMMA_SUFFIX, LORA_A_SUFFIX, LORA_B_SUFFIX,
-    AdapterBundle, LoRAPair, NormDelta, trainable_param_count,
+    AdapterBundle, paired_sites, trainable_param_count,
 )
 from .errors import ConfigError, ContainerError
 from .runconfig import _build_section
@@ -61,14 +61,17 @@ def _pack(named: dict[str, np.ndarray]) -> tuple[list[dict], bytes]:
 
 def _atomic_write(path: str, blob: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".resolab-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".resolab-", suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(blob)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the target, not the temp file
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -196,11 +199,11 @@ def load_model(path: str) -> UNetModel:
 def save_bundle(bundle: AdapterBundle, path: str) -> None:
     config = {
         "kind": bundle.kind,
-        "rank": int(bundle.loras[0].rank) if bundle.loras else 0,
+        "rank": bundle.rank,
         "alpha_r": float(bundle.alpha),
         "base_fingerprint": bundle.base_fingerprint,
     }
-    entries, payload = _pack({name: t.data for name, t in bundle.named_tensors().items()})
+    entries, payload = _pack({name: t.data for name, t in bundle.tensors.items()})
     _write_container(path, BUNDLE_MAGIC, {"config": config, "tensors": entries}, payload)
 
 
@@ -226,47 +229,19 @@ def load_bundle(path: str) -> AdapterBundle:
         LORA_A_SUFFIX: (lora_pattern, ""), LORA_B_SUFFIX: (lora_pattern, ""),
         DELTA_GAMMA_SUFFIX: (delta_pattern, ".gamma"), DELTA_BETA_SUFFIX: (delta_pattern, ".gamma"),
     }
-    arrays: dict[str, np.ndarray] = {}
+    tensors = {}
     for entry in header["tensors"]:
         name = entry["name"]
         suffix = next((s for s in site_rules if name.endswith(s)), None)
         pattern, tail = site_rules.get(suffix, (None, ""))
         if pattern is None or not pattern.match(name[: -len(suffix)] + tail):
             raise ContainerError(f"{path}: unknown site-path {name!r}")
-        arrays[name] = _unpack_tensor(payload, entry)
-
-    lora_sites = sorted({n[: -len(LORA_A_SUFFIX)] for n in arrays if n.endswith(LORA_A_SUFFIX)})
-    pairs = []
-    for site in lora_sites:
-        a_name, b_name = site + LORA_A_SUFFIX, site + LORA_B_SUFFIX
-        if b_name not in arrays:
-            raise ContainerError(f"{path}: {site}: lora A present without B")
-        a, b = arrays[a_name], arrays[b_name]
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != rank or b.shape[1] != rank:
-            raise ContainerError(f"{path}: {site}: lora shapes {a.shape}/{b.shape} contradict rank {rank}")
-        pairs.append(LoRAPair(site=site, a=Tensor(a, requires_grad=True),
-                              b=Tensor(b, requires_grad=True), rank=rank))
-    orphan_b = {n[: -len(LORA_B_SUFFIX)] for n in arrays if n.endswith(LORA_B_SUFFIX)} - set(lora_sites)
-    if orphan_b:
-        raise ContainerError(f"{path}: {sorted(orphan_b)[0]}: lora B present without A")
-
-    delta_sites = sorted({n[: -len(DELTA_GAMMA_SUFFIX)] for n in arrays if n.endswith(DELTA_GAMMA_SUFFIX)})
-    deltas = []
-    for site in delta_sites:
-        g_name, b_name = site + DELTA_GAMMA_SUFFIX, site + DELTA_BETA_SUFFIX
-        if b_name not in arrays:
-            raise ContainerError(f"{path}: {site}: delta gamma present without beta")
-        dg, db = arrays[g_name], arrays[b_name]
-        if dg.shape != db.shape or dg.ndim != 1:
-            raise ContainerError(f"{path}: {site}: delta shapes {dg.shape}/{db.shape} inconsistent")
-        deltas.append(NormDelta(site=site, dgamma=Tensor(dg, requires_grad=True),
-                                dbeta=Tensor(db, requires_grad=True)))
-    orphan_db = {n[: -len(DELTA_BETA_SUFFIX)] for n in arrays if n.endswith(DELTA_BETA_SUFFIX)} - set(delta_sites)
-    if orphan_db:
-        raise ContainerError(f"{path}: {sorted(orphan_db)[0]}: delta beta present without gamma")
-
-    return AdapterBundle(kind=kind, loras=pairs, norm_deltas=deltas, alpha=float(alpha),
-                         base_fingerprint=fingerprint)
+        tensors[name] = Tensor(_unpack_tensor(payload, entry), requires_grad=True)
+    try:
+        paired_sites(tensors, rank)
+    except ConfigError as exc:
+        raise ContainerError(f"{path}: {exc}") from None
+    return AdapterBundle(kind=kind, tensors=tensors, alpha=float(alpha), base_fingerprint=fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +265,17 @@ def inspect(path: str) -> str:
         return "\n".join(lines)
     if magic == BUNDLE_MAGIC:
         bundle = load_bundle(path)
-        named = bundle.named_tensors()
         lines = [
             "kind: RSAD (adapter bundle)",
             f"version: {FORMAT_VERSION}",
             f"adapter kind: {bundle.kind}",
-            f"tensors: {len(named)}",
-            f"rank: {bundle.loras[0].rank if bundle.loras else 0}",
+            f"tensors: {len(bundle.tensors)}",
+            f"rank: {bundle.rank}",
             f"alpha_r: {bundle.alpha}",
             f"base_fingerprint: {bundle.base_fingerprint}",
             f"trainable parameters: {trainable_param_count(bundle)}",
             "sites:",
         ]
-        lines += [f"  {name}  {list(named[name].shape)}" for name in sorted(named)]
+        lines += [f"  {name}  {list(t.shape)}" for name, t in sorted(bundle.tensors.items())]
         return "\n".join(lines)
     raise ContainerError(f"{path}: bad magic {magic!r}, expected 'RSBM' or 'RSAD'")

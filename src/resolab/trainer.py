@@ -266,7 +266,7 @@ def train_adapter(model: UNetModel, bundle, plan: TrainPlan, dataset: SyntheticD
     if plan.phase != "adapter":
         raise ConfigError(f"train_adapter requires an 'adapter' plan, got phase {plan.phase!r}")
     _check_divisible(model, plan)
-    tensors = bundle.named_tensors()
+    tensors = bundle.tensors
     lora_names = [n for n in tensors if n.endswith((LORA_A_SUFFIX, LORA_B_SUFFIX))]
     delta_names = [n for n in tensors if n.endswith((DELTA_GAMMA_SUFFIX, DELTA_BETA_SUFFIX))]
     trace = TrainTrace()

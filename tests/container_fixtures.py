@@ -31,7 +31,7 @@ def small_model(seed=0):
 def small_bundle(model, seed=11):
     bundle = attach_resadapter(model, rank=2, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    for t in bundle.named_tensors().values():
+    for t in bundle.tensors.values():
         t.data = 0.05 * rng.standard_normal(t.shape)
     return bundle
 

@@ -191,8 +191,7 @@ def test_criterion_06_norm_delta_gating(verdict, protocol, base_model):
     plan2 = TrainPlan(resolutions=((8, 8), (12, 12)), standard_resolution=16,
                       steps=40, phase="adapter", batch_size=4, lr=1e-4, seed=6)
     trace2 = train_adapter(base_model, interp, plan2, protocol.dataset, protocol.schedule)
-    still_zero = all(not d.dgamma.data.any() and not d.dbeta.data.any()
-                     for d in interp.norm_deltas)
+    still_zero = all(not t.data.any() for n, t in interp.tensors.items() if ".delta." in n)
     noted = any("no extrapolation bucket" in n for n in trace2.notes)
     check(verdict, 6, "norm-delta gating",
           gated and still_zero and noted,
@@ -287,9 +286,9 @@ def test_criterion_11_persistence(verdict, tmp_path, base_model, adapter_bundle)
     model_exact = all(
         np.array_equal(loaded_m.params[n].data, t.data.astype("<f4").astype(np.float64))
         for n, t in base_model.params.items())
-    orig = adapter_bundle.named_tensors()
+    orig = adapter_bundle.tensors
     bundle_exact = all(
-        np.array_equal(loaded_b.named_tensors()[n].data,
+        np.array_equal(loaded_b.tensors[n].data,
                        t.data.astype("<f4").astype(np.float64))
         for n, t in orig.items()) and loaded_b.alpha == ALPHA_SHIPPED
 

@@ -18,6 +18,7 @@ from resolab.adapters import (
     effective_param_map,
     frozen_param_count,
     merge,
+    paired_sites,
     total_param_count,
     trainable_param_count,
 )
@@ -43,7 +44,7 @@ def small_model(seed=0, live_output=True):
 
 def randomize_bundle(bundle, seed=0, scale=0.1):
     rng = np.random.default_rng(seed)
-    for t in bundle.named_tensors().values():
+    for t in bundle.tensors.values():
         t.data = scale * rng.standard_normal(t.shape)
     return bundle
 
@@ -62,18 +63,18 @@ def small_batch(seed=0, n=2, hw=8):
 def test_lora_pair_shapes_on_default_model():
     model = build_unet(UNetConfig(), seed=0)
     bundle = attach_resadapter(model, rank=4, seed=0)
-    by_site = {p.site: p for p in bundle.loras}
+    tensors = bundle.tensors
+    assert bundle.rank == 4
     # down.0 sampler: host [8, 8, 3, 3] -> A [8, 4], B [72, 4] = 320 params
-    p = by_site["down.0.sampler.conv.weight"]
-    assert p.a.shape == (8, 4) and p.b.shape == (72, 4)
-    assert p.param_count() == 320
+    a, b = (tensors["down.0.sampler.conv.weight" + s] for s in (LORA_A_SUFFIX, LORA_B_SUFFIX))
+    assert a.shape == (8, 4) and b.shape == (72, 4)
+    assert a.size + b.size == 320
     # up.0 sampler sees concatenated skip channels: host [8, 16+8+12? ...] -> B rows = C_in*9
-    q = by_site["up.0.sampler.conv.weight"]
-    host = model.params[q.site]
-    assert q.a.shape == (host.shape[0], 4)
-    assert q.b.shape == (int(np.prod(host.shape[1:])), 4)
-    assert sum(pair.param_count() for pair in bundle.loras) == 928
-    assert sum(nd.param_count() for nd in bundle.norm_deltas) == 354
+    host = model.params["up.0.sampler.conv.weight"]
+    assert tensors["up.0.sampler.conv.weight" + LORA_A_SUFFIX].shape == (host.shape[0], 4)
+    assert tensors["up.0.sampler.conv.weight" + LORA_B_SUFFIX].shape == (int(np.prod(host.shape[1:])), 4)
+    assert sum(t.size for name, t in tensors.items() if ".lora." in name) == 928
+    assert sum(t.size for name, t in tensors.items() if ".delta." in name) == 354
     assert trainable_param_count(bundle) == 1282
 
 
@@ -107,11 +108,12 @@ def test_attach_rejects_negative_seed():
 def test_named_tensor_suffixes():
     model = small_model()
     bundle = attach_resadapter(model, rank=2, seed=1)
-    names = bundle.named_tensors()
+    names = bundle.tensors
+    lora, norms = paired_sites(names, bundle.rank)
     n_lora = sum(1 for n in names if n.endswith((LORA_A_SUFFIX, LORA_B_SUFFIX)))
     n_delta = sum(1 for n in names if n.endswith((DELTA_GAMMA_SUFFIX, DELTA_BETA_SUFFIX)))
-    assert n_lora == 2 * len(bundle.loras)
-    assert n_delta == 2 * len(bundle.norm_deltas)
+    assert n_lora == 2 * len(lora)
+    assert n_delta == 2 * len(norms)
     assert n_lora + n_delta == len(names)
     for n in names:
         if n.endswith((LORA_A_SUFFIX, LORA_B_SUFFIX)):
@@ -139,9 +141,9 @@ def test_attach_style_lora_identity_and_sites():
     before = unet_forward(model, x, t, c).data.copy()
     bundle = attach_style_lora(model, rank=2, seed=5)
     np.testing.assert_array_equal(before, adapted_forward(model, bundle, x, t, c).data)
-    sites = sorted(p.site for p in bundle.loras)
-    assert sites == [f"mid.attn.{k}.weight" for k in ("k", "o", "q", "v")]
-    assert bundle.norm_deltas == []
+    lora, norms = paired_sites(bundle.tensors, bundle.rank)
+    assert sorted(site for site, _, _ in lora) == [f"mid.attn.{k}.weight" for k in ("k", "o", "q", "v")]
+    assert norms == []
 
 
 def test_attach_style_lora_requires_attention():
@@ -168,14 +170,15 @@ def test_alpha_zero_recovers_base_after_training():
 def test_alpha_scales_param_deltas_linearly():
     model = small_model()
     bundle = randomize_bundle(attach_resadapter(model, rank=2, seed=2), seed=4)
-    pair = bundle.loras[0]
-    host = model.params[pair.site].data
-    full = effective_param_map(model, bundle)[pair.site].data - host
-    half = effective_param_map(model, bundle.with_alpha(0.5))[pair.site].data - host
+    site = "down.0.sampler.conv.weight"
+    host = model.params[site].data
+    full = effective_param_map(model, bundle)[site].data - host
+    half = effective_param_map(model, bundle.with_alpha(0.5))[site].data - host
     np.testing.assert_allclose(half, 0.5 * full, rtol=0, atol=1e-15)
-    nd = bundle.norm_deltas[0]
-    got = effective_param_map(model, bundle.with_alpha(0.25))[nd.site + ".gamma"].data
-    np.testing.assert_allclose(got, model.params[nd.site + ".gamma"].data + 0.25 * nd.dgamma.data,
+    norm = "down.0.res.0.norm1"
+    got = effective_param_map(model, bundle.with_alpha(0.25))[norm + ".gamma"].data
+    dgamma = bundle.tensors[norm + DELTA_GAMMA_SUFFIX].data
+    np.testing.assert_allclose(got, model.params[norm + ".gamma"].data + 0.25 * dgamma,
                                rtol=0, atol=1e-15)
 
 
@@ -195,16 +198,19 @@ def test_restricted_subsets():
     x, t, c = small_batch()
     base_out = unet_forward(model, x, t, c).data.copy()
     bundle = randomize_bundle(attach_resadapter(model, rank=2, seed=9), seed=10)
+    def parts(b):  # "lora" and/or "delta"
+        return {name.split(".")[-2] for name in b.tensors}
+
     lora_only = bundle.restricted({"conv_lora"})
-    assert lora_only.loras and not lora_only.norm_deltas
+    assert parts(lora_only) == {"lora"}
     delta_only = bundle.restricted({"norm_delta"})
-    assert delta_only.norm_deltas and not delta_only.loras
+    assert parts(delta_only) == {"delta"}
     neither = bundle.restricted(set())
     np.testing.assert_array_equal(adapted_forward(model, neither, x, t, c).data, base_out)
     with pytest.raises(ConfigError, match="unknown ablation mode"):
         bundle.restricted({"conv_lora", "attention"})
     # restriction does not mutate the original
-    assert bundle.loras and bundle.norm_deltas
+    assert parts(bundle) == {"lora", "delta"}
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +232,9 @@ def test_grads_flow_to_bundle_not_base():
         out = adapted_forward(model, bundle, x, t, c)
         loss = ops.mean_all(ops.mul(out, out))
         tape.backward(loss)
-    for name, tensor in bundle.named_tensors().items():
+    for name, tensor in bundle.tensors.items():
         assert tensor.grad is not None, name
-    got_signal = [np.abs(t.grad).max() for t in bundle.named_tensors().values()]
+    got_signal = [np.abs(t.grad).max() for t in bundle.tensors.values()]
     assert max(got_signal) > 0.0
     for tensor in model.params.values():
         assert tensor.grad is None
@@ -269,7 +275,7 @@ def test_merge_leaves_original_untouched():
     assert frozen_param_count(merged) == 0
     assert all(t.requires_grad for t in merged.params.values())
     # merged weights actually moved at the wrapped sites
-    site = bundle.loras[0].site
+    site = "down.0.sampler.conv.weight"
     assert np.abs(merged.params[site].data - snapshot[site]).max() > 0.0
 
 
@@ -298,33 +304,52 @@ def test_bundle_kinds_report_alpha():
 
 
 def _shrink_norm_delta(bundle):
-    nd = next(d for d in bundle.norm_deltas if d.site == "down.0.res.0.norm2")
-    nd.dgamma, nd.dbeta = Tensor(np.full(1, 0.5)), Tensor(np.zeros(1))
-    return nd.site
+    site = "down.0.res.0.norm2"
+    bundle.tensors[site + DELTA_GAMMA_SUFFIX] = Tensor(np.full(1, 0.5))
+    bundle.tensors[site + DELTA_BETA_SUFFIX] = Tensor(np.zeros(1))
+    return site
 
 
 def _drop_lora_b_row(bundle):
-    pair = next(p for p in bundle.loras if p.site == "down.0.sampler.conv.weight")
-    pair.b = Tensor(pair.b.data[:-1])  # [35, r] where the host needs 36 rows
-    return pair.site
+    name = "down.0.sampler.conv.weight" + LORA_B_SUFFIX
+    bundle.tensors[name] = Tensor(bundle.tensors[name].data[:-1])  # [35, r]; the host needs 36 rows
+    return "down.0.sampler.conv.weight"
 
 
 def _move_lora_off_model(bundle):
-    bundle.loras[0].site = "down.5.sampler.conv.weight"
-    return bundle.loras[0].site
+    for suffix in (LORA_A_SUFFIX, LORA_B_SUFFIX):
+        bundle.tensors["down.5.sampler.conv.weight" + suffix] = bundle.tensors.pop(
+            "down.0.sampler.conv.weight" + suffix)
+    return "down.5.sampler.conv.weight"
 
 
-@pytest.mark.parametrize("mutate", [_shrink_norm_delta, _drop_lora_b_row, _move_lora_off_model])
+def _drop_lora_b(bundle):
+    del bundle.tensors["down.0.sampler.conv.weight" + LORA_B_SUFFIX]
+    return "down.0.sampler.conv.weight"
+
+
+@pytest.mark.parametrize("mutate", [_shrink_norm_delta, _drop_lora_b_row, _move_lora_off_model,
+                                    _drop_lora_b])
 def test_bundle_tensor_that_misfits_its_host_is_rejected(tmp_path, mutate):
-    # each file is well formed on its own; only the host model shows the misfit
     model = small_model()
     bundle = attach_resadapter(model, rank=2, seed=3)
     site = mutate(bundle)
-    path = str(tmp_path / "misfit.rsad")
-    store.save_bundle(bundle, path)
-    loaded = store.load_bundle(path)
+    bundles = [bundle]
+    if mutate is not _drop_lora_b:  # that file fails to load (test_store's lora_a_without_b)
+        # the file is well formed on its own; only the host model shows the misfit
+        path = str(tmp_path / "misfit.rsad")
+        store.save_bundle(bundle, path)
+        bundles.append(store.load_bundle(path))
     x, t, c = small_batch()
-    with pytest.raises(ConfigError, match=re.escape(f"adapter site {site}:")):
-        adapted_forward(model, loaded, x, t, c)
-    with pytest.raises(ConfigError, match=re.escape(f"adapter site {site}:")):
-        merge(model, loaded)
+    for b in bundles:
+        with pytest.raises(ConfigError, match=re.escape(f"adapter site {site}:")):
+            adapted_forward(model, b, x, t, c)
+        with pytest.raises(ConfigError, match=re.escape(f"adapter site {site}:")):
+            merge(model, b)
+
+
+def test_a_name_in_no_pair_is_rejected():
+    bundle = attach_resadapter(small_model(), rank=2, seed=4)
+    bundle.tensors["down.0.sampler.conv.weight.lora.C"] = Tensor(np.zeros((36, 2)))
+    with pytest.raises(ConfigError, match=r"lora\.C: not a lora A/B or delta gamma/beta name"):
+        paired_sites(bundle.tensors, bundle.rank)

@@ -76,6 +76,37 @@ def test_missing_model_file_exits_2(work, capsys):
     assert code == 2
 
 
+_SAMPLE = "sample --model {model} --out {root}/x.pgm"
+_TILED = "bench-tiled --model {model} --steps 2 --repeats 1 --target 32x32 --tile 16x16"
+
+
+@pytest.mark.parametrize("argv", [
+    f"{_SAMPLE} --size 15x15",  # not divisible by the model's spatial divisor
+    f"{_SAMPLE} --steps 100",  # the default schedule has 50 steps
+    *(f"{cmd} --alpha {alpha}" for cmd in (
+        f"{_SAMPLE} --adapter {{bundle}}",
+        "merge --model {model} --adapter {bundle} --out {root}/merged-x.rsbm",
+        "eval --config {config} --model {model} --adapter {bundle}",
+    ) for alpha in ("1.5", "-0.5", "nan")),
+    f"{_TILED} --tile 48x48",
+    f"{_TILED} --overlap 16",
+    f"{_TILED} --overlap -1",
+    f"{_TILED} --repeats 0",
+    "train-base --config {config} --steps -3 --out {root}/never.rsbm",
+    f"{_SAMPLE} --class-id 7",
+    "inspect {root}",
+    "sample --model {root} --out {root}/x.pgm",
+    "train-base --config {config} --steps 1 --out {root}/missing_dir/m.rsbm",
+    "train-base --config {config} --steps 1 --out {root}",
+])
+def test_bad_argument_exits_2(work, capsys, argv):
+    code = main(argv.format(**work).split())
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "error:" in err and "Traceback" not in err
+    assert ".resolab-" not in err  # a failed write names its target, not the temp file
+
+
 def test_malformed_config_exits_2(work, capsys):
     bad = work["root"] / "bad.json"
     bad.write_text("{oops")
@@ -153,7 +184,7 @@ def test_train_adapter_reports_budget(work, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "trainable parameters:" in captured.out
-    assert store.load_bundle(str(out)).loras
+    assert store.load_bundle(str(out)).rank == 2  # the config's train.rank
 
 
 def test_train_adapter_warns_without_extrapolation(work, capsys):

@@ -31,7 +31,7 @@ cfg = SamplerConfig(steps=10, guidance_scale=7.5, seed=0)
 direct = ddim_sample(model, (1, 1, 32, 32), cfg, 1, sched, params=params)
 tiled = tiled_generate(model, sched, (32, 32), (16, 16), 8, cfg, 1, params=params)
 digest = hashlib.sha256()
-for name, tensor in sorted({**model.params, **bundle.named_tensors()}.items()):
+for name, tensor in sorted({**model.params, **bundle.tensors}.items()):
     digest.update(name.encode())
     digest.update(tensor.data.tobytes())
 digest.update(direct.data.tobytes())

@@ -40,7 +40,7 @@ def small_model(seed=0):
 def randomized_bundle(model, seed=5, scale=0.05):
     bundle = attach_resadapter(model, rank=2, seed=seed)
     rng = np.random.default_rng(seed + 100)
-    for t in bundle.named_tensors().values():
+    for t in bundle.tensors.values():
         t.data = scale * rng.standard_normal(t.shape)
     return bundle
 

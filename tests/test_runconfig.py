@@ -224,8 +224,15 @@ def test_to_dict_survives_json_round_trip():
     ({"schedule": {"timesteps": 10**30}}, "schedule.timesteps must fit in 64 bits"),
     ({"schedule": {"timesteps": 10**12}}, rf"timesteps must be in \[1, {MAX_TIMESTEPS}\], got 10+$"),
     ({"schedule": {"timesteps": MAX_TIMESTEPS + 1}}, "timesteps must be in"),
+    # repr() of an int past 4,300 digits raises ValueError, so messages show its bit length
+    ({"train": 10**5000}, "section 'train' must be an object, got a 16610-bit integer"),
+    ({"train": {"resolutions": [[10**5000]]}}, r"pairs, got \[a 16610-bit integer\]"),
+    ({"model": {"attn_at_bottleneck": 10**5000}}, "boolean, got a 16610-bit integer"),
+    ({"data": {"generator": 10**5000}}, "string, got a 16610-bit integer"),
+    ({"train": {"lr": [10**5000]}}, r"number, got \[a 16610-bit integer\]"),
 ], ids=["standard_resolution", "resolution_side", "steps_base", "lr", "timesteps_int64",
-        "timesteps_1e12", "timesteps_bound"])
+        "timesteps_1e12", "timesteps_bound", "digits_section", "digits_pair", "digits_bool",
+        "digits_str", "digits_float_list"])
 def test_oversized_integers_fail_typed(document, message):
     with pytest.raises(ConfigError, match=message):
         parse_runconfig(document)
