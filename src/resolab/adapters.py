@@ -5,25 +5,31 @@ A bundle is its tensor table, keyed by saved name. A LoRA pair is ``<site>.lora.
 [C_out, C_in*k*k]; the applied delta is alpha * reshape(A @ B^T). B starts at zero
 so attaching is an exact identity. A norm delta is ``<norm>.delta.gamma``/``beta``:
 zero-initialized per-channel offsets added to a resnet norm's gamma/beta.
-``paired_sites`` is the one rule for how the names pair up.
 
 One bundle type serves every kind; BUNDLE_KINDS names the sites each wraps.
 The resolution adapter ("resadapter") wraps the down/up sampler conv weights
 plus all resnet norms; the style LoRA ("style-lora") wraps the bottleneck
 attention projections and serves as a contrast baseline in evaluations.
+
+A bundle is valid once it exists: building one checks its kind, alpha,
+fingerprint, sites and pairs, and its table is read-only, so a bundle changes
+only through ``dataclasses.replace``, which checks again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
 from . import ops
 from .errors import ConfigError, check_seed
 from .tensor import Tensor
-from .unet import UNetModel, list_sites, model_fingerprint, unet_forward
+from .unet import UNetModel, list_sites, model_fingerprint, selector_pattern, unet_forward
 
 __all__ = [
     "AdapterBundle", "BUNDLE_KINDS",
@@ -38,57 +44,86 @@ LORA_A_SUFFIX = ".lora.A"
 LORA_B_SUFFIX = ".lora.B"
 DELTA_GAMMA_SUFFIX = ".delta.gamma"
 DELTA_BETA_SUFFIX = ".delta.beta"
+_PARTS = {"conv_lora": (LORA_A_SUFFIX, LORA_B_SUFFIX),  # a bundle's two name groups
+          "norm_delta": (DELTA_GAMMA_SUFFIX, DELTA_BETA_SUFFIX)}
 
 
 # Site rules per bundle kind: (LoRA selector, norm-delta selector or None),
-# both keys of unet._SELECTOR_PATTERNS. Attach and the bundle loader share it.
+# both selectors of unet.selector_pattern. Attach and the bundle check share it.
 BUNDLE_KINDS = {
     "resadapter": ("sampler_convs", "resnet_norms"),
     "style-lora": ("attention_projections", None),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdapterBundle:
-    kind: str  # a key of BUNDLE_KINDS
-    tensors: dict[str, Tensor]  # LoRA A/B and norm-delta gamma/beta leaves by saved name
-    alpha: float
-    base_fingerprint: str
+    """Adapter tensors for one base model, checked when built; change with ``replace``."""
 
-    @property
-    def rank(self) -> int:
-        """Columns of a 2-D ``.lora.A``; 0 for a bundle without LoRA pairs."""
-        return next((t.shape[1] for name, t in self.tensors.items()
-                     if name.endswith(LORA_A_SUFFIX) and t.ndim == 2), 0)
+    kind: str  # a key of BUNDLE_KINDS
+    tensors: Mapping[str, Tensor]  # LoRA A/B and norm-delta gamma/beta leaves by saved name
+    alpha: float  # blend strength in [0, 1]
+    base_fingerprint: str
+    rank: int = field(init=False)  # columns of every .lora.A; 0 without LoRA pairs
+    _lora: tuple = field(init=False, repr=False, compare=False)  # (site, A, B) per pair
+    _norms: tuple = field(init=False, repr=False, compare=False)  # (norm, dgamma, dbeta)
+
+    def __post_init__(self):
+        kind, alpha, fingerprint = self.kind, self.alpha, self.base_fingerprint
+        if not isinstance(kind, str) or kind not in BUNDLE_KINDS:
+            raise ConfigError(f"unknown bundle kind {kind!r} (choose from {sorted(BUNDLE_KINDS)})")
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
+            raise ConfigError(f"alpha_r must be a number in [0, 1], got {alpha!r}")
+        if not isinstance(fingerprint, str):
+            raise ConfigError(f"base_fingerprint must be a string, got {fingerprint!r}")
+        tensors = MappingProxyType(dict(self.tensors))
+        rank, lora, norms = _paired_sites(kind, tensors)
+        for name, value in (("tensors", tensors), ("alpha", float(alpha)), ("rank", rank),
+                            ("_lora", lora), ("_norms", norms)):
+            object.__setattr__(self, name, value)
+
+    def names(self, part: str) -> list[str]:
+        """Saved names of one part, "conv_lora" or "norm_delta", in table order."""
+        return [name for name in self.tensors if name.endswith(_PARTS[part])]
 
     def with_alpha(self, alpha: float) -> "AdapterBundle":
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-        return replace(self, alpha=float(alpha))
+        return replace(self, alpha=alpha)
 
     def restricted(self, modes) -> "AdapterBundle":
         """Keep only the named parts: subset of {'conv_lora', 'norm_delta'}."""
         modes = set(modes)
-        unknown = modes - {"conv_lora", "norm_delta"}
+        unknown = modes - set(_PARTS)
         if unknown:
             raise ConfigError(f"unknown ablation mode(s) {sorted(unknown)}")
-        return replace(self, tensors={
-            name: t for name, t in self.tensors.items()
-            if ("conv_lora" if name.endswith((LORA_A_SUFFIX, LORA_B_SUFFIX)) else "norm_delta") in modes
-        })
+        keep = {name for part in modes for name in self.names(part)}
+        return replace(self, tensors={n: t for n, t in self.tensors.items() if n in keep})
 
 
-def paired_sites(tensors: dict[str, Tensor], rank: int) -> tuple[list[tuple], list[tuple]]:
-    """(site, A, B) per LoRA pair and (norm prefix, dgamma, dbeta) per delta, in table order.
+def _paired_sites(kind: str, tensors: Mapping[str, Tensor]) -> tuple[int, tuple, tuple]:
+    """The rank, (site, A, B) per LoRA pair and (norm prefix, dgamma, dbeta) per delta.
 
-    The one pairing rule of a bundle: every name ends in a known suffix and has
-    its partner, each LoRA pair is 2-D with ``rank`` columns and each delta pair
-    is 1-D of one shape. Raises ConfigError "<site>: ..." at the first breach.
+    The one rule of a bundle's names: every name ends in a known suffix at a
+    site the kind's selector admits (checked first, in one pass over the
+    table), and has its partner; each LoRA pair is 2-D with ``rank`` columns,
+    those of the first 2-D ``.lora.A`` (0 without one), and each delta pair is
+    1-D of one shape. Pairs come in table order. Raises ConfigError naming the
+    site at the first breach.
     """
-    lora, norms = [], []
+    lora_sites, norm_sites = (selector_pattern(s) if s else None for s in BUNDLE_KINDS[kind])
+    entries = []  # (site, suffix, tensor) per name
     for name, x in tensors.items():
-        if name.endswith(LORA_A_SUFFIX):
-            site = name.removesuffix(LORA_A_SUFFIX)
+        suffix = next((s for p in _PARTS.values() for s in p if name.endswith(s)), "")
+        site = name[: len(name) - len(suffix)]
+        pattern, host = ((lora_sites, site) if suffix in _PARTS["conv_lora"]
+                         else (norm_sites, site + ".gamma"))
+        if not suffix or pattern is None or not pattern.match(host):
+            raise ConfigError(f"unknown site-path {name!r} for a {kind!r} bundle")
+        entries.append((site, suffix, x))
+    rank = next((x.shape[1] for _, suffix, x in entries
+                 if suffix == LORA_A_SUFFIX and x.ndim == 2), 0)
+    lora, norms = [], []
+    for site, suffix, x in entries:
+        if suffix == LORA_A_SUFFIX:
             y = tensors.get(site + LORA_B_SUFFIX)
             if y is None:
                 raise ConfigError(f"{site}: lora A present without B")
@@ -96,8 +131,7 @@ def paired_sites(tensors: dict[str, Tensor], rank: int) -> tuple[list[tuple], li
             if len(xs) != 2 or len(ys) != 2 or xs[1] != rank or ys[1] != rank:
                 raise ConfigError(f"{site}: lora shapes {xs}/{ys} contradict rank {rank}")
             lora.append((site, x, y))
-        elif name.endswith(DELTA_GAMMA_SUFFIX):
-            site = name.removesuffix(DELTA_GAMMA_SUFFIX)
+        elif suffix == DELTA_GAMMA_SUFFIX:
             y = tensors.get(site + DELTA_BETA_SUFFIX)
             if y is None:
                 raise ConfigError(f"{site}: delta gamma present without beta")
@@ -105,16 +139,11 @@ def paired_sites(tensors: dict[str, Tensor], rank: int) -> tuple[list[tuple], li
             if xs != y.shape or len(xs) != 1:
                 raise ConfigError(f"{site}: delta shapes {xs}/{y.shape} inconsistent")
             norms.append((site, x, y))
-    if 2 * (len(lora) + len(norms)) != len(tensors):  # some name is in no pair
-        paired = {site + s for site, _, _ in lora for s in (LORA_A_SUFFIX, LORA_B_SUFFIX)}
-        paired |= {site + s for site, _, _ in norms for s in (DELTA_GAMMA_SUFFIX, DELTA_BETA_SUFFIX)}
-        stray = next(name for name in tensors if name not in paired)
-        for suffix, breach in ((LORA_B_SUFFIX, "lora B present without A"),
-                               (DELTA_BETA_SUFFIX, "delta beta present without gamma")):
-            if stray.endswith(suffix):
-                raise ConfigError(f"{stray.removesuffix(suffix)}: {breach}")
-        raise ConfigError(f"{stray}: not a lora A/B or delta gamma/beta name")
-    return lora, norms
+        elif suffix == LORA_B_SUFFIX and site + LORA_A_SUFFIX not in tensors:
+            raise ConfigError(f"{site}: lora B present without A")
+        elif suffix == DELTA_BETA_SUFFIX and site + DELTA_GAMMA_SUFFIX not in tensors:
+            raise ConfigError(f"{site}: delta beta present without gamma")
+    return rank, tuple(lora), tuple(norms)
 
 
 def _host_dims(site: str, host: Tensor) -> tuple[int, int]:
@@ -165,38 +194,33 @@ def attach_style_lora(model: UNetModel, rank: int = DEFAULT_RANK, seed: int = 0)
     return _attach(model, "style-lora", rank, seed)
 
 
-def _check_host(model: UNetModel, bundle: AdapterBundle) -> tuple[list[tuple], list[tuple]]:
-    """The bundle's ``paired_sites``; ConfigError unless it was built for ``model`` and fits it."""
+def _check_host(model: UNetModel, bundle: AdapterBundle) -> None:
+    """ConfigError unless ``bundle`` was built for ``model`` and every tensor fits its host."""
     fp = model_fingerprint(model)
     if fp != bundle.base_fingerprint:
         raise ConfigError(
             f"adapter was built for base fingerprint {bundle.base_fingerprint}, model has {fp}"
         )
-    try:
-        lora, norms = paired_sites(bundle.tensors, bundle.rank)
-    except ConfigError as exc:
-        raise ConfigError(f"adapter site {exc}") from None
-    for site, a, b in lora:  # both are [*, rank] by now
+    r = bundle.rank  # tensor data stays assignable, so all four shapes are compared
+    for site, a, b in bundle._lora:
         host = model.params.get(site)
         if host is None:
             raise ConfigError(f"adapter site {site}: no such parameter in the model")
         m, n = _host_dims(site, host)
-        if a.shape[0] != m or b.shape[0] != n:
-            r = a.shape[1]
+        if a.shape != (m, r) or b.shape != (n, r):
             raise ConfigError(
                 f"adapter site {site}: lora A/B shapes {a.shape}/{b.shape} "
                 f"do not fit host {host.shape} at rank {r}; expected {(m, r)}/{(n, r)}"
             )
-    for site, dgamma, dbeta in norms:  # one 1-D shape by now
+    for site, dgamma, dbeta in bundle._norms:
         host = model.params.get(site + ".gamma")
         if host is None:
             raise ConfigError(f"adapter site {site}: no such norm in the model")
-        if dgamma.shape != host.shape:
+        if dgamma.shape != host.shape or dbeta.shape != host.shape:
             raise ConfigError(
                 f"adapter site {site}: delta shapes {dgamma.shape}/{dbeta.shape} "
                 f"do not fit host {host.shape}"
             )
-    return lora, norms
 
 
 def effective_param_map(model: UNetModel, bundle: AdapterBundle) -> dict[str, Tensor]:
@@ -205,14 +229,14 @@ def effective_param_map(model: UNetModel, bundle: AdapterBundle) -> dict[str, Te
     Gradients flow into the bundle tensors only; base parameters are frozen
     leaves and never receive grads through this map.
     """
-    lora, norms = _check_host(model, bundle)
+    _check_host(model, bundle)
     alpha = bundle.alpha
     p = dict(model.params)
-    for site, a, b in lora:
+    for site, a, b in bundle._lora:
         host = model.params[site]
         delta = ops.reshape(ops.matmul(a, ops.permute(b, (1, 0))), host.shape)
         p[site] = ops.add(host, ops.scale(delta, alpha))
-    for prefix, dgamma, dbeta in norms:
+    for prefix, dgamma, dbeta in bundle._norms:
         for field, leaf in (("gamma", dgamma), ("beta", dbeta)):
             site = f"{prefix}.{field}"
             p[site] = ops.add(model.params[site], ops.scale(leaf, alpha))

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import store
-from .adapters import attach_resadapter, effective_param_map, merge, paired_sites, trainable_param_count
+from .adapters import attach_resadapter, effective_param_map, merge, trainable_param_count
 from .diffusion import SamplerConfig, ddim_sample
 from .errors import ConfigError, ContainerError, NumericError, ShapeError
 from .evalbench import ablation_grid, bench_latency, multires_eval, tiled_generate
@@ -131,8 +131,8 @@ def _cmd_merge(args) -> int:
     bundle = _load_bundle_for(args.adapter, args.alpha)
     merged = merge(model, bundle)
     store.save_model(merged, args.out)
-    lora, norms = paired_sites(bundle.tensors, bundle.rank)
-    print(f"merged {len(lora)} low-rank pairs and {len(norms)} norm deltas at alpha={bundle.alpha:g}")
+    n_lora, n_delta = (len(bundle.names(part)) // 2 for part in ("conv_lora", "norm_delta"))
+    print(f"merged {n_lora} low-rank pairs and {n_delta} norm deltas at alpha={bundle.alpha:g}")
     print(f"saved: {args.out}")
     return 0
 
@@ -196,20 +196,20 @@ def _cmd_eval(args) -> int:
 def _cmd_bench_tiled(args) -> int:
     model = store.load_model(args.model)
     bundle = _load_bundle_for(args.adapter, args.alpha) if args.adapter else None
-    rc = load_runconfig(args.config)
+    schedule = load_runconfig(args.config).schedule.build()
     cfg = SamplerConfig(steps=args.steps, guidance_scale=args.guidance,
                         eta=0.0, seed=args.seed)
+    target, tile = _parse_size(args.target), _parse_size(args.tile)
     result = bench_latency(
-        model, bundle, _parse_size(args.target), _parse_size(args.tile), args.overlap,
-        cfg, np.array([args.class_id]), rc.schedule.build(), repeats=args.repeats,
+        model, bundle, target, tile, args.overlap,
+        cfg, np.array([args.class_id]), schedule, repeats=args.repeats,
     )
     print(f"direct @ {args.target}: {result['direct_ms']:.1f} ms (median of {args.repeats})")
     print(f"tiled  {args.tile} overlap {args.overlap}: {result['tiled_ms']:.1f} ms")
     print(f"ratio (tiled/direct): {result['ratio']:.2f}")
     if args.out:
-        h, w = _parse_size(args.tile)
-        x = tiled_generate(model, rc.schedule.build(), _parse_size(args.target),
-                           (h, w), args.overlap, cfg, np.array([args.class_id]),
+        x = tiled_generate(model, schedule, target, tile, args.overlap, cfg,
+                           np.array([args.class_id]),
                            params=effective_param_map(model, bundle) if bundle else None)
         write_pgm(args.out, x.data[0])
         print(f"wrote {args.out}")

@@ -19,7 +19,7 @@ from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule, SamplerConfig, cfg_predict, ddim_denoise, simple_loss
 from .errors import ConfigError, ShapeError, check_seed
 from .tensor import Tensor
-from .trainer import check_buckets
+from .trainer import check_buckets, draw_batch
 from .unet import UNetModel, _as_index_vector, model_fingerprint, unet_forward
 
 __all__ = [
@@ -79,20 +79,6 @@ class EvalReport:
         return "\n".join([fmt(headers), fmt(["-" * w for w in widths])] + [fmt(c) for c in cells])
 
 
-def _heldout_batches(dataset: SyntheticDataset, bucket: tuple[int, int], n_batches: int,
-                     batch_size: int, seed: int, timesteps: int):
-    h, w = bucket
-    rng = np.random.default_rng([seed, h, w])
-    batches = []
-    for _ in range(n_batches):
-        classes = rng.integers(0, dataset.num_classes, size=batch_size)
-        imgs = np.stack([dataset.render(int(k), h, w, rng) for k in classes])
-        t = rng.integers(1, timesteps + 1, size=batch_size)
-        eps = rng.standard_normal(imgs.shape)
-        batches.append((Tensor(imgs), classes.astype(np.intp), t, Tensor(eps)))
-    return batches
-
-
 def _evaluate(who: str, model: UNetModel, adapted, schedule: DiffusionSchedule,
               dataset: SyntheticDataset, buckets, n_batches: int, seed: int, batch_size: int,
               metadata: dict) -> EvalReport:
@@ -113,8 +99,9 @@ def _evaluate(who: str, model: UNetModel, adapted, schedule: DiffusionSchedule,
     report = EvalReport(metadata={"seed": seed, "fingerprint": model_fingerprint(model),
                                   **metadata})
     for bucket in buckets:
-        batches = _heldout_batches(dataset, bucket, n_batches, batch_size, seed,
-                                   schedule.timesteps)
+        rng = np.random.default_rng([seed, *bucket])  # held-out draws, shared by the variants
+        batches = [draw_batch(dataset, bucket, batch_size, schedule.timesteps, rng)
+                   for _ in range(n_batches)]
         for name, params in variants:
             losses = [
                 simple_loss(model, x0, t, eps, c, schedule, params=params).item()

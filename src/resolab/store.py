@@ -18,14 +18,11 @@ import tempfile
 
 import numpy as np
 
-from .adapters import (
-    BUNDLE_KINDS, DELTA_BETA_SUFFIX, DELTA_GAMMA_SUFFIX, LORA_A_SUFFIX, LORA_B_SUFFIX,
-    AdapterBundle, paired_sites, trainable_param_count,
-)
+from .adapters import AdapterBundle, trainable_param_count
 from .errors import ConfigError, ContainerError
 from .runconfig import _build_section
 from .tensor import Tensor
-from .unet import _SELECTOR_PATTERNS, UNetConfig, UNetModel, site_shapes
+from .unet import UNetConfig, UNetModel, site_shapes
 
 __all__ = [
     "MODEL_MAGIC", "BUNDLE_MAGIC", "FORMAT_VERSION",
@@ -210,38 +207,21 @@ def save_bundle(bundle: AdapterBundle, path: str) -> None:
 def load_bundle(path: str) -> AdapterBundle:
     header, payload = _read_container(path, BUNDLE_MAGIC)
     config = header["config"]
-    kind = config.get("kind")
-    if not isinstance(kind, str) or kind not in BUNDLE_KINDS:
-        raise ContainerError(f"{path}: unknown bundle kind {kind!r} (choose from {sorted(BUNDLE_KINDS)})")
-    fingerprint = config.get("base_fingerprint")
-    if not isinstance(fingerprint, str):
-        raise ContainerError(f"{path}: base_fingerprint must be a string, got {fingerprint!r}")
     rank = config.get("rank", 0)
     if not _is_count(rank):
         raise ContainerError(f"{path}: rank must be a non-negative int, got {rank!r}")
-    alpha = config.get("alpha_r", 1.0)
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0.0 <= alpha <= 1.0:
-        raise ContainerError(f"{path}: alpha_r must be a number in [0, 1], got {alpha!r}")
     _validate_table(path, header["tensors"], payload)
-    # suffix -> (selector pattern of the kind, host param tail appended to the site)
-    lora_pattern, delta_pattern = (_SELECTOR_PATTERNS.get(sel) for sel in BUNDLE_KINDS[kind])
-    site_rules = {
-        LORA_A_SUFFIX: (lora_pattern, ""), LORA_B_SUFFIX: (lora_pattern, ""),
-        DELTA_GAMMA_SUFFIX: (delta_pattern, ".gamma"), DELTA_BETA_SUFFIX: (delta_pattern, ".gamma"),
-    }
-    tensors = {}
-    for entry in header["tensors"]:
-        name = entry["name"]
-        suffix = next((s for s in site_rules if name.endswith(s)), None)
-        pattern, tail = site_rules.get(suffix, (None, ""))
-        if pattern is None or not pattern.match(name[: -len(suffix)] + tail):
-            raise ContainerError(f"{path}: unknown site-path {name!r}")
-        tensors[name] = Tensor(_unpack_tensor(payload, entry), requires_grad=True)
-    try:
-        paired_sites(tensors, rank)
+    tensors = {e["name"]: Tensor(_unpack_tensor(payload, e), requires_grad=True)
+               for e in header["tensors"]}
+    try:  # the bundle checks its kind, alpha, fingerprint, sites and pairs
+        bundle = AdapterBundle(kind=config.get("kind"), tensors=tensors,
+                               alpha=config.get("alpha_r", 1.0),
+                               base_fingerprint=config.get("base_fingerprint"))
     except ConfigError as exc:
         raise ContainerError(f"{path}: {exc}") from None
-    return AdapterBundle(kind=kind, tensors=tensors, alpha=float(alpha), base_fingerprint=fingerprint)
+    if bundle.rank and bundle.rank != rank:
+        raise ContainerError(f"{path}: lora shapes of rank {bundle.rank} contradict rank {rank}")
+    return bundle
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import (
-    DELTA_BETA_SUFFIX, DELTA_GAMMA_SUFFIX, LORA_A_SUFFIX, LORA_B_SUFFIX, effective_param_map,
-)
+from .adapters import effective_param_map
 from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule, simple_loss
 from .errors import ConfigError, NumericError, check_seed
@@ -222,11 +220,17 @@ def _draw_step(plan: TrainPlan, dataset: SyntheticDataset, model: UNetModel,
         bucket = plan.resolutions[0]
     else:
         bucket = plan.resolutions[sample_resolution(plan.probs, rng.random())]
-    x0, labels = make_batch(dataset, bucket, plan.batch_size, rng,
-                            plan.p_uncond, model.config.null_class)
-    t = rng.integers(1, schedule.timesteps + 1, size=plan.batch_size)
+    return (bucket, *draw_batch(dataset, bucket, plan.batch_size, schedule.timesteps, rng,
+                                plan.p_uncond, model.config.null_class))
+
+
+def draw_batch(dataset: SyntheticDataset, bucket: tuple[int, int], batch_size: int, timesteps: int,
+               rng: np.random.Generator, p_uncond: float = 0.0, null_class: int | None = None):
+    """(x0, labels, t, eps) at ``bucket``: ``make_batch``, then t, then eps, from one rng."""
+    x0, labels = make_batch(dataset, bucket, batch_size, rng, p_uncond, null_class)
+    t = rng.integers(1, timesteps + 1, size=batch_size)
     eps = rng.standard_normal(x0.shape)
-    return bucket, x0, labels, t, Tensor(eps)
+    return x0, labels, t, Tensor(eps)
 
 
 def train_base(model: UNetModel, plan: TrainPlan, dataset: SyntheticDataset,
@@ -266,15 +270,13 @@ def train_adapter(model: UNetModel, bundle, plan: TrainPlan, dataset: SyntheticD
     if plan.phase != "adapter":
         raise ConfigError(f"train_adapter requires an 'adapter' plan, got phase {plan.phase!r}")
     _check_divisible(model, plan)
-    tensors = bundle.tensors
-    lora_names = [n for n in tensors if n.endswith((LORA_A_SUFFIX, LORA_B_SUFFIX))]
-    delta_names = [n for n in tensors if n.endswith((DELTA_GAMMA_SUFFIX, DELTA_BETA_SUFFIX))]
+    lora_names, delta_names = bundle.names("conv_lora"), bundle.names("norm_delta")
     trace = TrainTrace()
     if delta_names and not plan.extrapolation_buckets():
         trace.notes.append(
             "plan has no extrapolation bucket; norm deltas will never update and stay zero"
         )
-    opt = AdamW(tensors, plan.lr, plan.adam_beta1, plan.adam_beta2,
+    opt = AdamW(bundle.tensors, plan.lr, plan.adam_beta1, plan.adam_beta2,
                 weight_decay=plan.weight_decay)
     rng = np.random.default_rng(plan.seed)
     for step in range(1, plan.steps + 1):

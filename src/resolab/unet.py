@@ -35,7 +35,7 @@ from .tensor import Tensor
 
 __all__ = [
     "UNetConfig", "UNetModel", "build_unet", "unet_forward",
-    "site_shapes", "list_sites", "time_embedding", "model_fingerprint",
+    "site_shapes", "list_sites", "selector_pattern", "time_embedding", "model_fingerprint",
     "SITE_SELECTORS",
 ]
 
@@ -196,17 +196,22 @@ _SELECTOR_PATTERNS = {
     "sampler_convs": re.compile(r"^(down|up)\.\d+\.sampler\.conv\.weight$"),
     "resnet_norms": re.compile(r"^(down\.\d+|mid|up\.\d+)\.res\.\d+\.norm[12]\.(gamma|beta)$"),
     "attention_projections": re.compile(r"^mid\.attn\.[qkvo]\.weight$"),
+    "all": re.compile(""),
 }
-SITE_SELECTORS = ("sampler_convs", "resnet_norms", "attention_projections", "all")
+SITE_SELECTORS = tuple(_SELECTOR_PATTERNS)
+
+
+def selector_pattern(selector: str) -> re.Pattern:
+    """The site-path pattern of a selector; "all" matches every path."""
+    pattern = _SELECTOR_PATTERNS.get(selector)
+    if pattern is None:
+        raise ConfigError(f"unknown site selector {selector!r} (choose from {SITE_SELECTORS})")
+    return pattern
 
 
 def list_sites(model: UNetModel, selector: str = "all") -> list[str]:
     """Site paths matching a selector, sorted lexicographically."""
-    if selector == "all":
-        return sorted(model.params)
-    pattern = _SELECTOR_PATTERNS.get(selector)
-    if pattern is None:
-        raise ConfigError(f"unknown site selector {selector!r} (choose from {SITE_SELECTORS})")
+    pattern = selector_pattern(selector)
     return sorted(name for name in model.params if pattern.match(name))
 
 

@@ -1,6 +1,7 @@
 """Adapter bundles: attach identity, alpha scaling, merge, freeze, budgets."""
 
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from resolab.adapters import (
     effective_param_map,
     frozen_param_count,
     merge,
-    paired_sites,
     total_param_count,
     trainable_param_count,
 )
@@ -109,11 +109,11 @@ def test_named_tensor_suffixes():
     model = small_model()
     bundle = attach_resadapter(model, rank=2, seed=1)
     names = bundle.tensors
-    lora, norms = paired_sites(names, bundle.rank)
+    lora, norms = bundle.names("conv_lora"), bundle.names("norm_delta")
     n_lora = sum(1 for n in names if n.endswith((LORA_A_SUFFIX, LORA_B_SUFFIX)))
     n_delta = sum(1 for n in names if n.endswith((DELTA_GAMMA_SUFFIX, DELTA_BETA_SUFFIX)))
-    assert n_lora == 2 * len(lora)
-    assert n_delta == 2 * len(norms)
+    assert n_lora == len(lora)
+    assert n_delta == len(norms)
     assert n_lora + n_delta == len(names)
     for n in names:
         if n.endswith((LORA_A_SUFFIX, LORA_B_SUFFIX)):
@@ -141,9 +141,10 @@ def test_attach_style_lora_identity_and_sites():
     before = unet_forward(model, x, t, c).data.copy()
     bundle = attach_style_lora(model, rank=2, seed=5)
     np.testing.assert_array_equal(before, adapted_forward(model, bundle, x, t, c).data)
-    lora, norms = paired_sites(bundle.tensors, bundle.rank)
-    assert sorted(site for site, _, _ in lora) == [f"mid.attn.{k}.weight" for k in ("k", "o", "q", "v")]
-    assert norms == []
+    sites = [n.removesuffix(LORA_A_SUFFIX) for n in bundle.names("conv_lora")
+             if n.endswith(LORA_A_SUFFIX)]
+    assert sorted(sites) == [f"mid.attn.{k}.weight" for k in ("k", "o", "q", "v")]
+    assert bundle.names("norm_delta") == []
 
 
 def test_attach_style_lora_requires_attention():
@@ -303,53 +304,169 @@ def test_bundle_kinds_report_alpha():
     assert style.with_alpha(0.7).alpha == 0.7
 
 
-def _shrink_norm_delta(bundle):
+def _shrink_norm_delta(tensors):
     site = "down.0.res.0.norm2"
-    bundle.tensors[site + DELTA_GAMMA_SUFFIX] = Tensor(np.full(1, 0.5))
-    bundle.tensors[site + DELTA_BETA_SUFFIX] = Tensor(np.zeros(1))
+    tensors[site + DELTA_GAMMA_SUFFIX] = Tensor(np.full(1, 0.5))
+    tensors[site + DELTA_BETA_SUFFIX] = Tensor(np.zeros(1))
     return site
 
 
-def _drop_lora_b_row(bundle):
+def _drop_lora_b_row(tensors):
     name = "down.0.sampler.conv.weight" + LORA_B_SUFFIX
-    bundle.tensors[name] = Tensor(bundle.tensors[name].data[:-1])  # [35, r]; the host needs 36 rows
+    tensors[name] = Tensor(tensors[name].data[:-1])  # [35, r]; the host needs 36 rows
     return "down.0.sampler.conv.weight"
 
 
-def _move_lora_off_model(bundle):
+def _move_lora_off_model(tensors):
     for suffix in (LORA_A_SUFFIX, LORA_B_SUFFIX):
-        bundle.tensors["down.5.sampler.conv.weight" + suffix] = bundle.tensors.pop(
+        tensors["down.5.sampler.conv.weight" + suffix] = tensors.pop(
             "down.0.sampler.conv.weight" + suffix)
     return "down.5.sampler.conv.weight"
 
 
-def _drop_lora_b(bundle):
-    del bundle.tensors["down.0.sampler.conv.weight" + LORA_B_SUFFIX]
-    return "down.0.sampler.conv.weight"
-
-
-@pytest.mark.parametrize("mutate", [_shrink_norm_delta, _drop_lora_b_row, _move_lora_off_model,
-                                    _drop_lora_b])
+@pytest.mark.parametrize("mutate", [_shrink_norm_delta, _drop_lora_b_row, _move_lora_off_model])
 def test_bundle_tensor_that_misfits_its_host_is_rejected(tmp_path, mutate):
     model = small_model()
     bundle = attach_resadapter(model, rank=2, seed=3)
-    site = mutate(bundle)
-    bundles = [bundle]
-    if mutate is not _drop_lora_b:  # that file fails to load (test_store's lora_a_without_b)
-        # the file is well formed on its own; only the host model shows the misfit
-        path = str(tmp_path / "misfit.rsad")
-        store.save_bundle(bundle, path)
-        bundles.append(store.load_bundle(path))
+    tensors = dict(bundle.tensors)
+    site = mutate(tensors)
+    bundle = replace(bundle, tensors=tensors)
+    # the file is well formed on its own; only the host model shows the misfit
+    path = str(tmp_path / "misfit.rsad")
+    store.save_bundle(bundle, path)
     x, t, c = small_batch()
-    for b in bundles:
+    for b in (bundle, store.load_bundle(path)):
         with pytest.raises(ConfigError, match=re.escape(f"adapter site {site}:")):
             adapted_forward(model, b, x, t, c)
         with pytest.raises(ConfigError, match=re.escape(f"adapter site {site}:")):
             merge(model, b)
 
 
+def test_data_reshaped_after_build_is_caught_at_use():
+    # a tensor's data stays assignable, so the host check compares every shape
+    model = small_model()
+    x, t, c = small_batch()
+    for name, shape in (("down.0.sampler.conv.weight.lora.A", (4, 3)),
+                        ("down.0.sampler.conv.weight.lora.B", (36, 3)),
+                        ("down.0.res.0.norm1.delta.gamma", (3,)),
+                        ("down.0.res.0.norm1.delta.beta", (3,))):
+        bundle = attach_resadapter(model, rank=2, seed=3)
+        bundle.tensors[name].data = np.zeros(shape)
+        with pytest.raises(ConfigError, match=re.escape(f"adapter site {name.rsplit('.', 2)[0]}:")):
+            adapted_forward(model, bundle, x, t, c)
+
+
 def test_a_name_in_no_pair_is_rejected():
     bundle = attach_resadapter(small_model(), rank=2, seed=4)
-    bundle.tensors["down.0.sampler.conv.weight.lora.C"] = Tensor(np.zeros((36, 2)))
-    with pytest.raises(ConfigError, match=r"lora\.C: not a lora A/B or delta gamma/beta name"):
-        paired_sites(bundle.tensors, bundle.rank)
+    tensors = {**bundle.tensors, "down.0.sampler.conv.weight.lora.C": Tensor(np.zeros((36, 2)))}
+    with pytest.raises(ConfigError, match=r"unknown site-path 'down\.0\.sampler\.conv\.weight\.lora\.C'"):
+        replace(bundle, tensors=tensors)
+
+
+def _style_site_pair(bundle):  # host-fitting LoRA pair at a style-lora site
+    return replace(bundle, tensors={**bundle.tensors,
+                                    "mid.attn.q.weight.lora.A": Tensor(np.zeros((8, 2))),
+                                    "mid.attn.q.weight.lora.B": Tensor(np.zeros((8, 2)))})
+
+
+def _norm_delta_on_style(bundle):
+    style = attach_style_lora(small_model(seed=1), rank=2)
+    return replace(style, tensors={**style.tensors,
+                                   "down.0.res.0.norm1.delta.gamma": Tensor(np.zeros(4)),
+                                   "down.0.res.0.norm1.delta.beta": Tensor(np.zeros(4))})
+
+
+def _without(name):
+    return lambda b: replace(b, tensors={k: v for k, v in b.tensors.items() if k != name})
+
+
+def _mixed_ranks(bundle):
+    return replace(bundle, tensors={**bundle.tensors,
+                                    "up.0.sampler.conv.weight.lora.A": Tensor(np.zeros((4, 3))),
+                                    "up.0.sampler.conv.weight.lora.B": Tensor(np.zeros((108, 3)))})
+
+
+BAD_BUNDLES = [
+    ("site_of_other_kind", _style_site_pair, r"unknown site-path 'mid\.attn\.q\.weight\.lora\.A'"),
+    ("norm_delta_on_style_lora", _norm_delta_on_style,
+     r"unknown site-path 'down\.0\.res\.0\.norm1\.delta\.gamma' for a 'style-lora' bundle"),
+    ("alpha_above_one", lambda b: replace(b, alpha=5.0), r"alpha_r must be a number in \[0, 1\], got 5\.0"),
+    ("alpha_nan", lambda b: b.with_alpha(float("nan")), r"alpha_r must be a number in \[0, 1\], got nan"),
+    ("alpha_string", lambda b: b.with_alpha("x"), r"alpha_r must be a number in \[0, 1\], got 'x'"),
+    ("alpha_bool", lambda b: b.with_alpha(True), r"alpha_r must be a number in \[0, 1\], got True"),
+    ("unknown_kind", lambda b: replace(b, kind="hyper"), "unknown bundle kind 'hyper'"),
+    ("fingerprint_not_string", lambda b: replace(b, base_fingerprint=7),
+     "base_fingerprint must be a string, got 7"),
+    ("lora_a_without_b", _without("down.0.sampler.conv.weight.lora.B"),
+     r"down\.0\.sampler\.conv\.weight: lora A present without B"),
+    ("lora_b_without_a", _without("down.0.sampler.conv.weight.lora.A"),
+     r"down\.0\.sampler\.conv\.weight: lora B present without A"),
+    ("delta_gamma_without_beta", _without("down.0.res.0.norm1.delta.beta"),
+     r"down\.0\.res\.0\.norm1: delta gamma present without beta"),
+    ("delta_beta_without_gamma", _without("down.0.res.0.norm1.delta.gamma"),
+     r"down\.0\.res\.0\.norm1: delta beta present without gamma"),
+    ("mixed_ranks", _mixed_ranks, r"up\.0\.sampler\.conv\.weight: lora shapes .* contradict rank 2"),
+]
+
+
+@pytest.mark.parametrize("name,build,pattern", BAD_BUNDLES, ids=[c[0] for c in BAD_BUNDLES])
+def test_a_bundle_is_checked_when_built(name, build, pattern):
+    bundle = attach_resadapter(small_model(), rank=2, seed=4)
+    with pytest.raises(ConfigError, match=pattern):
+        build(bundle)
+
+
+def test_a_bundle_cannot_be_edited_in_place():
+    bundle = attach_resadapter(small_model(), rank=2, seed=4)
+    with pytest.raises(TypeError):
+        bundle.tensors["down.0.sampler.conv.weight.lora.A"] = Tensor(np.zeros((4, 2)))
+    with pytest.raises(TypeError):
+        del bundle.tensors["down.0.sampler.conv.weight.lora.A"]
+    with pytest.raises(FrozenInstanceError):
+        bundle.alpha = 5.0
+    # the caller's dict is copied: editing it later leaves the bundle as built
+    tensors = dict(bundle.tensors)
+    built = replace(bundle, tensors=tensors)
+    tensors.clear()
+    assert len(built.tensors) == len(bundle.tensors)
+
+
+@pytest.mark.parametrize("attach", [attach_resadapter, attach_style_lora])
+@pytest.mark.parametrize("modes", [{"conv_lora", "norm_delta"}, {"conv_lora"}, {"norm_delta"}, set()],
+                         ids=["both", "conv_lora", "norm_delta", "neither"])
+@pytest.mark.parametrize("alpha", [0.0, 0.4, 1.0])
+def test_every_built_bundle_saves_and_loads_back(tmp_path, attach, modes, alpha):
+    bundle = randomize_bundle(attach(small_model(), rank=2, seed=5), seed=6)
+    bundle = bundle.restricted(modes).with_alpha(alpha)
+    path = tmp_path / "b.rsad"
+    store.save_bundle(bundle, str(path))
+    loaded = store.load_bundle(str(path))
+    assert (loaded.kind, loaded.alpha, loaded.base_fingerprint, loaded.rank) == (
+        bundle.kind, alpha, bundle.base_fingerprint, bundle.rank)
+    assert list(loaded.tensors) == sorted(bundle.tensors)
+    for name, t in bundle.tensors.items():
+        np.testing.assert_array_equal(loaded.tensors[name].data,
+                                      t.data.astype("<f4").astype(np.float64), err_msg=name)
+    again = tmp_path / "again.rsad"
+    store.save_bundle(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("edit", [_style_site_pair, lambda b: replace(b, alpha=5.0),
+                                  lambda b: replace(b, kind="hyper"),
+                                  lambda b: replace(b, kind="style-lora"),
+                                  lambda b: replace(b, alpha=0.25),
+                                  lambda b: b.restricted({"norm_delta"}).with_alpha(0.0)],
+                         ids=["style_site_pair", "alpha_5", "kind_hyper", "kind_style_lora",
+                              "alpha_0.25", "norm_delta_alpha_0"])
+def test_an_edited_bundle_that_builds_also_loads(tmp_path, edit):
+    bundle = randomize_bundle(attach_resadapter(small_model(), rank=2, seed=7), seed=8)
+    try:
+        edited = edit(bundle)
+    except ConfigError:
+        return  # refused when built, so never written
+    path = str(tmp_path / "edited.rsad")
+    store.save_bundle(edited, path)
+    loaded = store.load_bundle(path)
+    assert (loaded.kind, loaded.alpha, sorted(loaded.tensors)) == (
+        edited.kind, edited.alpha, sorted(edited.tensors))

@@ -1,0 +1,53 @@
+"""The benchmark's hold on the API: perfbench's modules import and trace resolab.
+
+``perfbench/workloads.py`` imports names from resolab, and ``perfbench/tracing.py``
+patches module attributes (``trainer.simple_loss``, ``trainer.make_batch``,
+``diffusion.cfg_predict``, ``Tape.record``, ...) and calls through them with
+fixed signatures. This test imports both files as they are and runs one tiny
+taped adapter loss with backward and one guided prediction under the tracer,
+so a change in ``src/`` that breaks the benchmark fails here.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from resolab import default_runconfig, diffusion, trainer
+from resolab.adapters import attach_resadapter
+from resolab.tensor import Tape, Tensor
+from resolab.unet import UNetConfig, build_unet
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import tracing  # noqa: E402  (workloads imports it as a top-level module)
+import workloads  # noqa: E402, F401
+
+
+def test_tracer_sees_a_taped_adapter_loss_and_a_guided_prediction():
+    rc = default_runconfig()
+    schedule, dataset = rc.schedule.build(), rc.data.build()
+    model = build_unet(UNetConfig(in_channels=1, base_channels=4, channel_mults=(1, 2),
+                                  num_res_blocks_per_level=1, groups=4, time_embed_dim=8,
+                                  num_classes=dataset.num_classes), seed=0)
+    bundle = attach_resadapter(model, rank=2, seed=1)
+    rng = np.random.default_rng(2)
+    patched = (trainer.simple_loss, trainer.make_batch, diffusion.cfg_predict, Tape.record)
+    tracer = tracing.Tracer()
+    with tracing.install(tracer):
+        x0, labels = trainer.make_batch(dataset, (8, 8), 2, rng)
+        t = rng.integers(1, schedule.timesteps + 1, size=2)
+        eps = Tensor(rng.standard_normal(x0.shape))
+        with Tape() as tape:
+            params = trainer.effective_param_map(model, bundle)
+            loss = trainer.simple_loss(model, x0, t, eps, labels, schedule, params=params)
+            tape.backward(loss)
+        guided = diffusion.cfg_predict(model, x0, 5, labels, 7.5)
+    assert (trainer.simple_loss, trainer.make_batch, diffusion.cfg_predict, Tape.record) == patched
+    assert np.isfinite(loss.item()) and guided.shape == x0.shape
+    assert bundle.tensors["down.0.sampler.conv.weight.lora.A"].grad is not None
+    for span in ("trainer.make_batch", "adapters.effective_param_map", "diffusion.simple_loss",
+                 "diffusion.cfg_predict", "unet.forward", "ops.conv2d", "ops.conv2d.bwd",
+                 "tensor.backward"):
+        assert tracer.span_count(span) > 0, span
+    assert tracer.span_count("unet.forward") == 2  # one for the loss, one for both guided halves
+    assert tracer.counters["tape.records"] > 0
