@@ -83,7 +83,6 @@ from .unet import (
     UNetModel,
     build_unet,
     list_sites,
-    model_fingerprint,
     site_shapes,
     time_embedding,
     unet_forward,
@@ -100,7 +99,7 @@ __all__ = [
     "NumericError", "ContainerError",
     # model
     "UNetConfig", "UNetModel", "build_unet", "unet_forward", "site_shapes",
-    "list_sites", "SITE_SELECTORS", "model_fingerprint", "time_embedding",
+    "list_sites", "SITE_SELECTORS", "time_embedding",
     # diffusion
     "DiffusionSchedule", "build_schedule", "forward_marginal", "simple_loss",
     "ddpm_step", "cfg_predict", "ddim_timesteps", "ddim_denoise", "ddim_sample",

@@ -29,7 +29,7 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, check_seed
 from .tensor import Tensor
-from .unet import UNetModel, list_sites, model_fingerprint, selector_pattern, unet_forward
+from .unet import UNetModel, list_sites, selector_pattern, unet_forward
 
 __all__ = [
     "AdapterBundle", "BUNDLE_KINDS",
@@ -177,7 +177,7 @@ def _attach(model: UNetModel, kind: str, rank: int, seed: int) -> AdapterBundle:
     for tensor in model.params.values():
         tensor.requires_grad = False
     return AdapterBundle(kind=kind, tensors=tensors, alpha=1.0,
-                         base_fingerprint=model_fingerprint(model))
+                         base_fingerprint=model.fingerprint)
 
 
 def attach_resadapter(model: UNetModel, rank: int = DEFAULT_RANK, seed: int = 0) -> AdapterBundle:
@@ -196,7 +196,7 @@ def attach_style_lora(model: UNetModel, rank: int = DEFAULT_RANK, seed: int = 0)
 
 def _check_host(model: UNetModel, bundle: AdapterBundle) -> None:
     """ConfigError unless ``bundle`` was built for ``model`` and every tensor fits its host."""
-    fp = model_fingerprint(model)
+    fp = model.fingerprint
     if fp != bundle.base_fingerprint:
         raise ConfigError(
             f"adapter was built for base fingerprint {bundle.base_fingerprint}, model has {fp}"
@@ -250,7 +250,7 @@ def adapted_forward(model: UNetModel, bundle: AdapterBundle, x: Tensor, t, c=Non
 def merge(model: UNetModel, bundle: AdapterBundle) -> UNetModel:
     """New model with deltas folded into the weights; the original is untouched."""
     params = effective_param_map(model, bundle)
-    return UNetModel(config=model.config, params={
+    return replace(model, params={
         name: Tensor(t.data.copy(), requires_grad=True) for name, t in params.items()
     })
 

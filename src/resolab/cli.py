@@ -21,7 +21,7 @@ from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .pgm import write as write_pgm
 from .runconfig import RunConfig, load_runconfig
 from .trainer import train_adapter, train_base
-from .unet import build_unet, model_fingerprint
+from .unet import build_unet
 
 __all__ = ["main", "app"]
 
@@ -84,7 +84,7 @@ def _cmd_train_base(args) -> int:
         trace.write(args.trace)
     final = trace.records[-1].loss if trace.records else float("nan")
     print(f"trained base model: {plan.steps} steps, final loss {final:.6g}")
-    print(f"fingerprint: {model_fingerprint(model)}")
+    print(f"fingerprint: {model.fingerprint}")
     print(f"saved: {args.out}")
     return 0
 

@@ -20,7 +20,7 @@ from .diffusion import DiffusionSchedule, SamplerConfig, cfg_predict, ddim_denoi
 from .errors import ConfigError, ShapeError, check_seed
 from .tensor import Tensor
 from .trainer import check_buckets, draw_batch
-from .unet import UNetModel, _as_index_vector, model_fingerprint, unet_forward
+from .unet import UNetModel, _as_index_vector, unet_forward
 
 __all__ = [
     "EvalRow", "EvalReport", "multires_eval", "ablation_grid",
@@ -96,7 +96,7 @@ def _evaluate(who: str, model: UNetModel, adapted, schedule: DiffusionSchedule,
     check_seed(f"{who}: seed", seed)
     started = time.perf_counter()
     variants = [("base", None), *adapted]
-    report = EvalReport(metadata={"seed": seed, "fingerprint": model_fingerprint(model),
+    report = EvalReport(metadata={"seed": seed, "fingerprint": model.fingerprint,
                                   **metadata})
     for bucket in buckets:
         rng = np.random.default_rng([seed, *bucket])  # held-out draws, shared by the variants

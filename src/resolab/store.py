@@ -15,6 +15,7 @@ import math
 import os
 import struct
 import tempfile
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .adapters import AdapterBundle, trainable_param_count
 from .errors import ConfigError, ContainerError
 from .runconfig import _build_section
 from .tensor import Tensor
-from .unet import UNetConfig, UNetModel, site_shapes
+from .unet import UNetConfig, UNetModel
 
 __all__ = [
     "MODEL_MAGIC", "BUNDLE_MAGIC", "FORMAT_VERSION",
@@ -157,8 +158,7 @@ def _unpack_tensor(payload: bytes, entry: dict) -> np.ndarray:
 
 
 def save_model(model: UNetModel, path: str) -> None:
-    from dataclasses import asdict
-
+    model = replace(model)  # checks again: tensor data stays assignable after the model is built
     config = asdict(model.config)
     config["channel_mults"] = list(model.config.channel_mults)
     entries, payload = _pack({name: t.data for name, t in model.params.items()})
@@ -171,29 +171,20 @@ def load_model(path: str) -> UNetModel:
         config = _build_section("model", UNetConfig, header["config"])
     except ConfigError as exc:
         raise ContainerError(f"{path}: {exc}") from None
-    expected = site_shapes(config)
     _validate_table(path, header["tensors"], payload)
-    table = {e["name"]: e for e in header["tensors"]}
-    unknown_sites = set(table) - set(expected)
-    if unknown_sites:
-        raise ContainerError(f"{path}: unknown site-path {sorted(unknown_sites)[0]!r}")
-    missing = set(expected) - set(table)
-    if missing:
-        raise ContainerError(f"{path}: missing site-path {sorted(missing)[0]!r}")
-    params = {}
-    for name, entry in table.items():
-        if tuple(entry["shape"]) != expected[name]:
-            raise ContainerError(
-                f"{path}: {name}: stored shape {tuple(entry['shape'])} != expected {expected[name]}"
-            )
-        params[name] = Tensor(_unpack_tensor(payload, entry), requires_grad=True)
-    return UNetModel(config=config, params=params)
+    params = {e["name"]: Tensor(_unpack_tensor(payload, e), requires_grad=True)
+              for e in header["tensors"]}
+    try:  # the model checks its sites and shapes
+        return UNetModel(config=config, params=params)
+    except ConfigError as exc:
+        raise ContainerError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
 # adapter bundles
 
 def save_bundle(bundle: AdapterBundle, path: str) -> None:
+    bundle = replace(bundle)  # checks again: tensor data stays assignable after the bundle is built
     config = {
         "kind": bundle.kind,
         "rank": bundle.rank,

@@ -1,6 +1,6 @@
 """Miniature UNet noise predictor eps(x_t, t, c) with stable parameter paths.
 
-Every parameter lives in a flat dict keyed by a dotted site path; the path
+Every parameter lives in a flat map keyed by a dotted site path; the path
 grammar is a public contract shared with serialization and the adapters:
 
     time.mlp{0|1}.{weight|bias}
@@ -19,13 +19,20 @@ and an additive skip from the matching down level. The bottleneck holds two
 res blocks around an optional single-head self-attention. Conditioning is
 the time MLP output plus a class-embedding row; each block adds its first
 C components, so time_embed_dim must cover the widest level.
+
+A model is valid once it exists: building a ``UNetModel`` checks its sites and
+shapes against ``site_shapes`` of its config, and its map is read-only, so a
+model changes only through ``dataclasses.replace``, which checks again. Its
+fingerprint therefore follows from the config alone.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,7 +42,7 @@ from .tensor import Tensor
 
 __all__ = [
     "UNetConfig", "UNetModel", "build_unet", "unet_forward",
-    "site_shapes", "list_sites", "selector_pattern", "time_embedding", "model_fingerprint",
+    "site_shapes", "list_sites", "selector_pattern", "time_embedding",
     "SITE_SELECTORS",
 ]
 
@@ -100,6 +107,7 @@ class UNetConfig:
             g = min(self.groups, c)
             if c % g:
                 raise ConfigError(f"channel count {c} not divisible by effective groups {g}")
+        object.__setattr__(self, "channel_mults", tuple(self.channel_mults))  # hashed by _fingerprint
 
 
 def _norm_groups(config: UNetConfig, channels: int) -> int:
@@ -158,10 +166,29 @@ def site_shapes(config: UNetConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-@dataclass
+@dataclass(frozen=True)
 class UNetModel:
+    """Parameters at every site of ``config``, checked when built; change with ``replace``."""
+
     config: UNetConfig
-    params: dict[str, Tensor]
+    params: Mapping[str, Tensor]  # read-only, keyed by site path
+
+    def __post_init__(self):
+        expected, params = site_shapes(self.config), MappingProxyType(dict(self.params))
+        unknown, missing = params.keys() - expected, expected.keys() - params.keys()
+        if unknown:
+            raise ConfigError(f"unknown site-path {min(unknown)!r}")
+        if missing:
+            raise ConfigError(f"missing site-path {min(missing)!r}")
+        bad = next((n for n in sorted(params) if params[n].shape != expected[n]), None)
+        if bad is not None:
+            raise ConfigError(f"{bad}: stored shape {params[bad].shape} != expected {expected[bad]}")
+        object.__setattr__(self, "params", params)
+
+    @property
+    def fingerprint(self) -> str:
+        """FNV-1a 64-bit hash of the sorted site list and shapes, as 16 hex chars."""
+        return _fingerprint(self.config)
 
 
 def build_unet(config: UNetConfig, seed: int = 0) -> UNetModel:
@@ -215,17 +242,13 @@ def list_sites(model: UNetModel, selector: str = "all") -> list[str]:
     return sorted(name for name in model.params if pattern.match(name))
 
 
-def model_fingerprint(model: UNetModel) -> str:
-    """FNV-1a 64-bit hash of the sorted site list and shapes, as 16 hex chars."""
-    return _fnv1a_hex("\n".join(f"{name}:{','.join(str(d) for d in model.params[name].shape)}"
-                                for name in sorted(model.params)))
-
-
 # The byte loop is pure Python (~0.3 ms for the desk model) and every adapter
 # step's effective_param_map checks its host's fingerprint, while a process
-# sees few model shapes.
+# sees few model configs.
 @functools.lru_cache(maxsize=8)
-def _fnv1a_hex(text: str) -> str:
+def _fingerprint(config: UNetConfig) -> str:
+    text = "\n".join(f"{name}:{','.join(str(d) for d in shape)}"
+                     for name, shape in sorted(site_shapes(config).items()))
     h = 0xCBF29CE484222325
     for byte in text.encode("utf-8"):
         h ^= byte
@@ -279,6 +302,9 @@ def unet_forward(model: UNetModel, x: Tensor, t, c=None, params: dict[str, Tenso
     """
     config = model.config
     p = model.params if params is None else params
+    if not p.keys() >= model.params.keys():
+        missing = min(model.params.keys() - p.keys())
+        raise ConfigError(f"unet_forward: params lack site-path {missing!r}")
     if x.ndim != 4:
         raise ShapeError(f"unet_forward: input must be [N, C, H, W], got {x.shape}")
     n, cin, h, w = x.shape

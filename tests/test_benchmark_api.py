@@ -13,14 +13,14 @@ from pathlib import Path
 
 import numpy as np
 
-from resolab import default_runconfig, diffusion, trainer
+from resolab import default_runconfig, diffusion, store, trainer
 from resolab.adapters import attach_resadapter
 from resolab.tensor import Tape, Tensor
 from resolab.unet import UNetConfig, build_unet
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracing  # noqa: E402  (workloads imports it as a top-level module)
-import workloads  # noqa: E402, F401
+import workloads  # noqa: E402
 
 
 def test_tracer_sees_a_taped_adapter_loss_and_a_guided_prediction():
@@ -51,3 +51,29 @@ def test_tracer_sees_a_taped_adapter_loss_and_a_guided_prediction():
         assert tracer.span_count(span) > 0, span
     assert tracer.span_count("unet.forward") == 2  # one for the loss, one for both guided halves
     assert tracer.counters["tape.records"] > 0
+
+
+def test_params_digest_reads_built_and_loaded_models(tmp_path):
+    # the train-adapter workload digests the frozen base's read-only params map
+    rc = default_runconfig()
+    schedule, dataset = rc.schedule.build(), rc.data.build()
+    built = build_unet(UNetConfig(in_channels=1, base_channels=4, channel_mults=(1, 2),
+                                  num_res_blocks_per_level=1, groups=4, time_embed_dim=8,
+                                  num_classes=dataset.num_classes), seed=3)
+    path = str(tmp_path / "base.rsbm")
+    store.save_model(built, path)
+    loaded = store.load_model(path)
+    quantized = {n: Tensor(t.data.astype("<f4").astype(np.float64)) for n, t in built.params.items()}
+    assert workloads._params_digest(built.params) == workloads._params_digest(dict(built.params))
+    assert workloads._params_digest(loaded.params) == workloads._params_digest(quantized)
+    frozen = workloads._params_digest(loaded.params)
+    bundle = attach_resadapter(loaded, rank=2, seed=4)
+    rng = np.random.default_rng(5)
+    x0, labels = trainer.make_batch(dataset, (8, 8), 2, rng)
+    eps = Tensor(rng.standard_normal(x0.shape))
+    with Tape() as tape:
+        params = trainer.effective_param_map(loaded, bundle)
+        tape.backward(trainer.simple_loss(loaded, x0, np.array([3, 7]), eps, labels, schedule,
+                                          params=params))
+    assert bundle.tensors["down.0.sampler.conv.weight.lora.A"].grad is not None
+    assert workloads._params_digest(loaded.params) == frozen

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from container_fixtures import read_parts, write_parts
-from resolab import store
+from resolab import cli, store
 from resolab.cli import main
+from resolab.trainer import train_base
 from resolab.unet import UNetConfig, build_unet
 
 TINY_DOC = {
@@ -175,6 +176,21 @@ def test_train_base_applies_weight_decay(work):
         assert main(["train-base", "--config", str(cfg), "--out", str(out), "--steps", "2"]) == 0
         params[decay] = store.load_model(str(out)).params
     assert any(not np.array_equal(params[0.0][k].data, params[0.5][k].data) for k in params[0.0])
+
+
+def test_train_base_that_reshapes_a_parameter_exits_2_without_a_file(work, capsys, monkeypatch):
+    def reshaping_train_base(model, *args):  # tensor data stays assignable after the build
+        trace = train_base(model, *args)
+        model.params["out.conv.bias"].data = np.zeros(3)
+        return trace
+
+    monkeypatch.setattr(cli, "train_base", reshaping_train_base)
+    out_dir = work["root"] / "reshaped"
+    out_dir.mkdir()
+    argv = ["train-base", "--config", work["config"], "--out", str(out_dir / "m.rsbm"), "--steps", "1"]
+    assert main(argv) == 2
+    assert "out.conv.bias: stored shape (3,) != expected (1,)" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
 
 
 def test_train_adapter_reports_budget(work, capsys):

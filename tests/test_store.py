@@ -16,9 +16,9 @@ from container_fixtures import (
     small_bundle,
     small_model,
 )
-from resolab.adapters import attach_resadapter, attach_style_lora, frozen_param_count
+from resolab.adapters import attach_resadapter, attach_style_lora, frozen_param_count, merge
 from resolab.cli import main
-from resolab.errors import ContainerError
+from resolab.errors import ConfigError, ContainerError
 from resolab.store import (
     FORMAT_VERSION,
     inspect,
@@ -145,6 +145,53 @@ def test_bundle_bytes_are_pinned(tmp_path):
     save_bundle(small_bundle(small_model()).with_alpha(0.4), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "298d125cfe3b208b639cadedb38b42ea989e88630ad171609af3689a9cae7228")
+
+
+def _built(tmp_path):
+    return small_model(seed=6)
+
+
+def _merged(tmp_path):
+    model = small_model(seed=7)
+    return merge(model, small_bundle(model).with_alpha(0.6))
+
+
+def _loaded(tmp_path):
+    path = tmp_path / "first.rsbm"
+    save_model(small_model(seed=8), str(path))
+    return load_model(str(path))
+
+
+@pytest.mark.parametrize("make", [_built, _merged, _loaded], ids=["build_unet", "merge", "load_model"])
+def test_every_built_model_saves_and_loads_back(tmp_path, make):
+    model = make(tmp_path)
+    path = tmp_path / "m.rsbm"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    assert loaded.config == model.config and loaded.fingerprint == model.fingerprint
+    assert list(loaded.params) == sorted(model.params)
+    for name, t in model.params.items():
+        np.testing.assert_array_equal(loaded.params[name].data,
+                                      t.data.astype("<f4").astype(np.float64), err_msg=name)
+    again = tmp_path / "again.rsbm"
+    save_model(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_parameter_reshaped_after_build_is_refused_at_save(tmp_path):
+    model = small_model()
+    model.params["out.conv.bias"].data = np.zeros(3)
+    with pytest.raises(ConfigError, match=r"^out\.conv\.bias: stored shape \(3,\) != expected \(1,\)$"):
+        save_model(model, str(tmp_path / "m.rsbm"))
+    assert list(tmp_path.iterdir()) == []  # neither the file nor a temp file
+
+
+def test_a_bundle_leaf_reshaped_after_build_is_refused_at_save(tmp_path):
+    bundle = small_bundle(small_model())
+    bundle.tensors["down.0.res.0.norm1.delta.gamma"].data = np.zeros(3)
+    with pytest.raises(ConfigError, match=r"^down\.0\.res\.0\.norm1: delta shapes \(3,\)/\(1,\) inconsistent$"):
+        save_bundle(bundle, str(tmp_path / "b.rsad"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_no_temp_files_left_behind(tmp_path):

@@ -1,5 +1,8 @@
 """Denoiser structure: site grammar, init, conditioning, shape handling."""
 
+import re
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,9 @@ from resolab.errors import ConfigError, ResolutionError, ShapeError
 from resolab.unet import (
     SITE_SELECTORS,
     UNetConfig,
+    UNetModel,
     build_unet,
     list_sites,
-    model_fingerprint,
     site_shapes,
     time_embedding,
     unet_forward,
@@ -191,11 +194,11 @@ def test_list_sites_selectors():
 def test_fingerprint_depends_on_structure_only():
     a = build_unet(TINY, seed=0)
     b = build_unet(TINY, seed=123)
-    assert model_fingerprint(a) == model_fingerprint(b)  # values don't matter
+    assert a.fingerprint == b.fingerprint  # values don't matter
     wider = build_unet(UNetConfig(), seed=0)
-    assert model_fingerprint(a) != model_fingerprint(wider)
-    assert len(model_fingerprint(a)) == 16
-    int(model_fingerprint(a), 16)  # valid hex
+    assert a.fingerprint != wider.fingerprint
+    assert len(a.fingerprint) == 16
+    int(a.fingerprint, 16)  # valid hex
 
 
 def test_fingerprint_fnv1a_reference():
@@ -207,7 +210,7 @@ def test_fingerprint_fnv1a_reference():
     h = 0xCBF29CE484222325
     for byte in text.encode():
         h = ((h ^ byte) * 0x100000001B3) % 2**64
-    assert model_fingerprint(model) == format(h, "016x")
+    assert model.fingerprint == format(h, "016x")
 
 
 def test_config_validation():
@@ -261,3 +264,86 @@ def test_forward_gradcheck_single_conv_weight():
         denom = max(abs(numeric), abs(analytic), 1e-8)
         assert abs(numeric - analytic) / denom < 1e-4
     assert np.all(np.isfinite(flat))
+
+
+# ---------------------------------------------------------------------------
+# a model is valid once it exists
+
+
+def _edit(*changes):
+    """A params edit: per (name, value), drop ``name`` (value None) or set a Tensor of ``value``."""
+    def edit(params):
+        params = dict(params)
+        for name, value in changes:
+            params.pop(name, None)
+            if value is not None:
+                params[name] = Tensor(np.asarray(value, dtype=np.float64))
+        return params
+    return edit
+
+
+BAD_MODELS = [  # messages pinned by tests/container_fixtures.py after the file path
+    ("unknown_site", _edit(("embed.claxx.weight", np.zeros((3, 8)))),
+     r"^unknown site-path 'embed\.claxx\.weight'$"),
+    ("missing_site", _edit(("mid.res.0.conv1.bias", None)),
+     r"^missing site-path 'mid\.res\.0\.conv1\.bias'$"),
+    ("misshapen_site", _edit(("out.conv.bias", np.zeros(3))),
+     r"^out\.conv\.bias: stored shape \(3,\) != expected \(1,\)$"),
+    ("unknown_before_missing", _edit(("embed.class.weight", None), ("embed.claxx.weight", np.zeros((3, 8)))),
+     r"^unknown site-path 'embed\.claxx\.weight'$"),
+    ("missing_before_misshapen", _edit(("down.0.res.0.conv1.bias", [1.0]), ("time.mlp1.bias", None)),
+     r"^missing site-path 'time\.mlp1\.bias'$"),
+    ("first_misshapen_in_name_order", _edit(("up.0.res.0.conv2.bias", np.zeros(5)),
+                                            ("down.0.res.0.norm1.beta", np.zeros(3))),
+     r"^down\.0\.res\.0\.norm1\.beta: stored shape \(3,\) != expected \(1,\)$"),
+]
+
+
+@pytest.mark.parametrize("name,edit,pattern", BAD_MODELS, ids=[c[0] for c in BAD_MODELS])
+def test_a_model_is_checked_when_built(name, edit, pattern):
+    model = build_unet(TINY, seed=0)
+    with pytest.raises(ConfigError, match=pattern):
+        UNetModel(config=TINY, params=edit(model.params))
+    with pytest.raises(ConfigError, match=pattern):
+        replace(model, params=edit(model.params))
+
+
+def test_a_model_of_another_config_is_refused():
+    model = build_unet(TINY, seed=0)
+    with pytest.raises(ConfigError, match="site-path"):
+        replace(model, config=UNetConfig())
+
+
+def test_a_model_cannot_be_edited_in_place():
+    model = build_unet(TINY, seed=0)
+    with pytest.raises(TypeError):
+        model.params["out.conv.bias"] = Tensor(np.zeros(1))
+    with pytest.raises(TypeError):
+        del model.params["out.conv.bias"]
+    with pytest.raises(FrozenInstanceError):
+        model.params = {}
+    # the caller's dict is copied: editing it later leaves the model as built
+    params = dict(model.params)
+    built = UNetModel(config=TINY, params=params)
+    params.clear()
+    assert sorted(built.params) == sorted(model.params)
+
+
+def test_fingerprint_follows_from_the_config():
+    listed = UNetConfig(**{**TINY.__dict__, "channel_mults": [1, 2]})
+    assert listed == TINY and hash(listed) == hash(TINY)
+    assert build_unet(listed, seed=1).fingerprint == build_unet(TINY, seed=0).fingerprint
+
+
+def test_forward_names_the_first_missing_site():
+    model = build_unet(TINY, seed=0)
+    x = Tensor(np.zeros((1, 1, 8, 8)))
+    first = min(model.params)
+    with pytest.raises(ConfigError, match=re.escape(f"params lack site-path {first!r}")):
+        unet_forward(model, x, 1, [0], params={})
+    params = _edit(("mid.attn.k.weight", None))(model.params)
+    with pytest.raises(ConfigError, match=r"params lack site-path 'mid\.attn\.k\.weight'"):
+        unet_forward(model, x, 1, [0], params=params)
+    extra = {**model.params, "not.a.site": Tensor(np.zeros(1))}  # extra keys are ignored
+    np.testing.assert_array_equal(unet_forward(model, x, 1, [0], params=extra).data,
+                                  unet_forward(model, x, 1, [0]).data)
