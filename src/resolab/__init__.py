@@ -66,7 +66,6 @@ from .runconfig import (
 from .store import inspect, load_bundle, load_model, save_bundle, save_model
 from .tensor import Tape, Tensor
 from .trainer import (
-    STANDARD_RESOLUTION_BUCKETS,
     AdamW,
     TraceRecord,
     TrainPlan,
@@ -84,7 +83,6 @@ from .unet import (
     build_unet,
     list_sites,
     site_shapes,
-    time_embedding,
     unet_forward,
 )
 
@@ -99,7 +97,7 @@ __all__ = [
     "NumericError", "ContainerError",
     # model
     "UNetConfig", "UNetModel", "build_unet", "unet_forward", "site_shapes",
-    "list_sites", "SITE_SELECTORS", "time_embedding",
+    "list_sites", "SITE_SELECTORS",
     # diffusion
     "DiffusionSchedule", "build_schedule", "forward_marginal", "simple_loss",
     "ddpm_step", "cfg_predict", "ddim_timesteps", "ddim_denoise", "ddim_sample",
@@ -112,7 +110,7 @@ __all__ = [
     # data / training
     "SyntheticDataset", "GENERATORS", "TrainPlan", "TrainTrace", "TraceRecord",
     "AdamW", "train_base", "train_adapter", "make_batch", "resolution_probs",
-    "sample_resolution", "STANDARD_RESOLUTION_BUCKETS",
+    "sample_resolution",
     # evaluation
     "EvalRow", "EvalReport", "multires_eval", "ablation_grid", "tile_layout",
     "tiled_generate", "bench_latency", "style_shift", "make_style_probes",

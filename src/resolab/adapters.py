@@ -103,11 +103,11 @@ def _paired_sites(kind: str, tensors: Mapping[str, Tensor]) -> tuple[int, tuple,
     """The rank, (site, A, B) per LoRA pair and (norm prefix, dgamma, dbeta) per delta.
 
     The one rule of a bundle's names: every name ends in a known suffix at a
-    site the kind's selector admits (checked first, in one pass over the
-    table), and has its partner; each LoRA pair is 2-D with ``rank`` columns,
-    those of the first 2-D ``.lora.A`` (0 without one), and each delta pair is
-    1-D of one shape. Pairs come in table order. Raises ConfigError naming the
-    site at the first breach.
+    site the kind's selector admits and holds a Tensor (checked first, in one
+    pass over the table), and has its partner; each LoRA pair is 2-D with
+    ``rank`` columns, those of the first 2-D ``.lora.A`` (0 without one), and
+    each delta pair is 1-D of one shape. Pairs come in table order. Raises
+    ConfigError naming the site at the first breach.
     """
     lora_sites, norm_sites = (selector_pattern(s) if s else None for s in BUNDLE_KINDS[kind])
     entries = []  # (site, suffix, tensor) per name
@@ -118,6 +118,8 @@ def _paired_sites(kind: str, tensors: Mapping[str, Tensor]) -> tuple[int, tuple,
                          else (norm_sites, site + ".gamma"))
         if not suffix or pattern is None or not pattern.match(host):
             raise ConfigError(f"unknown site-path {name!r} for a {kind!r} bundle")
+        if not isinstance(x, Tensor):
+            raise ConfigError(f"{name}: expected a Tensor, got {type(x).__name__}")
         entries.append((site, suffix, x))
     rank = next((x.shape[1] for _, suffix, x in entries
                  if suffix == LORA_A_SUFFIX and x.ndim == 2), 0)

@@ -138,10 +138,9 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    path = args.path or args.file
-    if not path:
-        raise ConfigError("inspect: give a container path (positional or --file)")
-    print(store.inspect(path))
+    if not args.path:
+        raise ConfigError("inspect: give a container path")
+    print(store.inspect(args.path))
     return 0
 
 
@@ -265,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_parser(sub, "inspect", help="describe a checkpoint or bundle container")
     p.add_argument("path", nargs="?", default=None, help="container file")
-    p.add_argument("--file", default=None, help="container file (alias for the positional)")
     p.set_defaults(fn=_cmd_inspect)
 
     p = _add_parser(sub, "gradcheck", help="finite-difference audit of every primitive")
@@ -324,3 +322,7 @@ def main(argv=None) -> int:
 
 def app() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    app()

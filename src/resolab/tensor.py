@@ -75,15 +75,6 @@ class Tensor:
             raise ShapeError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.data.item())
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def copy(self) -> "Tensor":
-        out = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        if self.grad is not None:
-            out.grad = self.grad.copy()
-        return out
-
     def check_finite(self, context: str = "tensor") -> "Tensor":
         """Raise NumericError if any element is NaN or infinite."""
         if not np.all(np.isfinite(self.data)):

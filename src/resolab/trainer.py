@@ -1,4 +1,4 @@
-"""Training loops: single-resolution base runs and mixed-resolution adapter runs.
+"""One training loop for single-resolution base runs and mixed-resolution adapter runs.
 
 Bucket choice follows p(x) = |x - s|^2 / sum_i |x_i - s|^2 over the bucket
 edge lengths x (max of H, W for non-square buckets) around the standard
@@ -19,20 +19,13 @@ from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule, simple_loss
 from .errors import ConfigError, NumericError, check_seed
 from .tensor import Tape, Tensor
-from .unet import UNetModel, unet_forward
+from .unet import UNetModel
 
 __all__ = [
     "resolution_probs", "sample_resolution", "make_batch",
     "TrainPlan", "TrainTrace", "TraceRecord", "AdamW",
-    "train_base", "train_adapter", "STANDARD_RESOLUTION_BUCKETS",
+    "train_base", "train_adapter",
 ]
-
-# Full-scale bucket lists used by production latent models, keyed by their
-# standard resolution. Kept as reference configs; desk runs use small buckets.
-STANDARD_RESOLUTION_BUCKETS = {
-    512: (128, 256, 384, 768, 1024),
-    1024: (256, 384, 512, 768, 1280, 1408, 1536),
-}
 
 
 def resolution_probs(resolutions, standard: int) -> np.ndarray:
@@ -156,9 +149,6 @@ class TrainTrace:
     def add(self, step: int, bucket: tuple[int, int], phase: str, loss: float) -> None:
         self.records.append(TraceRecord(step, bucket, phase, loss))
 
-    def losses(self, bucket: tuple[int, int] | None = None) -> np.ndarray:
-        return np.array([r.loss for r in self.records if bucket is None or r.bucket == bucket])
-
     def lines(self) -> list[str]:
         return [f"# {n}" for n in self.notes] + [r.line() for r in self.records]
 
@@ -214,16 +204,6 @@ def _check_divisible(model: UNetModel, plan: TrainPlan) -> None:
             raise ConfigError(f"bucket {h}x{w} not divisible by the model's spatial divisor {div}")
 
 
-def _draw_step(plan: TrainPlan, dataset: SyntheticDataset, model: UNetModel,
-               schedule: DiffusionSchedule, rng: np.random.Generator):
-    if len(plan.resolutions) == 1:
-        bucket = plan.resolutions[0]
-    else:
-        bucket = plan.resolutions[sample_resolution(plan.probs, rng.random())]
-    return (bucket, *draw_batch(dataset, bucket, plan.batch_size, schedule.timesteps, rng,
-                                plan.p_uncond, model.config.null_class))
-
-
 def draw_batch(dataset: SyntheticDataset, bucket: tuple[int, int], batch_size: int, timesteps: int,
                rng: np.random.Generator, p_uncond: float = 0.0, null_class: int | None = None):
     """(x0, labels, t, eps) at ``bucket``: ``make_batch``, then t, then eps, from one rng."""
@@ -231,6 +211,35 @@ def draw_batch(dataset: SyntheticDataset, bucket: tuple[int, int], batch_size: i
     t = rng.integers(1, timesteps + 1, size=batch_size)
     eps = rng.standard_normal(x0.shape)
     return x0, labels, t, Tensor(eps)
+
+
+def _train(model: UNetModel, plan: TrainPlan, dataset: SyntheticDataset,
+           schedule: DiffusionSchedule, opt: AdamW, bundle=None, names=None) -> TrainTrace:
+    """The step loop of both phases: draw a batch, take the loss under a tape, step ``opt``.
+
+    ``bundle`` (None for base runs) is applied through ``effective_param_map``
+    inside the tape; ``names`` maps each bucket to the names ``opt`` steps
+    (None steps them all).
+    """
+    rng = np.random.default_rng(plan.seed)
+    trace = TrainTrace()
+    for step in range(1, plan.steps + 1):
+        # a single-bucket plan draws no bucket from the rng
+        index = sample_resolution(plan.probs, rng.random()) if len(plan.resolutions) > 1 else 0
+        bucket = plan.resolutions[index]
+        x0, labels, t, eps = draw_batch(dataset, bucket, plan.batch_size, schedule.timesteps,
+                                        rng, plan.p_uncond, model.config.null_class)
+        with Tape() as tape:
+            params = None if bundle is None else effective_param_map(model, bundle)
+            loss = simple_loss(model, x0, t, eps, labels, schedule, params=params)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise NumericError(f"train_{plan.phase}: loss diverged at step {step}")
+            tape.backward(loss)
+        opt.step(None if names is None else names[bucket])
+        opt.zero_grad()
+        trace.add(step, bucket, plan.phase, value)
+    return trace
 
 
 def train_base(model: UNetModel, plan: TrainPlan, dataset: SyntheticDataset,
@@ -244,20 +253,7 @@ def train_base(model: UNetModel, plan: TrainPlan, dataset: SyntheticDataset,
         raise ConfigError("train_base: no trainable parameters (model is frozen)")
     opt = AdamW(trainable, plan.lr, plan.adam_beta1, plan.adam_beta2,
                 weight_decay=plan.weight_decay)
-    rng = np.random.default_rng(plan.seed)
-    trace = TrainTrace()
-    for step in range(1, plan.steps + 1):
-        bucket, x0, labels, t, eps = _draw_step(plan, dataset, model, schedule, rng)
-        with Tape() as tape:
-            loss = simple_loss(model, x0, t, eps, labels, schedule)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(f"train_base: loss diverged at step {step}")
-            tape.backward(loss)
-        opt.step()
-        opt.zero_grad()
-        trace.add(step, bucket, "base", value)
-    return trace
+    return _train(model, plan, dataset, schedule, opt)
 
 
 def train_adapter(model: UNetModel, bundle, plan: TrainPlan, dataset: SyntheticDataset,
@@ -271,29 +267,15 @@ def train_adapter(model: UNetModel, bundle, plan: TrainPlan, dataset: SyntheticD
         raise ConfigError(f"train_adapter requires an 'adapter' plan, got phase {plan.phase!r}")
     _check_divisible(model, plan)
     lora_names, delta_names = bundle.names("conv_lora"), bundle.names("norm_delta")
-    trace = TrainTrace()
+    opt = AdamW(bundle.tensors, plan.lr, plan.adam_beta1, plan.adam_beta2,
+                weight_decay=plan.weight_decay)
+    names = {hw: lora_names + delta_names if max(hw) > plan.standard_resolution else lora_names
+             for hw in plan.resolutions}
+    trace = _train(model, plan, dataset, schedule, opt, bundle, names)
     if delta_names and not plan.extrapolation_buckets():
         trace.notes.append(
             "plan has no extrapolation bucket; norm deltas will never update and stay zero"
         )
-    opt = AdamW(bundle.tensors, plan.lr, plan.adam_beta1, plan.adam_beta2,
-                weight_decay=plan.weight_decay)
-    rng = np.random.default_rng(plan.seed)
-    for step in range(1, plan.steps + 1):
-        bucket, x0, labels, t, eps = _draw_step(plan, dataset, model, schedule, rng)
-        with Tape() as tape:
-            params = effective_param_map(model, bundle)
-            loss = simple_loss(model, x0, t, eps, labels, schedule, params=params)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(f"train_adapter: loss diverged at step {step}")
-            tape.backward(loss)
-        names = list(lora_names)
-        if max(bucket) > plan.standard_resolution:
-            names += delta_names
-        opt.step(names)
-        opt.zero_grad()
-        trace.add(step, bucket, "adapter", value)
     trace.meta["lora_update_steps"] = {n: opt.counts[n] for n in lora_names}
     trace.meta["norm_delta_update_steps"] = {n: opt.counts[n] for n in delta_names}
     return trace

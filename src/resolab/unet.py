@@ -20,10 +20,10 @@ res blocks around an optional single-head self-attention. Conditioning is
 the time MLP output plus a class-embedding row; each block adds its first
 C components, so time_embed_dim must cover the widest level.
 
-A model is valid once it exists: building a ``UNetModel`` checks its sites and
-shapes against ``site_shapes`` of its config, and its map is read-only, so a
-model changes only through ``dataclasses.replace``, which checks again. Its
-fingerprint therefore follows from the config alone.
+A model is valid once it exists: building a ``UNetModel`` checks its sites,
+value types and shapes against ``site_shapes`` of its config, and its map is
+read-only, so a model changes only through ``dataclasses.replace``, which
+checks again. Its fingerprint therefore follows from the config alone.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .tensor import Tensor
 
 __all__ = [
     "UNetConfig", "UNetModel", "build_unet", "unet_forward",
-    "site_shapes", "list_sites", "selector_pattern", "time_embedding",
-    "SITE_SELECTORS",
+    "site_shapes", "list_sites", "selector_pattern", "SITE_SELECTORS",
 ]
 
 
@@ -180,9 +179,12 @@ class UNetModel:
             raise ConfigError(f"unknown site-path {min(unknown)!r}")
         if missing:
             raise ConfigError(f"missing site-path {min(missing)!r}")
-        bad = next((n for n in sorted(params) if params[n].shape != expected[n]), None)
-        if bad is not None:
-            raise ConfigError(f"{bad}: stored shape {params[bad].shape} != expected {expected[bad]}")
+        for name in sorted(params):
+            value = params[name]
+            if not isinstance(value, Tensor):
+                raise ConfigError(f"{name}: expected a Tensor, got {type(value).__name__}")
+            if value.shape != expected[name]:
+                raise ConfigError(f"{name}: stored shape {value.shape} != expected {expected[name]}")
         object.__setattr__(self, "params", params)
 
     @property
@@ -256,14 +258,8 @@ def _fingerprint(config: UNetConfig) -> str:
     return f"{h:016x}"
 
 
-def time_embedding(t: int, dim: int) -> Tensor:
-    """Sinusoidal embedding [sin(t*w_i)..., cos(t*w_i)...], w_i = 10000^(-2i/dim)."""
-    if dim < 2 or dim % 2:
-        raise ConfigError(f"time_embedding: dim must be even and >= 2, got {dim}")
-    return Tensor(_time_embedding_rows(np.asarray([t], dtype=np.float64), dim)[0])
-
-
 def _time_embedding_rows(t: np.ndarray, dim: int) -> np.ndarray:
+    """Sinusoidal rows [sin(t*w_i)..., cos(t*w_i)...], w_i = 10000^(-2i/dim), one per t."""
     half = dim // 2
     freqs = 10000.0 ** (-2.0 * np.arange(half) / dim)
     angles = t[:, None] * freqs[None, :]

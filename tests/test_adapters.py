@@ -380,6 +380,10 @@ def _without(name):
     return lambda b: replace(b, tensors={k: v for k, v in b.tensors.items() if k != name})
 
 
+def _as_array(name):  # the tensor's numpy data in place of the Tensor
+    return lambda b: replace(b, tensors={**b.tensors, name: b.tensors[name].data})
+
+
 def _mixed_ranks(bundle):
     return replace(bundle, tensors={**bundle.tensors,
                                     "up.0.sampler.conv.weight.lora.A": Tensor(np.zeros((4, 3))),
@@ -406,6 +410,8 @@ BAD_BUNDLES = [
     ("delta_beta_without_gamma", _without("down.0.res.0.norm1.delta.gamma"),
      r"down\.0\.res\.0\.norm1: delta beta present without gamma"),
     ("mixed_ranks", _mixed_ranks, r"up\.0\.sampler\.conv\.weight: lora shapes .* contradict rank 2"),
+    ("array_not_tensor", _as_array("down.0.sampler.conv.weight.lora.A"),
+     r"^down\.0\.sampler\.conv\.weight\.lora\.A: expected a Tensor, got ndarray$"),
 ]
 
 

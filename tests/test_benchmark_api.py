@@ -13,9 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from resolab import default_runconfig, diffusion, store, trainer
-from resolab.adapters import attach_resadapter
+from resolab import data, default_runconfig, diffusion, evalbench, ops, store, trainer
+from resolab.adapters import attach_resadapter, effective_param_map
+from resolab.diffusion import SamplerConfig, ddim_sample
 from resolab.tensor import Tape, Tensor
+from resolab.trainer import TrainPlan, train_adapter, train_base
 from resolab.unet import UNetConfig, build_unet
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -51,6 +53,38 @@ def test_tracer_sees_a_taped_adapter_loss_and_a_guided_prediction():
         assert tracer.span_count(span) > 0, span
     assert tracer.span_count("unet.forward") == 2  # one for the loss, one for both guided halves
     assert tracer.counters["tape.records"] > 0
+
+
+def _attributes(owners) -> dict:
+    return {(owner.__name__, name): value for owner in owners for name, value in vars(owner).items()}
+
+
+def test_install_traces_both_training_phases_and_a_guided_sample_then_restores_every_patch():
+    rc = default_runconfig()
+    schedule, dataset = rc.schedule.build(), rc.data.build()
+    model = build_unet(UNetConfig(in_channels=1, base_channels=4, channel_mults=(1, 2),
+                                  num_res_blocks_per_level=1, groups=4, time_embed_dim=8,
+                                  num_classes=dataset.num_classes), seed=0)
+    owners = (ops, Tape, trainer, trainer.AdamW, diffusion, evalbench, data.SyntheticDataset)
+    before = _attributes(owners)
+    tracer = tracing.Tracer()
+    with tracing.install(tracer):
+        train_base(model, TrainPlan(((8, 8),), 8, 1, "base", batch_size=2), dataset, schedule)
+        bundle = attach_resadapter(model, rank=2, seed=1)
+        # 8x8 against a standard size of 4 is an extrapolation batch: the gate fires
+        train_adapter(model, bundle, TrainPlan(((8, 8),), 4, 1, "adapter", batch_size=2),
+                      dataset, schedule)
+        sample = ddim_sample(model, (1, 1, 8, 8), SamplerConfig(steps=2, guidance_scale=7.5), 1,
+                             schedule, params=effective_param_map(model, bundle))
+    assert _attributes(owners) == before
+    assert np.isfinite(sample.data).all()
+    for span in ("ops.conv2d", "unet.forward", "diffusion.cfg_predict", "trainer.adamw_step",
+                 "tensor.backward"):
+        assert tracer.span_count(span) > 0, span
+    assert tracer.span_count("trainer.adamw_step") == 2
+    assert tracer.span_count("diffusion.cfg_predict") == 2
+    # only the adapter step passes names to AdamW.step; a base step steps all
+    assert tracer.counters["gate.adapter_steps"] == 1 and tracer.counters["gate.fired"] == 1
 
 
 def test_params_digest_reads_built_and_loaded_models(tmp_path):

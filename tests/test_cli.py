@@ -1,13 +1,17 @@
 """End-to-end command-line flows against a miniature run configuration."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from container_fixtures import read_parts, write_parts
+import resolab
 from resolab import cli, store
 from resolab.cli import main
 from resolab.trainer import train_base
@@ -304,9 +308,15 @@ def test_inspect_both_kinds(work, capsys):
     assert "RSAD" in capsys.readouterr().out
 
 
-def test_inspect_accepts_file_flag(work, capsys):
-    assert main(["inspect", "--file", work["model"]]) == 0
-    assert "RSBM" in capsys.readouterr().out
+@pytest.mark.parametrize("module", ["resolab", "resolab.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    src = pathlib.Path(resolab.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+                          "inspect", str(tmp_path / "missing.rsbm")],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
 
 
 def test_inspect_without_path_exits_2(work, capsys):

@@ -1,4 +1,4 @@
-"""Bucket sampling, batching, AdamW, and the two training loops."""
+"""Bucket sampling, batching, AdamW, and the training loop of both phases."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from resolab.errors import ConfigError, NumericError
 from resolab.tensor import Tensor
 from resolab.trainer import (
     AdamW,
-    STANDARD_RESOLUTION_BUCKETS,
     TrainPlan,
     TraceRecord,
     TrainTrace,
@@ -54,12 +53,6 @@ def test_resolution_probs_edge_cases():
         resolution_probs([512, 512], 512)
     with pytest.raises(ConfigError):
         resolution_probs([], 512)
-
-
-def test_reference_bucket_lists():
-    assert 512 in STANDARD_RESOLUTION_BUCKETS and 1024 in STANDARD_RESOLUTION_BUCKETS
-    assert 512 not in STANDARD_RESOLUTION_BUCKETS[512]
-    assert 1024 not in STANDARD_RESOLUTION_BUCKETS[1024]
 
 
 def test_sample_resolution_cdf_walk():
@@ -181,7 +174,6 @@ def test_trace_lines_and_write(tmp_path):
     trace.add(1, (8, 8), "base", 1.5)
     trace.add(2, (16, 16), "base", 0.75)
     assert trace.lines() == ["# something to know", "1 8x8 base 1.5", "2 16x16 base 0.75"]
-    np.testing.assert_array_equal(trace.losses((8, 8)), [1.5])
     path = tmp_path / "trace.txt"
     trace.write(path)
     assert path.read_text() == "# something to know\n1 8x8 base 1.5\n2 16x16 base 0.75\n"
@@ -234,7 +226,7 @@ def test_train_base_reduces_loss_and_is_deterministic():
     plan = TrainPlan(resolutions=((8, 8),), standard_resolution=8, steps=200,
                      phase="base", batch_size=4, lr=3e-3, seed=1)
     trace = train_base(model, plan, ds, sched)
-    losses = trace.losses()
+    losses = np.array([r.loss for r in trace.records])
     assert losses.size == 200
     assert losses[-20:].mean() < losses[:20].mean()
     model2, _, _ = tiny_setup()

@@ -14,8 +14,8 @@ from resolab.unet import (
     UNetModel,
     build_unet,
     list_sites,
+    _time_embedding_rows,
     site_shapes,
-    time_embedding,
     unet_forward,
 )
 from resolab.tensor import Tensor
@@ -103,16 +103,13 @@ def test_fresh_model_predicts_exactly_zero():
 
 def test_time_embedding_hand_values():
     # dim=4: freqs = [10000^0, 10000^(-1/2)] = [1, 0.01]  [DERIVED]
-    emb = time_embedding(1, 4).data
+    emb, emb50 = _time_embedding_rows(np.array([1.0, 50.0]), 4)
     np.testing.assert_allclose(
         emb, [np.sin(1.0), np.sin(0.01), np.cos(1.0), np.cos(0.01)], rtol=0, atol=1e-15
     )
-    emb50 = time_embedding(50, 4).data
     np.testing.assert_allclose(
         emb50, [np.sin(50.0), np.sin(0.5), np.cos(50.0), np.cos(0.5)], rtol=0, atol=1e-15
     )
-    with pytest.raises(ConfigError):
-        time_embedding(1, 5)
 
 
 def test_forward_responds_to_t_and_c_after_unzeroing():
@@ -296,6 +293,8 @@ BAD_MODELS = [  # messages pinned by tests/container_fixtures.py after the file 
     ("first_misshapen_in_name_order", _edit(("up.0.res.0.conv2.bias", np.zeros(5)),
                                             ("down.0.res.0.norm1.beta", np.zeros(3))),
      r"^down\.0\.res\.0\.norm1\.beta: stored shape \(3,\) != expected \(1,\)$"),
+    ("array_not_tensor", lambda params: {**params, "out.conv.bias": np.zeros(1)},
+     r"^out\.conv\.bias: expected a Tensor, got ndarray$"),
 ]
 
 
