@@ -24,7 +24,6 @@ from .diffusion import (
     DESK_TIMESTEPS,
     DiffusionSchedule,
     SamplerConfig,
-    build_schedule,
     cfg_predict,
     ddim_denoise,
     ddim_sample,
@@ -54,10 +53,8 @@ from .evalbench import (
 )
 from .gradcheck import DEFAULT_TOLERANCE, grad_check, run_suite
 from .runconfig import (
-    DataConfig,
     EvalConfig,
     RunConfig,
-    ScheduleConfig,
     TrainConfig,
     default_runconfig,
     load_runconfig,
@@ -99,7 +96,7 @@ __all__ = [
     "UNetConfig", "UNetModel", "build_unet", "unet_forward", "site_shapes",
     "list_sites", "SITE_SELECTORS",
     # diffusion
-    "DiffusionSchedule", "build_schedule", "forward_marginal", "simple_loss",
+    "DiffusionSchedule", "forward_marginal", "simple_loss",
     "ddpm_step", "cfg_predict", "ddim_timesteps", "ddim_denoise", "ddim_sample",
     "SamplerConfig", "DESK_TIMESTEPS", "DESK_BETA_START", "DESK_BETA_END",
     # adapters
@@ -117,6 +114,6 @@ __all__ = [
     # persistence
     "save_model", "load_model", "save_bundle", "load_bundle", "inspect",
     # configuration
-    "RunConfig", "ScheduleConfig", "TrainConfig", "DataConfig", "EvalConfig",
+    "RunConfig", "TrainConfig", "EvalConfig",
     "load_runconfig", "parse_runconfig", "default_runconfig",
 ]

@@ -78,7 +78,7 @@ def _cmd_train_base(args) -> int:
     rc = load_runconfig(args.config)
     model = build_unet(rc.model, seed=rc.train.seed)
     plan = rc.train.plan("base", args.steps)
-    trace = train_base(model, plan, rc.data.build(), rc.schedule.build())
+    trace = train_base(model, plan, rc.data, rc.schedule)
     store.save_model(model, args.out)
     if args.trace:
         trace.write(args.trace)
@@ -94,7 +94,7 @@ def _cmd_train_adapter(args) -> int:
     model = _load_model_for(args, rc)
     bundle = attach_resadapter(model, rank=rc.train.rank, seed=rc.train.seed)
     plan = rc.train.plan("adapter", args.steps)
-    trace = train_adapter(model, bundle, plan, rc.data.build(), rc.schedule.build())
+    trace = train_adapter(model, bundle, plan, rc.data, rc.schedule)
     bundle = bundle.with_alpha(rc.train.alpha_r)
     store.save_bundle(bundle, args.out)
     if args.trace:
@@ -119,7 +119,7 @@ def _cmd_sample(args) -> int:
                         eta=args.eta, seed=args.seed)
     h, w = _parse_size(args.size)
     shape = (1, model.config.in_channels, h, w)
-    schedule = load_runconfig(args.config).schedule.build()
+    schedule = load_runconfig(args.config).schedule
     x = ddim_sample(model, shape, cfg, np.array([args.class_id]), schedule, params=params)
     write_pgm(args.out, x.data[0])
     print(f"wrote {args.out} ({h}x{w}, class {args.class_id}, seed {cfg.seed})")
@@ -173,15 +173,14 @@ def _cmd_eval(args) -> int:
     rc = load_runconfig(args.config)
     model = _load_model_for(args, rc)
     bundle = _load_bundle_for(args.adapter, args.alpha) if args.adapter else None
-    schedule, dataset = rc.schedule.build(), rc.data.build()
     reports = [multires_eval(
-        model, bundle, schedule, dataset, rc.eval.buckets,
+        model, bundle, rc.schedule, rc.data, rc.eval.buckets,
         n_batches=rc.eval.n_batches, seed=rc.eval.seed, batch_size=rc.eval.batch_size,
     )]
     if bundle is not None and bundle.kind == "resadapter":
         modes = [{"conv_lora"}, {"norm_delta"}, {"conv_lora", "norm_delta"}]
         reports.append(ablation_grid(
-            model, bundle, modes, rc.eval.alphas, schedule, dataset, rc.eval.buckets,
+            model, bundle, modes, rc.eval.alphas, rc.schedule, rc.data, rc.eval.buckets,
             n_batches=rc.eval.n_batches, seed=rc.eval.seed, batch_size=rc.eval.batch_size,
         ))
     if args.out:
@@ -195,7 +194,7 @@ def _cmd_eval(args) -> int:
 def _cmd_bench_tiled(args) -> int:
     model = store.load_model(args.model)
     bundle = _load_bundle_for(args.adapter, args.alpha) if args.adapter else None
-    schedule = load_runconfig(args.config).schedule.build()
+    schedule = load_runconfig(args.config).schedule
     cfg = SamplerConfig(steps=args.steps, guidance_scale=args.guidance,
                         eta=0.0, seed=args.seed)
     target, tile = _parse_size(args.target), _parse_size(args.tile)

@@ -28,7 +28,7 @@ def _grid(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    generator: str = "checkers"
+    generator: str = "gradients"
     num_classes: int = 4
     channels: int = 1
 
@@ -39,6 +39,10 @@ class SyntheticDataset:
             raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
+
+    def build(self) -> SyntheticDataset:
+        """Return self: the benchmark harness (perfbench/workloads.py) calls ``build()``."""
+        return self
 
     def render(self, class_id: int, height: int, width: int, rng: np.random.Generator) -> np.ndarray:
         """One [C, H, W] sample in [-1, 1]; consumes a fixed number of draws."""

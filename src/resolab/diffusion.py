@@ -19,7 +19,7 @@ from .tensor import Tensor
 from .unet import _as_index_vector, unet_forward
 
 __all__ = [
-    "DiffusionSchedule", "build_schedule", "forward_marginal", "simple_loss",
+    "DiffusionSchedule", "forward_marginal", "simple_loss",
     "ddpm_step", "cfg_predict", "SamplerConfig", "ddim_sample",
     "ddim_timesteps", "ddim_denoise",
 ]
@@ -33,11 +33,31 @@ MAX_TIMESTEPS = 100_000
 
 @dataclass(frozen=True)
 class DiffusionSchedule:
-    timesteps: int
-    beta: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
-    sigma: np.ndarray
+    """The schedule is its three scalars; beta, alpha, alpha_bar and sigma follow from them.
+
+    The four arrays are set once here and are not dataclass fields, so
+    equality, hashing, ``asdict`` and the run-config loader see only the scalars.
+    """
+
+    timesteps: int = DESK_TIMESTEPS
+    beta_start: float = DESK_BETA_START
+    beta_end: float = DESK_BETA_END
+
+    def __post_init__(self):
+        if not 1 <= self.timesteps <= MAX_TIMESTEPS:
+            raise ConfigError(f"timesteps must be in [1, {MAX_TIMESTEPS}], got {self.timesteps}")
+        if not 0.0 < self.beta_start <= self.beta_end < 1.0:
+            raise ConfigError(
+                f"need 0 < beta_start <= beta_end < 1, got [{self.beta_start}, {self.beta_end}]")
+        beta = np.linspace(self.beta_start, self.beta_end, self.timesteps)
+        alpha = 1.0 - beta
+        # alpha_bar holds exact sequential products; __dict__ sidesteps the frozen __setattr__
+        self.__dict__.update(beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha),
+                             sigma=np.sqrt(beta))
+
+    def build(self) -> DiffusionSchedule:
+        """Return self: the benchmark harness (perfbench/workloads.py) calls ``build()``."""
+        return self
 
     def _check_t(self, t: int) -> int:
         t = int(t)
@@ -56,20 +76,6 @@ class DiffusionSchedule:
 
     def sigma_at(self, t: int) -> float:
         return float(self.sigma[self._check_t(t) - 1])
-
-
-def build_schedule(timesteps: int = DESK_TIMESTEPS, beta_start: float = DESK_BETA_START,
-                   beta_end: float = DESK_BETA_END) -> DiffusionSchedule:
-    if not 1 <= timesteps <= MAX_TIMESTEPS:
-        raise ConfigError(f"timesteps must be in [1, {MAX_TIMESTEPS}], got {timesteps}")
-    if not 0.0 < beta_start <= beta_end < 1.0:
-        raise ConfigError(f"need 0 < beta_start <= beta_end < 1, got [{beta_start}, {beta_end}]")
-    beta = np.linspace(beta_start, beta_end, timesteps)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)  # exact sequential products
-    return DiffusionSchedule(
-        timesteps=timesteps, beta=beta, alpha=alpha, alpha_bar=alpha_bar, sigma=np.sqrt(beta)
-    )
 
 
 def _per_sample_coeffs(schedule: DiffusionSchedule, t, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -87,8 +87,6 @@ def _evaluate(who: str, model: UNetModel, adapted, schedule: DiffusionSchedule,
     ``adapted`` yields (name, params) pairs; it is consumed after the checks and
     inside the timed region.
     """
-    if not buckets:
-        raise ConfigError(f"{who}: empty bucket list")
     buckets = check_buckets(f"{who}: buckets", buckets)
     if n_batches < 1 or batch_size < 1:
         raise ConfigError(

@@ -168,7 +168,7 @@ _LOSS_SITES = ("down.0.sampler.conv.weight", "mid.attn.q.weight", "up.0.res.0.no
 
 def _simple_loss(rng):
     """The full denoiser loss in x0 and in five parameter sites of a tiny UNet."""
-    sched = diffusion.build_schedule(10, 1e-3, 5e-2)
+    sched = diffusion.DiffusionSchedule(10, 1e-3, 5e-2)
     model = unet.build_unet(_LOSS_CONFIG, seed=int(rng.integers(0, 2**31)))
     # move off the zero-init output so the loss actually depends on the net
     out_w = model.params["out.conv.weight"]

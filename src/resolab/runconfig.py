@@ -1,7 +1,8 @@
 """Declarative run configuration: one JSON document drives every CLI command.
 
 The document has five sections -- model, schedule, data, train, eval --
-each mapping onto a frozen dataclass below that checks itself when built.
+each a frozen dataclass that checks itself when built: the first three are
+``UNetConfig``, ``DiffusionSchedule`` and ``SyntheticDataset`` themselves.
 Loading is strict: unknown keys and wrong types (per the annotations) fail
 with the exact dotted path of the offender, so a typo in a config file fails
 loudly instead of silently using a default.
@@ -17,34 +18,15 @@ from dataclasses import dataclass, field, fields
 
 from .adapters import DEFAULT_RANK
 from .data import SyntheticDataset
-from .diffusion import (
-    DESK_BETA_END,
-    DESK_BETA_START,
-    DESK_TIMESTEPS,
-    DiffusionSchedule,
-    build_schedule,
-)
+from .diffusion import DiffusionSchedule
 from .errors import ConfigError, check_seed
 from .trainer import TrainPlan, check_buckets
 from .unet import UNetConfig
 
 __all__ = [
-    "ScheduleConfig", "TrainConfig", "DataConfig", "EvalConfig",
-    "RunConfig", "parse_runconfig", "load_runconfig", "default_runconfig",
+    "TrainConfig", "EvalConfig", "RunConfig",
+    "parse_runconfig", "load_runconfig", "default_runconfig",
 ]
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    timesteps: int = DESK_TIMESTEPS
-    beta_start: float = DESK_BETA_START
-    beta_end: float = DESK_BETA_END
-
-    def __post_init__(self):
-        self.build()
-
-    def build(self) -> DiffusionSchedule:
-        return build_schedule(self.timesteps, self.beta_start, self.beta_end)
 
 
 @dataclass(frozen=True)
@@ -96,19 +78,6 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class DataConfig:
-    generator: str = "gradients"
-    num_classes: int = 4
-    channels: int = 1
-
-    def __post_init__(self):
-        self.build()
-
-    def build(self) -> SyntheticDataset:
-        return SyntheticDataset(self.generator, self.num_classes, self.channels)
-
-
-@dataclass(frozen=True)
 class EvalConfig:
     buckets: tuple[tuple[int, int], ...] = ((8, 8), (16, 16), (24, 24), (32, 32))
     n_batches: int = 4
@@ -129,8 +98,8 @@ class EvalConfig:
 @dataclass(frozen=True)
 class RunConfig:
     model: UNetConfig = field(default_factory=UNetConfig)
-    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
-    data: DataConfig = field(default_factory=DataConfig)
+    schedule: DiffusionSchedule = field(default_factory=DiffusionSchedule)
+    data: SyntheticDataset = field(default_factory=SyntheticDataset)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
@@ -140,6 +109,12 @@ class RunConfig:
                 f"data.channels ({self.data.channels}) must equal "
                 f"model.in_channels ({self.model.in_channels})"
             )
+        # class id model.num_classes is the null token; an unconditional model (0) ignores labels
+        if self.model.num_classes and self.data.num_classes > self.model.num_classes:
+            raise ConfigError(
+                f"data.num_classes ({self.data.num_classes}) must not exceed "
+                f"model.num_classes ({self.model.num_classes})"
+            )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -147,8 +122,8 @@ class RunConfig:
 
 _SECTION_TYPES = {
     "model": UNetConfig,
-    "schedule": ScheduleConfig,
-    "data": DataConfig,
+    "schedule": DiffusionSchedule,
+    "data": SyntheticDataset,
     "train": TrainConfig,
     "eval": EvalConfig,
 }

@@ -269,10 +269,11 @@ def train_adapter(model: UNetModel, bundle, plan: TrainPlan, dataset: SyntheticD
     lora_names, delta_names = bundle.names("conv_lora"), bundle.names("norm_delta")
     opt = AdamW(bundle.tensors, plan.lr, plan.adam_beta1, plan.adam_beta2,
                 weight_decay=plan.weight_decay)
-    names = {hw: lora_names + delta_names if max(hw) > plan.standard_resolution else lora_names
+    extrapolation = plan.extrapolation_buckets()
+    names = {hw: lora_names + delta_names if hw in extrapolation else lora_names
              for hw in plan.resolutions}
     trace = _train(model, plan, dataset, schedule, opt, bundle, names)
-    if delta_names and not plan.extrapolation_buckets():
+    if delta_names and not extrapolation:
         trace.notes.append(
             "plan has no extrapolation bucket; norm deltas will never update and stay zero"
         )

@@ -26,7 +26,7 @@ from resolab.adapters import (
     trainable_param_count,
 )
 from resolab.data import SyntheticDataset
-from resolab.diffusion import SamplerConfig, build_schedule, ddim_sample
+from resolab.diffusion import DiffusionSchedule, SamplerConfig, ddim_sample
 from resolab.errors import ContainerError
 from resolab.evalbench import (
     bench_latency,
@@ -56,7 +56,7 @@ def check(verdict, number, name, ok, detail):
 @pytest.fixture(scope="session")
 def protocol():
     return SimpleNamespace(
-        schedule=build_schedule(),
+        schedule=DiffusionSchedule(),
         dataset=SyntheticDataset("gradients", 4, 1),
         offstyle=SyntheticDataset("discs", 4, 1),
         timings={},

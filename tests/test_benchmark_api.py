@@ -55,6 +55,12 @@ def test_tracer_sees_a_taped_adapter_loss_and_a_guided_prediction():
     assert tracer.counters["tape.records"] > 0
 
 
+def test_run_config_sections_build_as_the_workloads_call_them():
+    # workloads.py calls rc.data.build() and rc.schedule.build(); each section is the object
+    rc = default_runconfig()
+    assert rc.data.build() is rc.data and rc.schedule.build() is rc.schedule
+
+
 def _attributes(owners) -> dict:
     return {(owner.__name__, name): value for owner in owners for name, value in vars(owner).items()}
 

@@ -132,6 +132,16 @@ def test_unknown_config_key_exits_2(work, capsys):
     assert "train.stepz" in capsys.readouterr().err
 
 
+def test_more_data_classes_than_model_classes_exits_2_without_a_file(tmp_path, capsys):
+    # the 4-class model's null token is id 4, so class-4 images would train as unconditional
+    config = tmp_path / "classes.json"
+    config.write_text(json.dumps({"data": {"num_classes": 5}}))
+    out = tmp_path / "m.rsbm"
+    assert main(["train-base", "--config", str(config), "--steps", "1", "--out", str(out)]) == 2
+    assert "data.num_classes (5) must not exceed model.num_classes (4)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value,command,message", [
     ("lr_base", float("nan"), ["train-base", "--steps", "1"],
      "train (base phase): lr must be finite and >= 0, got nan"),

@@ -1,5 +1,7 @@
 """Schedule math, forward noising, losses, ancestral and DDIM samplers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from resolab.diffusion import (
     DiffusionSchedule,
     SamplerConfig,
     _ddim_update,
-    build_schedule,
     cfg_predict,
     ddim_denoise,
     ddim_sample,
@@ -25,13 +26,8 @@ from resolab.tensor import Tape, Tensor
 from resolab.unet import UNetConfig, build_unet, unet_forward
 
 
-def make_tiny_schedule():
-    # beta [0.1, 0.2] -> alpha [0.9, 0.8], abar [0.9, 0.72]; easy hand math
-    beta = np.array([0.1, 0.2])
-    alpha = 1.0 - beta
-    return DiffusionSchedule(
-        timesteps=2, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha), sigma=np.sqrt(beta)
-    )
+# beta [0.1, 0.2] -> alpha [0.9, 0.8], abar [0.9, 0.72]; easy hand math
+TINY = DiffusionSchedule(2, 0.1, 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +35,7 @@ def make_tiny_schedule():
 
 
 def test_schedule_defaults_and_endpoints():
-    s = build_schedule()
+    s = DiffusionSchedule()
     assert s.timesteps == DESK_TIMESTEPS == 50
     assert s.beta[0] == DESK_BETA_START == 1e-3
     assert s.beta[-1] == DESK_BETA_END == 5e-2
@@ -50,14 +46,14 @@ def test_schedule_defaults_and_endpoints():
 
 def test_alpha_bar_recurrence_is_exact():
     # abar_t == abar_{t-1} * alpha_t with zero tolerance (sequential product)
-    s = build_schedule(50, 1e-3, 5e-2)
+    s = DiffusionSchedule(50, 1e-3, 5e-2)
     for t in range(2, s.timesteps + 1):
         assert s.alpha_bar_at(t) == s.alpha_bar_at(t - 1) * s.alpha_at(t)
     assert s.alpha_bar_at(1) == s.alpha_at(1)
 
 
 def test_one_based_accessors_and_bounds():
-    s = make_tiny_schedule()
+    s = TINY
     assert s.beta_at(1) == 0.1 and s.beta_at(2) == 0.2
     assert s.alpha_bar_at(2) == pytest.approx(0.72, abs=1e-15)
     for bad in (0, 3, -1):
@@ -65,16 +61,24 @@ def test_one_based_accessors_and_bounds():
             s.beta_at(bad)
 
 
-def test_build_schedule_validation():
+def test_schedule_is_its_three_scalars():
+    assert DiffusionSchedule() == DiffusionSchedule()
+    assert hash(DiffusionSchedule()) == hash(DiffusionSchedule())
+    assert DiffusionSchedule(10) != DiffusionSchedule(11)
+    assert dataclasses.asdict(TINY) == {"timesteps": 2, "beta_start": 0.1, "beta_end": 0.2}
+    np.testing.assert_array_equal(TINY.beta, [0.1, 0.2])
+
+
+def test_schedule_validation():
     with pytest.raises(ConfigError):
-        build_schedule(0)
+        DiffusionSchedule(0)
     with pytest.raises(ConfigError):
-        build_schedule(10, 0.0, 0.1)
+        DiffusionSchedule(10, 0.0, 0.1)
     with pytest.raises(ConfigError):
-        build_schedule(10, 0.2, 0.1)
+        DiffusionSchedule(10, 0.2, 0.1)
     with pytest.raises(ConfigError):
-        build_schedule(10, 0.5, 1.0)
-    one = build_schedule(1, 0.01, 0.01)
+        DiffusionSchedule(10, 0.5, 1.0)
+    one = DiffusionSchedule(1, 0.01, 0.01)
     assert one.beta.shape == (1,)
 
 
@@ -84,7 +88,7 @@ def test_build_schedule_validation():
 
 def test_forward_marginal_hand_value():
     # abar=0.72, x0=1, eps=0.5: sqrt(.72) + sqrt(.28)*0.5 = 1.1131033 [DERIVED]
-    s = make_tiny_schedule()
+    s = TINY
     x0 = Tensor(np.ones((1, 1, 1, 1)))
     eps = Tensor(np.full((1, 1, 1, 1), 0.5))
     x_t = forward_marginal(x0, 2, eps, s)
@@ -94,7 +98,7 @@ def test_forward_marginal_hand_value():
 
 
 def test_forward_marginal_per_sample_t_and_grads():
-    s = build_schedule(10, 1e-3, 5e-2)
+    s = DiffusionSchedule(10, 1e-3, 5e-2)
     rng = np.random.default_rng(0)
     x0 = Tensor(rng.standard_normal((3, 1, 2, 2)), requires_grad=True)
     eps = Tensor(rng.standard_normal((3, 1, 2, 2)), requires_grad=True)
@@ -114,7 +118,7 @@ def test_forward_marginal_per_sample_t_and_grads():
 
 def test_simple_loss_zero_predictor():
     # zero predictor, eps = [1, -1] -> loss = mean of squares = 1.0 [DERIVED]
-    s = make_tiny_schedule()
+    s = TINY
 
     def zero_forward(model, x, t, c, params=None):
         return Tensor(np.zeros(x.shape))
@@ -126,7 +130,7 @@ def test_simple_loss_zero_predictor():
 
 
 def test_simple_loss_perfect_predictor_is_zero():
-    s = make_tiny_schedule()
+    s = TINY
     rng = np.random.default_rng(1)
     eps_true = rng.standard_normal((4, 1, 3, 3))
 
@@ -144,7 +148,7 @@ def test_simple_loss_perfect_predictor_is_zero():
 
 def test_ddpm_step_hand_value():
     # alpha=0.8, beta=0.2, abar=0.72, x=1, eps_hat=0.5 -> mu = 0.9067 [DERIVED]
-    s = make_tiny_schedule()
+    s = TINY
     x = Tensor(np.ones((1, 1, 1, 1)))
     eps_hat = Tensor(np.full((1, 1, 1, 1), 0.5))
     z = Tensor(np.zeros((1, 1, 1, 1)))
@@ -155,7 +159,7 @@ def test_ddpm_step_hand_value():
 
 
 def test_ddpm_step_noise_handling():
-    s = make_tiny_schedule()
+    s = TINY
     x = Tensor(np.ones((1, 1, 1, 1)))
     eh = Tensor(np.zeros((1, 1, 1, 1)))
     # t=1: no noise term, argument ignored-by-omission
@@ -301,7 +305,7 @@ def test_ddim_timesteps_spacing():
 
 def test_single_step_ddim_is_clipped_x0_estimate():
     # steps=1: out = clip(x0_hat, -1, 1) with abar_prev = 1 [DERIVED]
-    s = build_schedule(10, 1e-3, 5e-2)
+    s = DiffusionSchedule(10, 1e-3, 5e-2)
     x = np.array([[[[3.0]]], [[[0.1]]], [[[-4.0]]]])
     out = ddim_denoise(x.copy(), lambda arr, t: np.zeros_like(arr), s, 1, 0.0,
                        np.random.default_rng(0))
@@ -312,7 +316,7 @@ def test_single_step_ddim_is_clipped_x0_estimate():
 
 
 def test_ddim_rejects_nonfinite_prediction():
-    s = build_schedule(10, 1e-3, 5e-2)
+    s = DiffusionSchedule(10, 1e-3, 5e-2)
     with pytest.raises(NumericError):
         ddim_denoise(np.zeros((1, 1, 1, 1)), lambda a, t: np.full_like(a, np.nan),
                      s, 2, 0.0, np.random.default_rng(0))
@@ -321,7 +325,7 @@ def test_ddim_rejects_nonfinite_prediction():
 def test_ddim_sample_deterministic_and_seed_sensitive():
     model = _cond_model()
     model.params["out.conv.weight"].data[:] = 0.1
-    s = build_schedule(10, 1e-3, 5e-2)
+    s = DiffusionSchedule(10, 1e-3, 5e-2)
     cfg = SamplerConfig(steps=5, guidance_scale=1.0, eta=0.0, seed=4)
     a = ddim_sample(model, (1, 1, 8, 8), cfg, [0], s)
     b = ddim_sample(model, (1, 1, 8, 8), cfg, [0], s)
@@ -354,7 +358,7 @@ def test_sampler_config_validation():
 
 
 def test_ddim_eta1_mean_map_equals_ancestral_mean_exactly():
-    s = build_schedule(20, 1e-3, 5e-2)
+    s = DiffusionSchedule(20, 1e-3, 5e-2)
     x = np.linspace(-0.2, 0.2, 4).reshape(4, 1, 1, 1)
     eps_hat = np.linspace(0.15, -0.1, 4).reshape(4, 1, 1, 1)
     for t in range(2, 21):
@@ -368,7 +372,7 @@ def test_ddim_eta1_mean_map_equals_ancestral_mean_exactly():
 
 
 def test_ddim_eta1_noise_scale_is_posterior_std():
-    s = build_schedule(20, 1e-3, 5e-2)
+    s = DiffusionSchedule(20, 1e-3, 5e-2)
     for t in range(2, 21):
         ab_t, ab_prev = s.alpha_bar_at(t), s.alpha_bar_at(t - 1)
         sigma = 1.0 * np.sqrt((1 - ab_prev) / (1 - ab_t)) * np.sqrt(1 - ab_t / ab_prev)
@@ -381,7 +385,7 @@ def test_ddim_eta1_matches_posterior_chain_moments():
     # 1-pixel linear predictor eps_hat = (1-c) x / sqrt(1-abar_t): every step
     # is x' = B_t x + s_t z, so the exact mean/variance recursion is available
     # in closed form and serves as the oracle for >=1000 simulated chains.
-    s = build_schedule(20, 1e-3, 5e-2)
+    s = DiffusionSchedule(20, 1e-3, 5e-2)
     T, c = s.timesteps, 0.1
     n_chains = 4000
 

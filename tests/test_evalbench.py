@@ -7,7 +7,7 @@ import pytest
 
 from resolab.adapters import attach_resadapter, attach_style_lora, effective_param_map
 from resolab.data import SyntheticDataset
-from resolab.diffusion import SamplerConfig, build_schedule, ddim_denoise, ddim_sample
+from resolab.diffusion import DiffusionSchedule, SamplerConfig, ddim_denoise, ddim_sample
 from resolab.errors import ConfigError, ShapeError
 from resolab.evalbench import (
     EvalReport,
@@ -45,7 +45,7 @@ def randomized_bundle(model, seed=5, scale=0.05):
     return bundle
 
 
-SCHED = build_schedule(10, 1e-4, 0.05)
+SCHED = DiffusionSchedule(10, 1e-4, 0.05)
 DS = SyntheticDataset("checkers", 2, 1)
 
 
@@ -123,7 +123,7 @@ def test_style_lora_variant_name():
 
 
 def test_empty_buckets_rejected():
-    with pytest.raises(ConfigError, match="empty bucket"):
+    with pytest.raises(ConfigError, match="buckets must be non-empty"):
         multires_eval(small_model(), None, SCHED, DS, [])
 
 
@@ -134,7 +134,7 @@ def test_metadata_fields_present():
 
 
 _BAD_EVAL_INPUTS = [
-    (dict(buckets=[]), "empty bucket list"),
+    (dict(buckets=[]), "buckets must be non-empty"),
     (dict(buckets=[(8, 8), (0, 8)]), "bucket sides must be >= 1"),
     (dict(n_batches=0), "n_batches and batch_size must be >= 1"),
     (dict(batch_size=0), "n_batches and batch_size must be >= 1"),

@@ -371,7 +371,7 @@ def _step_peak_mib(phase: str, size: int) -> float:
     rc = default_runconfig()
     model = build_unet(rc.model, seed=0)
     plan = TrainPlan(((size, size),), rc.train.standard_resolution, 1, phase, batch_size=8)
-    data, sched = rc.data.build(), rc.schedule.build()
+    data, sched = rc.data, rc.schedule
     bundle = attach_resadapter(model, rank=rc.train.rank, seed=0) if phase == "adapter" else None
     tracemalloc.start()
     try:

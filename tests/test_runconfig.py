@@ -1,5 +1,7 @@
-"""Strict run-configuration parsing: dotted-path errors, coercion, defaults."""
+"""Strict run-configuration parsing: dotted-path errors, coercion, defaults; every parsed
+single-leaf document also runs through the commands."""
 
+import itertools
 import json
 import pathlib
 
@@ -8,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resolab.adapters import DEFAULT_RANK
+from resolab.cli import main
 from resolab.data import GENERATORS, SyntheticDataset
-from resolab.diffusion import DESK_TIMESTEPS, MAX_TIMESTEPS, SamplerConfig
+from resolab.diffusion import DESK_TIMESTEPS, MAX_TIMESTEPS, DiffusionSchedule, SamplerConfig
 from resolab.errors import ConfigError
 from resolab.runconfig import (
-    DataConfig,
     EvalConfig,
     RunConfig,
-    ScheduleConfig,
     TrainConfig,
     default_runconfig,
     load_runconfig,
@@ -215,6 +216,25 @@ def test_to_dict_survives_json_round_trip():
     assert reparsed == rc
 
 
+def test_schedule_and_data_sections_are_the_objects_they_configure():
+    rc = parse_runconfig({"schedule": {"timesteps": 7, "beta_start": 0.01, "beta_end": 0.02},
+                          "data": {"generator": "discs", "num_classes": 3}})
+    assert rc.schedule == DiffusionSchedule(7, 0.01, 0.02)
+    assert rc.data == SyntheticDataset("discs", 3)
+    assert parse_runconfig(rc.to_dict()) == rc
+    assert rc.to_dict()["schedule"] == {"timesteps": 7, "beta_start": 0.01, "beta_end": 0.02}
+
+
+def test_data_classes_must_fit_the_model():
+    # class id 4 of a 5-class dataset would be the 4-class model's null token
+    with pytest.raises(ConfigError,
+                       match=r"data.num_classes \(5\) must not exceed model.num_classes \(4\)"):
+        parse_runconfig({"data": {"num_classes": 5}})
+    assert parse_runconfig({"data": {"num_classes": 3}}).data.num_classes == 3
+    # an unconditional model ignores the labels
+    assert parse_runconfig({"model": {"num_classes": 0}}).model.num_classes == 0
+
+
 @pytest.mark.parametrize("document,message", [
     ({"train": {"standard_resolution": 10**30}},
      "train.standard_resolution must fit in 64 bits, got a 100-bit integer"),
@@ -242,7 +262,7 @@ def test_int64_edges_and_largest_schedule_parse():
     rc = parse_runconfig({"train": {"steps_base": 2**63 - 1},
                           "schedule": {"timesteps": MAX_TIMESTEPS}})
     assert rc.train.steps_base == 2**63 - 1
-    assert rc.schedule.build().beta.shape == (MAX_TIMESTEPS,)
+    assert rc.schedule.beta.shape == (MAX_TIMESTEPS,)
 
 
 def test_json_integer_past_the_digit_limit_is_a_config_error(tmp_path):
@@ -256,13 +276,13 @@ def test_json_integer_past_the_digit_limit_is_a_config_error(tmp_path):
     lambda: UNetConfig(groups=0),
     lambda: SamplerConfig(steps=0),
     lambda: SyntheticDataset("plaid"),
-    lambda: ScheduleConfig(beta_end=2.0),
-    lambda: DataConfig(channels=0),
+    lambda: DiffusionSchedule(beta_end=2.0),
+    lambda: SyntheticDataset(channels=0),
     lambda: TrainConfig(lr=-1.0),
     lambda: EvalConfig(n_batches=0),
-    lambda: RunConfig(data=DataConfig(channels=3)),
-], ids=["UNetConfig", "SamplerConfig", "SyntheticDataset", "ScheduleConfig", "DataConfig",
-        "TrainConfig", "EvalConfig", "RunConfig"])
+    lambda: RunConfig(data=SyntheticDataset(channels=3)),
+], ids=["UNetConfig", "SamplerConfig", "SyntheticDataset", "DiffusionSchedule",
+        "SyntheticDataset.channels", "TrainConfig", "EvalConfig", "RunConfig"])
 def test_configs_are_checked_when_built(build):
     with pytest.raises(ConfigError):
         build()
@@ -273,8 +293,9 @@ def test_configs_are_checked_when_built(build):
 _DEFAULTS = default_runconfig().to_dict()
 _LEAVES = [(section, key) for section, body in _DEFAULTS.items() for key in body]
 _INTS = [-1, 0, 1, 7, 2**63, 10**30]
-_SCALARS = st.sampled_from([*_INTS, True, False, None, "", "discs", float("nan"), float("inf"),
-                            float("-inf"), float("1e400")])
+_SCALAR_POOL = [*_INTS, True, False, None, "", "discs", float("nan"), float("inf"),
+                float("-inf"), float("1e400")]
+_SCALARS = st.sampled_from(_SCALAR_POOL)
 # flat lists for scalar-list fields; pairs of every length (the right one included)
 _LISTS = st.lists(st.one_of(_SCALARS, st.lists(st.sampled_from([*_INTS, 8]), max_size=3)),
                   max_size=3)
@@ -304,3 +325,41 @@ def test_fuzzed_documents_parse_or_raise_config_error(values, extra, scalar):
             pass
         except Exception as exc:
             raise AssertionError(f"{document!r} raised {exc!r}") from exc
+
+
+# --- end to end: every single-leaf document that parses also runs ------------
+
+_LIST_POOL = [[], [0, 1], [1, 7], [[8, 8]], [[8, 8], [1, 7]]]
+
+
+def _parsed_leaves() -> list[tuple]:
+    """(section, key, value) of each single-leaf document that parses."""
+    leaves = []
+    for (section, key), value in itertools.product(_LEAVES, [*_SCALAR_POOL, *_LIST_POOL]):
+        try:
+            parse_runconfig({section: {key: value}})
+        except ConfigError:
+            continue
+        leaves.append((section, key, value))
+    return leaves
+
+
+_PARSED = _parsed_leaves()
+
+
+@pytest.mark.parametrize("section,key,value", _PARSED,
+                         ids=[f"{section}.{key}={value!r}" for section, key, value in _PARSED])
+def test_parsed_leaf_documents_run_through_every_command(section, key, value, tmp_path, capsys):
+    config, model, bundle = tmp_path / "run.json", tmp_path / "m.rsbm", tmp_path / "a.rsad"
+    config.write_text(json.dumps({section: {key: value}}))
+    common = ["--config", str(config)]
+    codes = [main(["train-base", *common, "--steps", "1", "--out", str(model)]),
+             main(["train-adapter", *common, "--steps", "1", "--model", str(model),
+                   "--out", str(bundle)])]
+    adapter = ["--adapter", str(bundle)] if bundle.exists() else []
+    codes.append(main(["sample", *common, "--steps", "1", "--model", str(model), *adapter,
+                       "--out", str(tmp_path / "x.pgm")]))
+    # eval.alphas is read only by the ablation grid, which costs ~1 s, so only they run it
+    grid = adapter if key == "alphas" else []
+    codes.append(main(["eval", *common, "--model", str(model), *grid]))
+    assert all(code in (0, 1, 2, 3) for code in codes), (codes, capsys.readouterr().err)

@@ -5,7 +5,7 @@ import pytest
 
 from resolab.adapters import attach_resadapter
 from resolab.data import SyntheticDataset
-from resolab.diffusion import build_schedule
+from resolab.diffusion import DiffusionSchedule
 from resolab.errors import ConfigError, NumericError
 from resolab.tensor import Tensor
 from resolab.trainer import (
@@ -29,7 +29,7 @@ TINY = UNetConfig(in_channels=1, base_channels=4, channel_mults=(1, 2),
 def tiny_setup(seed=0):
     model = build_unet(TINY, seed=seed)
     dataset = SyntheticDataset("checkers", 2, 1)
-    schedule = build_schedule(10, 1e-3, 5e-2)
+    schedule = DiffusionSchedule(10, 1e-3, 5e-2)
     return model, dataset, schedule
 
 
