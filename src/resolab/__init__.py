@@ -41,6 +41,7 @@ from .errors import (
     ShapeError,
 )
 from .evalbench import (
+    EvalConfig,
     EvalReport,
     EvalRow,
     ablation_grid,
@@ -53,7 +54,6 @@ from .evalbench import (
 )
 from .gradcheck import DEFAULT_TOLERANCE, grad_check, run_suite
 from .runconfig import (
-    EvalConfig,
     RunConfig,
     TrainConfig,
     default_runconfig,

@@ -29,7 +29,7 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, check_seed
 from .tensor import Tensor
-from .unet import UNetModel, list_sites, selector_pattern, unet_forward
+from .unet import UNetConfig, UNetModel, list_sites, selector_pattern, site_shapes, unet_forward
 
 __all__ = [
     "AdapterBundle", "BUNDLE_KINDS",
@@ -148,24 +148,33 @@ def _paired_sites(kind: str, tensors: Mapping[str, Tensor]) -> tuple[int, tuple,
     return rank, tuple(lora), tuple(norms)
 
 
-def _host_dims(site: str, host: Tensor) -> tuple[int, int]:
-    """[m, n] of a host weight flattened to [C_out, C_in*k*k] (a linear weight as is)."""
-    if host.ndim == 4:
-        return host.shape[0], math.prod(host.shape[1:])
-    if host.ndim == 2:
-        return host.shape
-    raise ConfigError(f"cannot wrap site {site} with shape {host.shape}")
+def _host_dims(site: str, shape: tuple[int, ...]) -> tuple[int, int]:
+    """[m, n] of a host weight shape flattened to [C_out, C_in*k*k] (a linear weight as is)."""
+    if len(shape) == 4:
+        return shape[0], math.prod(shape[1:])
+    if len(shape) == 2:
+        return shape
+    raise ConfigError(f"cannot wrap site {site} with shape {shape}")
+
+
+def check_rank(config: UNetConfig, kind: str, rank: int) -> None:
+    """ConfigError unless ``rank`` is in [1, min(m, n)] at every LoRA host of a ``kind`` bundle."""
+    pattern = selector_pattern(BUNDLE_KINDS[kind][0])
+    for site, shape in sorted(site_shapes(config).items()):  # list_sites' order
+        if pattern.match(site):
+            top = min(_host_dims(site, shape))
+            if not 1 <= rank <= top:
+                raise ConfigError(f"rank {rank} invalid for site {site} (must be in [1, {top}])")
 
 
 def _attach(model: UNetModel, kind: str, rank: int, seed: int) -> AdapterBundle:
     check_seed("adapter seed", seed)
+    check_rank(model.config, kind, rank)
     lora_selector, delta_selector = BUNDLE_KINDS[kind]
     rng = np.random.default_rng(seed)
     tensors: dict[str, Tensor] = {}
     for site in list_sites(model, lora_selector):
-        m, n = _host_dims(site, model.params[site])
-        if rank < 1 or rank > min(m, n):
-            raise ConfigError(f"rank {rank} invalid for site {site} (must be in [1, {min(m, n)}])")
+        m, n = _host_dims(site, model.params[site].shape)
         tensors[site + LORA_A_SUFFIX] = Tensor(rng.normal(0.0, np.sqrt(1.0 / m), (m, rank)),
                                                requires_grad=True)
         tensors[site + LORA_B_SUFFIX] = Tensor(np.zeros((n, rank)), requires_grad=True)
@@ -208,7 +217,7 @@ def _check_host(model: UNetModel, bundle: AdapterBundle) -> None:
         host = model.params.get(site)
         if host is None:
             raise ConfigError(f"adapter site {site}: no such parameter in the model")
-        m, n = _host_dims(site, host)
+        m, n = _host_dims(site, host.shape)
         if a.shape != (m, r) or b.shape != (n, r):
             raise ConfigError(
                 f"adapter site {site}: lora A/B shapes {a.shape}/{b.shape} "

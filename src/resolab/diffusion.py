@@ -137,22 +137,25 @@ def cfg_predict(model, x: Tensor, t, c, w: float, params=None, forward=unet_forw
     last N, ``t`` repeated per half. So a guided step is one UNet call, and
     it holds twice the activations of a single pass.
     The doubled batch is built from array values, so the result carries no
-    tape history; guidance is a sampling-time operation.
+    tape history; guidance is a sampling-time operation. Ids in ``c`` must be classes.
     """
     w = float(w)
+    n, k = x.shape[0], model.config.num_classes
+    c_ids = _as_index_vector(c, n, "c") if k and c is not None else None
+    bad = () if c_ids is None else c_ids[(c_ids < 0) | (c_ids >= k)]
+    if len(bad):
+        raise ConfigError(f"cfg_predict: class id {bad[0]} outside the model's classes [0, {k})")
     if w == 1.0:
         return forward(model, x, t, c, params)
     null_id = model.config.null_class
     if null_id is None:
         raise ConfigError("cfg_predict: model reserves no null class for unconditional passes")
-    n = x.shape[0]
     null_ids = np.full(n, null_id)
     if w == 0.0:
         return forward(model, x, t, null_ids, params)
     if c is None:
         raise ConfigError("cfg_predict: class ids required for a guided pass")
     t_ids = _as_index_vector(t, n, "t")
-    c_ids = _as_index_vector(c, n, "c")
     eps = forward(model, Tensor(np.concatenate([x.data, x.data])), np.concatenate([t_ids, t_ids]),
                   np.concatenate([null_ids, c_ids]), params).data
     eps_u, eps_c = Tensor(eps[:n]), Tensor(eps[n:])

@@ -1,8 +1,10 @@
-"""Exception taxonomy shared across the package, plus the one seed check.
+"""Exception taxonomy shared across the package, plus the seed check and error prefix.
 
 The CLI maps these onto exit codes: configuration/compatibility/container
 problems exit 2, numeric failures exit 3, usage errors exit 1.
 """
+
+import contextlib
 
 
 class ResolabError(Exception):
@@ -33,3 +35,12 @@ def check_seed(name: str, seed: int) -> None:
     """Raise ConfigError unless ``seed`` is >= 0 (numpy's generators reject negatives)."""
     if seed < 0:
         raise ConfigError(f"{name} must be >= 0, got {seed}")
+
+
+@contextlib.contextmanager
+def prefixed(prefix: str):
+    """Re-raise a ConfigError from the block with ``prefix`` before its message."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None

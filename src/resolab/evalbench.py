@@ -17,18 +17,42 @@ import numpy as np
 from .adapters import AdapterBundle, effective_param_map
 from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule, SamplerConfig, cfg_predict, ddim_denoise, simple_loss
-from .errors import ConfigError, ShapeError, check_seed
+from .errors import ConfigError, ShapeError, check_seed, prefixed
 from .tensor import Tensor
-from .trainer import check_buckets, draw_batch
+from .trainer import check_buckets, check_fit, draw_batch
 from .unet import UNetModel, _as_index_vector, unet_forward
 
 __all__ = [
-    "EvalRow", "EvalReport", "multires_eval", "ablation_grid",
+    "EvalConfig", "EvalRow", "EvalReport", "multires_eval", "ablation_grid",
     "tile_layout", "tiled_generate", "bench_latency",
     "style_shift", "make_style_probes",
 ]
 
 HELDOUT_METRIC = "heldout_simple_loss"
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """The ``eval`` run-config section, and the inputs every evaluation entry point checks."""
+
+    buckets: tuple[tuple[int, int], ...] = ((8, 8), (16, 16), (24, 24), (32, 32))
+    n_batches: int = 4
+    batch_size: int = 4
+    seed: int = 0
+    alphas: tuple[float, ...] = (0.0, 0.5, 1.0)  # blend strengths of the ablation grid
+
+    def __post_init__(self):
+        buckets = check_buckets("eval.buckets", self.buckets)
+        if not self.alphas:
+            raise ConfigError("eval.alphas must be non-empty")
+        for alpha in self.alphas:
+            if not 0.0 <= alpha <= 1.0:  # NaN fails too
+                raise ConfigError(f"eval.alphas must lie in [0, 1], got {alpha}")
+        if self.n_batches < 1 or self.batch_size < 1:
+            raise ConfigError(f"eval.n_batches and batch_size must be >= 1, "
+                              f"got {self.n_batches} and {self.batch_size}")
+        check_seed("eval.seed", self.seed)
+        self.__dict__.update(buckets=buckets, alphas=tuple(self.alphas))  # past the frozen setattr
 
 
 @dataclass(frozen=True)
@@ -80,26 +104,20 @@ class EvalReport:
 
 
 def _evaluate(who: str, model: UNetModel, adapted, schedule: DiffusionSchedule,
-              dataset: SyntheticDataset, buckets, n_batches: int, seed: int, batch_size: int,
-              metadata: dict) -> EvalReport:
-    """Check the eval inputs, then report the base and each ``adapted`` variant per bucket.
-
-    ``adapted`` yields (name, params) pairs; it is consumed after the checks and
-    inside the timed region.
-    """
-    buckets = check_buckets(f"{who}: buckets", buckets)
-    if n_batches < 1 or batch_size < 1:
-        raise ConfigError(
-            f"{who}: n_batches and batch_size must be >= 1, got {n_batches} and {batch_size}")
-    check_seed(f"{who}: seed", seed)
+              dataset: SyntheticDataset, metadata: dict, **inputs) -> EvalReport:
+    """Check the ``EvalConfig`` fields ``inputs``, then report the base and each variant
+    per bucket: ``adapted(config)`` yields (name, params) pairs inside the timed region."""
+    with prefixed(f"{who}: "):
+        cfg = EvalConfig(**inputs)
+        check_fit(model.config, dataset, cfg.buckets)
     started = time.perf_counter()
-    variants = [("base", None), *adapted]
-    report = EvalReport(metadata={"seed": seed, "fingerprint": model.fingerprint,
+    variants = [("base", None), *adapted(cfg)]
+    report = EvalReport(metadata={"seed": cfg.seed, "fingerprint": model.fingerprint,
                                   **metadata})
-    for bucket in buckets:
-        rng = np.random.default_rng([seed, *bucket])  # held-out draws, shared by the variants
-        batches = [draw_batch(dataset, bucket, batch_size, schedule.timesteps, rng)
-                   for _ in range(n_batches)]
+    for bucket in cfg.buckets:
+        rng = np.random.default_rng([cfg.seed, *bucket])  # held-out draws, shared by the variants
+        batches = [draw_batch(dataset, bucket, cfg.batch_size, schedule.timesteps, rng)
+                   for _ in range(cfg.n_batches)]
         for name, params in variants:
             losses = [
                 simple_loss(model, x0, t, eps, c, schedule, params=params).item()
@@ -114,12 +132,13 @@ def multires_eval(model: UNetModel, bundle, schedule: DiffusionSchedule,
                   dataset: SyntheticDataset, buckets, n_batches: int = 4, seed: int = 0,
                   batch_size: int = 4) -> EvalReport:
     """Mean held-out noise-prediction loss per bucket, base and adapted variants."""
-    def adapted():
+    def adapted(cfg):
         if bundle is not None:
             yield f"base+{bundle.kind}", effective_param_map(model, bundle)
 
-    return _evaluate("multires_eval", model, adapted(), schedule, dataset, buckets, n_batches,
-                     seed, batch_size, {"n_batches": n_batches, "batch_size": batch_size})
+    return _evaluate("multires_eval", model, adapted, schedule, dataset,
+                     {"n_batches": n_batches, "batch_size": batch_size}, buckets=buckets,
+                     n_batches=n_batches, seed=seed, batch_size=batch_size)
 
 
 def ablation_grid(model: UNetModel, bundle: AdapterBundle, modes, alphas,
@@ -127,20 +146,19 @@ def ablation_grid(model: UNetModel, bundle: AdapterBundle, modes, alphas,
                   n_batches: int = 4, seed: int = 0, batch_size: int = 4) -> EvalReport:
     """Held-out loss for every (adapter subset, alpha) cell plus one base row."""
     modes = [frozenset(m) for m in modes]
-    if not modes or not alphas:
-        raise ConfigError("ablation_grid: modes and alphas must be non-empty")
+    if not modes:
+        raise ConfigError("ablation_grid: modes must be non-empty")
 
-    def cells():
+    def cells(cfg):
         for mode in modes:
             restricted = bundle.restricted(mode)
             label = "+".join(sorted(mode)) if mode else "none"
-            for alpha in alphas:
-                cell = restricted.with_alpha(float(alpha))
-                yield (f"base+{bundle.kind}[{label}]@alpha={float(alpha):g}",
-                       effective_param_map(model, cell))
+            for alpha in cfg.alphas:
+                yield (f"base+{bundle.kind}[{label}]@alpha={alpha:g}",
+                       effective_param_map(model, restricted.with_alpha(alpha)))
 
-    return _evaluate("ablation_grid", model, cells(), schedule, dataset, buckets, n_batches,
-                     seed, batch_size, {})
+    return _evaluate("ablation_grid", model, cells, schedule, dataset, {}, buckets=buckets,
+                     n_batches=n_batches, seed=seed, batch_size=batch_size, alphas=alphas)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +264,7 @@ def bench_latency(model: UNetModel, bundle, target: tuple[int, int], tile: tuple
 
 
 def make_style_probes(dataset: SyntheticDataset, schedule: DiffusionSchedule,
-                      resolution: int, n: int, seed: int, channels: int = 1):
+                      resolution: int, n: int, seed: int):
     """Noised in-style images at the standard resolution, for shift probes."""
     rng = np.random.default_rng(seed)
     probes = []

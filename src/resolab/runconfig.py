@@ -1,8 +1,8 @@
 """Declarative run configuration: one JSON document drives every CLI command.
 
 The document has five sections -- model, schedule, data, train, eval --
-each a frozen dataclass that checks itself when built: the first three are
-``UNetConfig``, ``DiffusionSchedule`` and ``SyntheticDataset`` themselves.
+each a frozen dataclass that checks itself when built, and ``RunConfig`` makes the
+commands' own checks between sections, so a config that loads also runs.
 Loading is strict: unknown keys and wrong types (per the annotations) fail
 with the exact dotted path of the offender, so a typo in a config file fails
 loudly instead of silently using a default.
@@ -16,15 +16,16 @@ import json
 import typing
 from dataclasses import dataclass, field, fields
 
-from .adapters import DEFAULT_RANK
+from .adapters import DEFAULT_RANK, check_rank
 from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule
-from .errors import ConfigError, check_seed
-from .trainer import TrainPlan, check_buckets
+from .errors import ConfigError, check_seed, prefixed
+from .evalbench import EvalConfig
+from .trainer import TrainPlan, check_fit
 from .unet import UNetConfig
 
 __all__ = [
-    "TrainConfig", "EvalConfig", "RunConfig",
+    "TrainConfig", "RunConfig",
     "parse_runconfig", "load_runconfig", "default_runconfig",
 ]
 
@@ -66,33 +67,11 @@ class TrainConfig:
 
     def __post_init__(self):
         check_seed("train.seed", self.seed)
-        if self.rank < 1:
-            raise ConfigError("train.rank must be >= 1")
         if not (0.0 <= self.alpha_r <= 1.0):
             raise ConfigError(f"train.alpha_r must lie in [0, 1], got {self.alpha_r}")
         for phase in ("base", "adapter"):
-            try:
+            with prefixed(f"train ({phase} phase): "):
                 self.plan(phase)
-            except ConfigError as exc:
-                raise ConfigError(f"train ({phase} phase): {exc}") from None
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    buckets: tuple[tuple[int, int], ...] = ((8, 8), (16, 16), (24, 24), (32, 32))
-    n_batches: int = 4
-    batch_size: int = 4
-    seed: int = 0
-    alphas: tuple[float, ...] = (0.0, 0.5, 1.0)
-
-    def __post_init__(self):
-        check_buckets("eval.buckets", self.buckets)
-        for alpha in self.alphas:
-            if not 0.0 <= alpha <= 1.0:  # NaN fails too
-                raise ConfigError(f"eval.alphas must lie in [0, 1], got {alpha}")
-        if self.n_batches < 1 or self.batch_size < 1:
-            raise ConfigError("eval.n_batches and eval.batch_size must be >= 1")
-        check_seed("eval.seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -104,17 +83,15 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
-        if self.data.channels != self.model.in_channels:
-            raise ConfigError(
-                f"data.channels ({self.data.channels}) must equal "
-                f"model.in_channels ({self.model.in_channels})"
-            )
-        # class id model.num_classes is the null token; an unconditional model (0) ignores labels
-        if self.model.num_classes and self.data.num_classes > self.model.num_classes:
-            raise ConfigError(
-                f"data.num_classes ({self.data.num_classes}) must not exceed "
-                f"model.num_classes ({self.model.num_classes})"
-            )
+        check_fit(self.model, self.data)
+        for phase in ("base", "adapter"):
+            plan = self.train.plan(phase)
+            with prefixed(f"train ({phase} phase): "):
+                check_fit(self.model, self.data, plan.resolutions, plan.p_uncond)
+        with prefixed("train.rank: "):
+            check_rank(self.model, "resadapter", self.train.rank)
+        with prefixed("eval.buckets: "):
+            check_fit(self.model, self.data, self.eval.buckets)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

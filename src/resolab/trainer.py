@@ -19,7 +19,7 @@ from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule, simple_loss
 from .errors import ConfigError, NumericError, check_seed
 from .tensor import Tape, Tensor
-from .unet import UNetModel
+from .unet import UNetConfig, UNetModel
 
 __all__ = [
     "resolution_probs", "sample_resolution", "make_batch",
@@ -64,6 +64,23 @@ def check_buckets(name: str, buckets) -> tuple[tuple[int, int], ...]:
     return buckets
 
 
+def check_fit(config: UNetConfig, dataset: SyntheticDataset, buckets=(), p_uncond=0.0) -> None:
+    """The rules between a run's parts: ConfigError unless data, buckets and p_uncond fit."""
+    if dataset.channels != config.in_channels:
+        raise ConfigError(f"data.channels ({dataset.channels}) "
+                          f"must equal model.in_channels ({config.in_channels})")
+    # class id model.num_classes is the null token; an unconditional model (0) ignores labels
+    if config.num_classes and dataset.num_classes > config.num_classes:
+        raise ConfigError(f"data.num_classes ({dataset.num_classes}) "
+                          f"must not exceed model.num_classes ({config.num_classes})")
+    if p_uncond > 0.0 and config.null_class is None:
+        raise ConfigError(f"p_uncond {p_uncond} > 0 needs a model that reserves a null class")
+    div = config.spatial_divisor
+    for h, w in buckets:
+        if h % div or w % div:
+            raise ConfigError(f"bucket {h}x{w} not divisible by the model's spatial divisor {div}")
+
+
 def make_batch(dataset: SyntheticDataset, bucket: tuple[int, int], batch_size: int,
                rng: np.random.Generator, p_uncond: float = 0.0,
                null_class: int | None = None) -> tuple[Tensor, np.ndarray]:
@@ -83,7 +100,7 @@ def make_batch(dataset: SyntheticDataset, bucket: tuple[int, int], batch_size: i
     return Tensor(imgs), labels
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainPlan:
     resolutions: tuple[tuple[int, int], ...]
     standard_resolution: int
@@ -96,7 +113,7 @@ class TrainPlan:
     weight_decay: float = 0.0
     seed: int = 0
     p_uncond: float = 0.1
-    probs: np.ndarray = field(init=False, repr=False)
+    probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # each range is written as not (lo <= x < hi) so that NaN fails it too
@@ -118,12 +135,12 @@ class TrainPlan:
         if not 0.0 <= self.p_uncond < 1.0:
             raise ConfigError(f"p_uncond must lie in [0, 1), got {self.p_uncond}")
         check_seed("plan seed", self.seed)
-        self.resolutions = check_buckets("resolutions", self.resolutions)
-        if len(self.resolutions) == 1:
-            self.probs = np.array([1.0])
+        resolutions = check_buckets("resolutions", self.resolutions)
+        if len(resolutions) == 1:
+            probs = np.array([1.0])
         else:
-            edges = [max(h, w) for h, w in self.resolutions]
-            self.probs = resolution_probs(edges, self.standard_resolution)
+            probs = resolution_probs([max(hw) for hw in resolutions], self.standard_resolution)
+        self.__dict__.update(resolutions=resolutions, probs=probs)  # past the frozen setattr
 
     def extrapolation_buckets(self) -> list[tuple[int, int]]:
         return [hw for hw in self.resolutions if max(hw) > self.standard_resolution]
@@ -197,13 +214,6 @@ class AdamW:
             p.grad = None
 
 
-def _check_divisible(model: UNetModel, plan: TrainPlan) -> None:
-    div = model.config.spatial_divisor
-    for h, w in plan.resolutions:
-        if h % div or w % div:
-            raise ConfigError(f"bucket {h}x{w} not divisible by the model's spatial divisor {div}")
-
-
 def draw_batch(dataset: SyntheticDataset, bucket: tuple[int, int], batch_size: int, timesteps: int,
                rng: np.random.Generator, p_uncond: float = 0.0, null_class: int | None = None):
     """(x0, labels, t, eps) at ``bucket``: ``make_batch``, then t, then eps, from one rng."""
@@ -247,7 +257,7 @@ def train_base(model: UNetModel, plan: TrainPlan, dataset: SyntheticDataset,
     """Train every base parameter in place; returns the loss trace."""
     if plan.phase != "base":
         raise ConfigError(f"train_base requires a 'base' plan, got phase {plan.phase!r}")
-    _check_divisible(model, plan)
+    check_fit(model.config, dataset, plan.resolutions, plan.p_uncond)
     trainable = {k: t for k, t in model.params.items() if t.requires_grad}
     if not trainable:
         raise ConfigError("train_base: no trainable parameters (model is frozen)")
@@ -265,7 +275,7 @@ def train_adapter(model: UNetModel, bundle, plan: TrainPlan, dataset: SyntheticD
     """
     if plan.phase != "adapter":
         raise ConfigError(f"train_adapter requires an 'adapter' plan, got phase {plan.phase!r}")
-    _check_divisible(model, plan)
+    check_fit(model.config, dataset, plan.resolutions, plan.p_uncond)
     lora_names, delta_names = bundle.names("conv_lora"), bundle.names("norm_delta")
     opt = AdamW(bundle.tensors, plan.lr, plan.adam_beta1, plan.adam_beta2,
                 weight_decay=plan.weight_decay)

@@ -16,6 +16,7 @@ from resolab.adapters import (
     adapted_forward,
     attach_resadapter,
     attach_style_lora,
+    check_rank,
     effective_param_map,
     frozen_param_count,
     merge,
@@ -95,6 +96,25 @@ def test_rank_validation():
     model2 = small_model()
     with pytest.raises(ConfigError, match="rank"):
         attach_resadapter(model2, rank=5)
+
+
+@pytest.mark.parametrize("kind,attach", [("resadapter", attach_resadapter),
+                                         ("style-lora", attach_style_lora)])
+def test_check_rank_is_the_rule_attach_applies(kind, attach):
+    # SMALL's hosts allow ranks up to 4 (sampler convs) and 8 (attention projections)
+    for rank in range(-1, 11):
+        model = small_model()
+        try:
+            check_rank(SMALL, kind, rank)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                attach(model, rank=rank)
+            assert frozen_param_count(model) == 0  # rejected before freezing the base
+        else:
+            assert attach(model, rank=rank).rank == rank
+    with pytest.raises(ConfigError, match=re.escape(
+            "rank 4 invalid for site down.0.sampler.conv.weight (must be in [1, 1])")):
+        check_rank(UNetConfig(base_channels=1), "resadapter", 4)
 
 
 def test_attach_rejects_negative_seed():

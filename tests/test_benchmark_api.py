@@ -5,13 +5,17 @@ patches module attributes (``trainer.simple_loss``, ``trainer.make_batch``,
 ``diffusion.cfg_predict``, ``Tape.record``, ...) and calls through them with
 fixed signatures. This test imports both files as they are and runs one tiny
 taped adapter loss with backward and one guided prediction under the tracer,
-so a change in ``src/`` that breaks the benchmark fails here.
+so a change in ``src/`` that breaks the benchmark fails here. It also runs each
+workload end to end at perfbench's smoke sizes, so a new check inside the calls
+the workloads time (``train_base``, ``train_adapter``, ``multires_eval``,
+``cfg_predict``) cannot fail the benchmark's operations unseen.
 """
 
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from resolab import data, default_runconfig, diffusion, evalbench, ops, store, trainer
 from resolab.adapters import attach_resadapter, effective_param_map
@@ -23,6 +27,13 @@ from resolab.unet import UNetConfig, build_unet
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import tracing  # noqa: E402  (workloads imports it as a top-level module)
 import workloads  # noqa: E402
+from test_perfbench import SMOKE  # noqa: E402
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_workload_runs_correctly_at_smoke_sizes(workload, tmp_path):
+    result = workloads.run(workload, 3, 0.01, False, sizes=SMOKE, out_dir=tmp_path)
+    assert result["correct"] is True and result["failed"] == 0, result["failures"]
 
 
 def test_tracer_sees_a_taped_adapter_loss_and_a_guided_prediction():

@@ -142,6 +142,22 @@ def test_more_data_classes_than_model_classes_exits_2_without_a_file(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["sample", "--steps", "1"],
+    ["bench-tiled", "--steps", "1", "--repeats", "1", "--target", "16x16", "--tile", "8x8"],
+])
+@pytest.mark.parametrize("class_id", ["4", "-1"])
+def test_class_id_outside_the_model_classes_exits_2_without_a_file(tmp_path, capsys, command,
+                                                                     class_id):
+    # id 4 is the 4-class model's null token: it used to give an unconditional sample
+    model, out = tmp_path / "m.rsbm", tmp_path / "x.pgm"
+    store.save_model(build_unet(UNetConfig(), seed=0), str(model))
+    argv = [*command, "--model", str(model), "--class-id", class_id, "--out", str(out)]
+    assert main(argv) == 2
+    assert f"class id {class_id} outside the model's classes [0, 4)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value,command,message", [
     ("lr_base", float("nan"), ["train-base", "--steps", "1"],
      "train (base phase): lr must be finite and >= 0, got nan"),

@@ -260,6 +260,16 @@ def test_cfg_predict_guided_pass_rejects_bad_class_ids():
         cfg_predict(model, x, 1, [0, 1, 0], 7.5)
 
 
+@pytest.mark.parametrize("w", [0.0, 1.0, 7.5])
+@pytest.mark.parametrize("c", [2, [0, 2], [-1, 0]])
+def test_cfg_predict_rejects_ids_outside_the_model_classes(c, w):
+    # id 2 is _cond_model's null token: as a condition it used to give an unconditional sample
+    fwd = _RecordingForward(null_id=2)
+    with pytest.raises(ConfigError, match=r"class id (2|-1) outside the model's classes \[0, 2\)"):
+        cfg_predict(_cond_model(), Tensor(np.zeros((2, 1, 4, 4))), 1, c, w, forward=fwd)
+    assert fwd.calls == []
+
+
 def test_batched_cfg_predict_matches_two_pass_reference():
     model = _cond_model()
     rng = np.random.default_rng(21)

@@ -5,11 +5,14 @@ import json
 import numpy as np
 import pytest
 
+import resolab
+from resolab import evalbench, runconfig
 from resolab.adapters import attach_resadapter, attach_style_lora, effective_param_map
 from resolab.data import SyntheticDataset
 from resolab.diffusion import DiffusionSchedule, SamplerConfig, ddim_denoise, ddim_sample
 from resolab.errors import ConfigError, ShapeError
 from resolab.evalbench import (
+    EvalConfig,
     EvalReport,
     EvalRow,
     HELDOUT_METRIC,
@@ -156,6 +159,44 @@ def test_eval_inputs_checked_in_both_entry_points(who, kwargs, message):
         else:
             ablation_grid(model, randomized_bundle(model), [{"conv_lora"}], (1.0,), SCHED, DS,
                           buckets, **args)
+
+
+def test_eval_config_is_the_run_config_section_and_stores_normalised_values():
+    assert resolab.EvalConfig is runconfig.EvalConfig is EvalConfig
+    cfg = EvalConfig(buckets=[[8, 8], (16, 12)], alphas=[0, 1])
+    assert cfg.buckets == ((8, 8), (16, 12)) and cfg.alphas == (0, 1)
+    assert hash(cfg) == hash(EvalConfig(buckets=((8, 8), (16, 12)), alphas=(0, 1)))
+    with pytest.raises(ConfigError, match="eval.alphas must be non-empty"):
+        EvalConfig(alphas=())
+
+
+@pytest.mark.parametrize("modes,alphas,message", [
+    ([{"conv_lora"}], (), "eval.alphas must be non-empty"),
+    ([{"conv_lora"}], (0.5, 2.0), r"eval.alphas must lie in \[0, 1\], got 2.0"),
+    ([], (1.0,), "modes must be non-empty"),
+], ids=["no_alphas", "alpha_range", "no_modes"])
+def test_ablation_grid_checks_its_inputs_before_any_batch(modes, alphas, message, monkeypatch):
+    model = small_model()
+    monkeypatch.setattr(evalbench, "draw_batch", None)  # a drawn batch would raise TypeError
+    with pytest.raises(ConfigError, match=f"ablation_grid: {message}"):
+        ablation_grid(model, randomized_bundle(model), modes, alphas, SCHED, DS, [(8, 8)],
+                      n_batches=1)
+
+
+@pytest.mark.parametrize("dataset,buckets,message", [
+    # class 4 would be the desk model's null token: this used to report losses
+    (SyntheticDataset("gradients", 5), [(16, 16)],
+     r"multires_eval: data.num_classes \(5\) must not exceed model.num_classes \(4\)"),
+    (SyntheticDataset("gradients", 4, 2), [(16, 16)],
+     r"multires_eval: data.channels \(2\) must equal model.in_channels \(1\)"),
+    (SyntheticDataset("gradients", 4), [(16, 16), (8, 7)],
+     "multires_eval: bucket 8x7 not divisible by the model's spatial divisor 2"),
+], ids=["classes", "channels", "divisor"])
+def test_multires_eval_checks_the_fit_before_any_batch(dataset, buckets, message, monkeypatch):
+    model = build_unet(UNetConfig(), seed=0)
+    monkeypatch.setattr(evalbench, "draw_batch", None)
+    with pytest.raises(ConfigError, match=message):
+        multires_eval(model, None, DiffusionSchedule(), dataset, buckets, n_batches=1)
 
 
 def test_ablation_metadata_keys_unchanged():

@@ -1,6 +1,7 @@
 """Strict run-configuration parsing: dotted-path errors, coercion, defaults; every parsed
 single-leaf document also runs through the commands."""
 
+import inspect
 import itertools
 import json
 import pathlib
@@ -231,8 +232,9 @@ def test_data_classes_must_fit_the_model():
                        match=r"data.num_classes \(5\) must not exceed model.num_classes \(4\)"):
         parse_runconfig({"data": {"num_classes": 5}})
     assert parse_runconfig({"data": {"num_classes": 3}}).data.num_classes == 3
-    # an unconditional model ignores the labels
-    assert parse_runconfig({"model": {"num_classes": 0}}).model.num_classes == 0
+    # an unconditional model ignores the labels, but has no null class for label dropout
+    assert parse_runconfig({"model": {"num_classes": 0},
+                            "train": {"p_uncond": 0.0}}).model.num_classes == 0
 
 
 @pytest.mark.parametrize("document,message", [
@@ -330,12 +332,13 @@ def test_fuzzed_documents_parse_or_raise_config_error(values, extra, scalar):
 # --- end to end: every single-leaf document that parses also runs ------------
 
 _LIST_POOL = [[], [0, 1], [1, 7], [[8, 8]], [[8, 8], [1, 7]]]
+_SINGLE_LEAF = list(itertools.product(_LEAVES, [*_SCALAR_POOL, *_LIST_POOL]))
 
 
 def _parsed_leaves() -> list[tuple]:
     """(section, key, value) of each single-leaf document that parses."""
     leaves = []
-    for (section, key), value in itertools.product(_LEAVES, [*_SCALAR_POOL, *_LIST_POOL]):
+    for (section, key), value in _SINGLE_LEAF:
         try:
             parse_runconfig({section: {key: value}})
         except ConfigError:
@@ -345,6 +348,43 @@ def _parsed_leaves() -> list[tuple]:
 
 
 _PARSED = _parsed_leaves()
+
+# Documents that once parsed and then failed in a command; each rule now also runs at load.
+_FAIL_AT_LOAD = [
+    ("model", "base_channels", 1, r"train.rank: rank 4 invalid for site down.0.sampler"),
+    ("model", "num_classes", 0, r"train \(base phase\): p_uncond 0.1 > 0 needs a model that"),
+    ("model", "null_class_reserved", False, r"train \(base phase\): p_uncond 0.1 > 0"),
+    ("train", "standard_resolution", 1, r"train \(base phase\): bucket 1x1 not divisible"),
+    ("train", "standard_resolution", 7, r"train \(base phase\): bucket 7x7 not divisible"),
+    ("train", "resolutions", [[8, 8], [1, 7]], r"train \(adapter phase\): bucket 1x7 not"),
+    ("eval", "buckets", [[8, 8], [1, 7]], r"eval.buckets: bucket 1x7 not divisible"),
+    ("eval", "alphas", [], "eval.alphas must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("section,key,value,message", _FAIL_AT_LOAD,
+                         ids=[f"{s}.{k}={v!r}" for s, k, v, _ in _FAIL_AT_LOAD])
+def test_documents_that_would_fail_in_a_command_fail_at_load(section, key, value, message):
+    assert ((section, key), value) in _SINGLE_LEAF
+    with pytest.raises(ConfigError, match=message):
+        parse_runconfig({section: {key: value}})
+
+
+_RULE_FRAGMENTS = ["must equal model.in_channels", "must not exceed model.num_classes",
+                   "not divisible by the model's spatial divisor", "invalid for site",
+                   "n_batches and batch_size must be >= 1", '"eval.seed"']
+
+
+def test_each_rule_between_a_runs_parts_has_one_home():
+    # the commands and the loader call one check per rule; the loader adds none of its own
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "resolab"
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py")))
+    assert {f: text.count(f) for f in _RULE_FRAGMENTS} == dict.fromkeys(_RULE_FRAGMENTS, 1)
+    assert "raise" not in inspect.getsource(RunConfig.__post_init__)
+
+
+def test_the_other_single_leaf_documents_still_parse():
+    assert len(_PARSED) == 50  # 58 parsed before the load-time fit checks; 8 fail above
 
 
 @pytest.mark.parametrize("section,key,value", _PARSED,
@@ -362,4 +402,4 @@ def test_parsed_leaf_documents_run_through_every_command(section, key, value, tm
     # eval.alphas is read only by the ablation grid, which costs ~1 s, so only they run it
     grid = adapter if key == "alphas" else []
     codes.append(main(["eval", *common, "--model", str(model), *grid]))
-    assert all(code in (0, 1, 2, 3) for code in codes), (codes, capsys.readouterr().err)
+    assert codes == [0, 0, 0, 0], capsys.readouterr().err

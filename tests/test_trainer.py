@@ -1,8 +1,11 @@
 """Bucket sampling, batching, AdamW, and the training loop of both phases."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
+from resolab import trainer
 from resolab.adapters import attach_resadapter
 from resolab.data import SyntheticDataset
 from resolab.diffusion import DiffusionSchedule
@@ -13,6 +16,7 @@ from resolab.trainer import (
     TrainPlan,
     TraceRecord,
     TrainTrace,
+    check_fit,
     make_batch,
     resolution_probs,
     sample_resolution,
@@ -119,6 +123,17 @@ def test_train_plan_validation():
 
 # ---------------------------------------------------------------------------
 # batches
+
+
+def test_train_plan_is_frozen_so_the_checked_plan_is_the_one_that_runs():
+    plan = TrainPlan(resolutions=((8, 8), (12, 12), (24, 24), (32, 32)),
+                     standard_resolution=16, steps=1, phase="adapter")
+    with pytest.raises(FrozenInstanceError):
+        plan.resolutions = ((8, 8), (24, 24))  # used to leave probs stale: IndexError at step 1
+    shorter = replace(plan, resolutions=((8, 8), (24, 24)))
+    np.testing.assert_allclose(shorter.probs, [0.5, 0.5])
+    assert plan == replace(plan) and hash(plan) == hash(replace(plan))  # probs not compared
+    assert plan != shorter
 
 
 def test_train_plan_rejects_negative_seed():
@@ -265,6 +280,59 @@ def test_train_base_bucket_divisibility():
                      phase="base", batch_size=2)
     with pytest.raises(ConfigError, match="divis"):
         train_base(model, plan, ds, sched)
+
+
+DESK = UNetConfig()  # 4 classes, null token 4, spatial divisor 2
+DESK_PLAN = dict(standard_resolution=16, steps=2, batch_size=2)
+
+
+@pytest.mark.parametrize("dataset,buckets,p_uncond,message", [
+    (SyntheticDataset("gradients", 4, 2), (), 0.0,
+     r"data.channels \(2\) must equal model.in_channels \(1\)"),
+    (SyntheticDataset("gradients", 5), (), 0.0,
+     r"data.num_classes \(5\) must not exceed model.num_classes \(4\)"),
+    (SyntheticDataset("gradients", 4), ((16, 16), (8, 6), (15, 16)), 0.0,
+     "bucket 15x16 not divisible by the model's spatial divisor 2"),
+], ids=["channels", "classes", "divisor"])
+def test_check_fit_rules(dataset, buckets, p_uncond, message):
+    with pytest.raises(ConfigError, match=message):
+        check_fit(DESK, dataset, buckets, p_uncond)
+
+
+def test_check_fit_null_class_rule():
+    ds = SyntheticDataset("gradients", 4)
+    check_fit(DESK, ds, ((16, 16),), 0.1)
+    for config in (UNetConfig(num_classes=0), UNetConfig(null_class_reserved=False)):
+        check_fit(config, ds, ((16, 16),), 0.0)
+        with pytest.raises(ConfigError, match="p_uncond 0.1 > 0 needs a model that reserves"):
+            check_fit(config, ds, ((16, 16),), 0.1)
+
+
+def _no_batch(*args, **kwargs):
+    raise AssertionError("a batch was drawn before the run's parts were checked")
+
+
+@pytest.mark.parametrize("phase", ["base", "adapter"])
+def test_five_data_classes_on_the_four_class_model_fail_before_any_step(phase, monkeypatch):
+    # class 4 would be the null token: this used to train and return losses
+    model = build_unet(DESK, seed=0)
+    ds, sched = SyntheticDataset("gradients", 5), DiffusionSchedule()
+    monkeypatch.setattr(trainer, "draw_batch", _no_batch)
+    with pytest.raises(ConfigError, match=r"data.num_classes \(5\) must not exceed"):
+        if phase == "base":
+            train_base(model, TrainPlan(((16, 16),), phase="base", **DESK_PLAN), ds, sched)
+        else:
+            bundle = attach_resadapter(model, rank=2, seed=1)
+            train_adapter(model, bundle, TrainPlan(((8, 8), (32, 32)), phase="adapter",
+                                                   **DESK_PLAN), ds, sched)
+
+
+def test_label_dropout_on_a_model_without_null_class_fails_before_any_step(monkeypatch):
+    model = build_unet(UNetConfig(num_classes=0), seed=0)
+    monkeypatch.setattr(trainer, "draw_batch", _no_batch)
+    with pytest.raises(ConfigError, match="needs a model that reserves a null class"):
+        train_base(model, TrainPlan(((16, 16),), phase="base", p_uncond=0.1, **DESK_PLAN),
+                   SyntheticDataset("gradients", 4), DiffusionSchedule())
 
 
 def test_train_base_divergence_aborts_with_step_index():
