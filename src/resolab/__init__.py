@@ -74,11 +74,9 @@ from .trainer import (
     train_base,
 )
 from .unet import (
-    SITE_SELECTORS,
     UNetConfig,
     UNetModel,
     build_unet,
-    list_sites,
     site_shapes,
     unet_forward,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "NumericError", "ContainerError",
     # model
     "UNetConfig", "UNetModel", "build_unet", "unet_forward", "site_shapes",
-    "list_sites", "SITE_SELECTORS",
     # diffusion
     "DiffusionSchedule", "forward_marginal", "simple_loss",
     "ddpm_step", "cfg_predict", "ddim_timesteps", "ddim_denoise", "ddim_sample",

@@ -6,7 +6,9 @@ A bundle is its tensor table, keyed by saved name. A LoRA pair is ``<site>.lora.
 so attaching is an exact identity. A norm delta is ``<norm>.delta.gamma``/``beta``:
 zero-initialized per-channel offsets added to a resnet norm's gamma/beta.
 
-One bundle type serves every kind; BUNDLE_KINDS names the sites each wraps.
+One bundle type serves every kind; BUNDLE_KINDS holds the site patterns of
+each, and ``_layout`` the name and shape of every tensor a kind of bundle holds
+on a model config: attach builds it, and the rank and host checks read it.
 The resolution adapter ("resadapter") wraps the down/up sampler conv weights
 plus all resnet norms; the style LoRA ("style-lora") wraps the bottleneck
 attention projections and serves as a contrast baseline in evaluations.
@@ -18,8 +20,10 @@ only through ``dataclasses.replace``, which checks again.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -29,7 +33,7 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, check_seed
 from .tensor import Tensor
-from .unet import UNetConfig, UNetModel, list_sites, selector_pattern, site_shapes, unet_forward
+from .unet import UNetConfig, UNetModel, site_shapes, unet_forward
 
 __all__ = [
     "AdapterBundle", "BUNDLE_KINDS",
@@ -48,11 +52,11 @@ _PARTS = {"conv_lora": (LORA_A_SUFFIX, LORA_B_SUFFIX),  # a bundle's two name gr
           "norm_delta": (DELTA_GAMMA_SUFFIX, DELTA_BETA_SUFFIX)}
 
 
-# Site rules per bundle kind: (LoRA selector, norm-delta selector or None),
-# both selectors of unet.selector_pattern. Attach and the bundle check share it.
+# Site rules per bundle kind: (LoRA host weights, resnet norm prefixes or None).
 BUNDLE_KINDS = {
-    "resadapter": ("sampler_convs", "resnet_norms"),
-    "style-lora": ("attention_projections", None),
+    "resadapter": (re.compile(r"^(down|up)\.\d+\.sampler\.conv\.weight$"),
+                   re.compile(r"^(down\.\d+|mid|up\.\d+)\.res\.\d+\.norm[12]$")),
+    "style-lora": (re.compile(r"^mid\.attn\.[qkvo]\.weight$"), None),
 }
 
 
@@ -103,20 +107,19 @@ def _paired_sites(kind: str, tensors: Mapping[str, Tensor]) -> tuple[int, tuple,
     """The rank, (site, A, B) per LoRA pair and (norm prefix, dgamma, dbeta) per delta.
 
     The one rule of a bundle's names: every name ends in a known suffix at a
-    site the kind's selector admits and holds a Tensor (checked first, in one
+    site the kind's patterns admit and holds a Tensor (checked first, in one
     pass over the table), and has its partner; each LoRA pair is 2-D with
     ``rank`` columns, those of the first 2-D ``.lora.A`` (0 without one), and
     each delta pair is 1-D of one shape. Pairs come in table order. Raises
     ConfigError naming the site at the first breach.
     """
-    lora_sites, norm_sites = (selector_pattern(s) if s else None for s in BUNDLE_KINDS[kind])
+    lora_sites, norm_sites = BUNDLE_KINDS[kind]
     entries = []  # (site, suffix, tensor) per name
     for name, x in tensors.items():
         suffix = next((s for p in _PARTS.values() for s in p if name.endswith(s)), "")
         site = name[: len(name) - len(suffix)]
-        pattern, host = ((lora_sites, site) if suffix in _PARTS["conv_lora"]
-                         else (norm_sites, site + ".gamma"))
-        if not suffix or pattern is None or not pattern.match(host):
+        pattern = lora_sites if suffix in _PARTS["conv_lora"] else norm_sites
+        if not suffix or pattern is None or not pattern.match(site):
             raise ConfigError(f"unknown site-path {name!r} for a {kind!r} bundle")
         if not isinstance(x, Tensor):
             raise ConfigError(f"{name}: expected a Tensor, got {type(x).__name__}")
@@ -148,21 +151,35 @@ def _paired_sites(kind: str, tensors: Mapping[str, Tensor]) -> tuple[int, tuple,
     return rank, tuple(lora), tuple(norms)
 
 
-def _host_dims(site: str, shape: tuple[int, ...]) -> tuple[int, int]:
-    """[m, n] of a host weight shape flattened to [C_out, C_in*k*k] (a linear weight as is)."""
-    if len(shape) == 4:
-        return shape[0], math.prod(shape[1:])
-    if len(shape) == 2:
-        return shape
-    raise ConfigError(f"cannot wrap site {site} with shape {shape}")
+@functools.lru_cache(maxsize=16)
+def _layout(config: UNetConfig, kind: str, rank: int) -> Mapping[str, tuple[int, ...]]:
+    """Shape of every tensor a ``kind`` bundle of ``rank`` holds on ``config``, in attach order.
+
+    For each LoRA host in site order, ``.lora.A`` [m, rank] then ``.lora.B``
+    [n, rank], where [m, n] = [C_out, C_in*k*k] (a 2-D weight as is); then for
+    each resnet norm in site order, ``.delta.gamma`` and ``.delta.beta`` [C].
+    """
+    lora_sites, norm_sites = BUNDLE_KINDS[kind]
+    shapes = sorted(site_shapes(config).items())
+    layout = {}
+    for site, shape in shapes:
+        if lora_sites.match(site):
+            layout[site + LORA_A_SUFFIX] = (shape[0], rank)
+            layout[site + LORA_B_SUFFIX] = (math.prod(shape[1:]), rank)
+    for site, shape in shapes:
+        norm = site.removesuffix(".gamma")
+        if norm_sites is not None and norm != site and norm_sites.match(norm):
+            layout[norm + DELTA_GAMMA_SUFFIX] = layout[norm + DELTA_BETA_SUFFIX] = shape
+    return MappingProxyType(layout)
 
 
 def check_rank(config: UNetConfig, kind: str, rank: int) -> None:
     """ConfigError unless ``rank`` is in [1, min(m, n)] at every LoRA host of a ``kind`` bundle."""
-    pattern = selector_pattern(BUNDLE_KINDS[kind][0])
-    for site, shape in sorted(site_shapes(config).items()):  # list_sites' order
-        if pattern.match(site):
-            top = min(_host_dims(site, shape))
+    layout = _layout(config, kind, rank)
+    for name, shape in layout.items():
+        if name.endswith(LORA_A_SUFFIX):
+            site = name.removesuffix(LORA_A_SUFFIX)
+            top = min(shape[0], layout[site + LORA_B_SUFFIX][0])
             if not 1 <= rank <= top:
                 raise ConfigError(f"rank {rank} invalid for site {site} (must be in [1, {top}])")
 
@@ -170,21 +187,12 @@ def check_rank(config: UNetConfig, kind: str, rank: int) -> None:
 def _attach(model: UNetModel, kind: str, rank: int, seed: int) -> AdapterBundle:
     check_seed("adapter seed", seed)
     check_rank(model.config, kind, rank)
-    lora_selector, delta_selector = BUNDLE_KINDS[kind]
     rng = np.random.default_rng(seed)
-    tensors: dict[str, Tensor] = {}
-    for site in list_sites(model, lora_selector):
-        m, n = _host_dims(site, model.params[site].shape)
-        tensors[site + LORA_A_SUFFIX] = Tensor(rng.normal(0.0, np.sqrt(1.0 / m), (m, rank)),
-                                               requires_grad=True)
-        tensors[site + LORA_B_SUFFIX] = Tensor(np.zeros((n, rank)), requires_grad=True)
-    if delta_selector is not None:
-        for prefix in sorted({site.rsplit(".", 1)[0] for site in list_sites(model, delta_selector)}):
-            c = model.params[prefix + ".gamma"].shape[0]
-            tensors[prefix + DELTA_GAMMA_SUFFIX] = Tensor(np.zeros(c), requires_grad=True)
-            tensors[prefix + DELTA_BETA_SUFFIX] = Tensor(np.zeros(c), requires_grad=True)
-    if not tensors:
-        raise ConfigError(f"model has no {lora_selector!r} sites to wrap")
+    tensors = {}
+    for name, shape in _layout(model.config, kind, rank).items():  # B and deltas start at zero
+        data = (rng.normal(0.0, np.sqrt(1.0 / shape[0]), shape) if name.endswith(LORA_A_SUFFIX)
+                else np.zeros(shape))
+        tensors[name] = Tensor(data, requires_grad=True)
     for tensor in model.params.values():
         tensor.requires_grad = False
     return AdapterBundle(kind=kind, tensors=tensors, alpha=1.0,
@@ -202,6 +210,8 @@ def attach_resadapter(model: UNetModel, rank: int = DEFAULT_RANK, seed: int = 0)
 
 def attach_style_lora(model: UNetModel, rank: int = DEFAULT_RANK, seed: int = 0) -> AdapterBundle:
     """Wrap the bottleneck attention projections (q/k/v/o) with LoRA pairs."""
+    if not model.config.attn_at_bottleneck:
+        raise ConfigError("model has no bottleneck attention to wrap")
     return _attach(model, "style-lora", rank, seed)
 
 
@@ -212,25 +222,14 @@ def _check_host(model: UNetModel, bundle: AdapterBundle) -> None:
         raise ConfigError(
             f"adapter was built for base fingerprint {bundle.base_fingerprint}, model has {fp}"
         )
-    r = bundle.rank  # tensor data stays assignable, so all four shapes are compared
-    for site, a, b in bundle._lora:
-        host = model.params.get(site)
-        if host is None:
-            raise ConfigError(f"adapter site {site}: no such parameter in the model")
-        m, n = _host_dims(site, host.shape)
-        if a.shape != (m, r) or b.shape != (n, r):
+    # a restricted bundle is a sub-table; tensor data stays assignable, so every shape is compared
+    layout = _layout(model.config, bundle.kind, bundle.rank)
+    for name, x in bundle.tensors.items():
+        expected = layout.get(name)
+        if x.shape != expected:
+            fit = "no such site in the model" if expected is None else f"the host needs {expected}"
             raise ConfigError(
-                f"adapter site {site}: lora A/B shapes {a.shape}/{b.shape} "
-                f"do not fit host {host.shape} at rank {r}; expected {(m, r)}/{(n, r)}"
-            )
-    for site, dgamma, dbeta in bundle._norms:
-        host = model.params.get(site + ".gamma")
-        if host is None:
-            raise ConfigError(f"adapter site {site}: no such norm in the model")
-        if dgamma.shape != host.shape or dbeta.shape != host.shape:
-            raise ConfigError(
-                f"adapter site {site}: delta shapes {dgamma.shape}/{dbeta.shape} "
-                f"do not fit host {host.shape}"
+                f"adapter site {name.rsplit('.', 2)[0]}: {name} has shape {x.shape}; {fit}"
             )
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .adapters import AdapterBundle, effective_param_map
 from .data import SyntheticDataset
-from .diffusion import DiffusionSchedule, SamplerConfig, cfg_predict, ddim_denoise, simple_loss
+from .diffusion import (DiffusionSchedule, SamplerConfig, cfg_predict, ddim_denoise, ddim_sample,
+                        forward_marginal, simple_loss)
 from .errors import ConfigError, ShapeError, check_seed, prefixed
 from .tensor import Tensor
 from .trainer import check_buckets, check_fit, draw_batch
@@ -227,8 +228,6 @@ def bench_latency(model: UNetModel, bundle, target: tuple[int, int], tile: tuple
     """Median wall-clock of direct generation at target vs tile-and-blend."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    from .diffusion import ddim_sample
-
     params = effective_param_map(model, bundle) if bundle is not None else None
     shape = (1, model.config.in_channels, target[0], target[1])
 
@@ -273,23 +272,24 @@ def make_style_probes(dataset: SyntheticDataset, schedule: DiffusionSchedule,
         x0 = dataset.render(k, resolution, resolution, rng)[None]
         t = int(rng.integers(1, schedule.timesteps + 1))
         eps = rng.standard_normal(x0.shape)
-        ab = schedule.alpha_bar_at(t)
-        x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
-        probes.append((Tensor(x_t), t, np.array([k])))
+        probes.append((forward_marginal(Tensor(x0), t, Tensor(eps), schedule), t, np.array([k])))
     return probes
 
 
 def style_shift(model: UNetModel, bundle_a, bundle_b, probe_inputs) -> tuple[float, float]:
-    """Mean relative L2 output shift caused by each bundle on the probes."""
+    """Mean relative L2 output shift caused by each bundle on the probes.
+
+    Both passes are ``cfg_predict`` at w = 1, so a probe's ids must be classes.
+    """
     if not probe_inputs:
         raise ConfigError("style_shift: need at least one probe input")
+    bases = [cfg_predict(model, x, t, c, 1.0).data for x, t, c in probe_inputs]
 
     def shift(bundle) -> float:
         params = effective_param_map(model, bundle)
         rel = []
-        for x, t, c in probe_inputs:
-            base = unet_forward(model, x, t, c).data
-            adapted = unet_forward(model, x, t, c, params).data
+        for (x, t, c), base in zip(probe_inputs, bases):
+            adapted = cfg_predict(model, x, t, c, 1.0, params).data
             denom = max(float(np.linalg.norm(base)), 1e-12)
             rel.append(float(np.linalg.norm(adapted - base)) / denom)
         return float(np.mean(rel))

@@ -4,8 +4,10 @@ Layout: 4-byte magic, uint32 LE format version (currently 1), uint64 LE
 header length, canonical JSON header (sorted keys, no whitespace), then the
 payload of float32 little-endian tensor blobs, back to back in name order.
 The header carries the config and a tensor table of {name, shape, offset,
-nbytes} sorted by name with offsets relative to the payload start. Writes go
-through a temp file in the target directory and an atomic rename.
+nbytes} sorted by name with offsets relative to the payload start. A payload
+holds only finite values: a save refuses one that does not (NumericError), a
+load rejects it (ContainerError). Writes go through a temp file in the target
+directory and an atomic rename.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .adapters import AdapterBundle, trainable_param_count
-from .errors import ConfigError, ContainerError
+from .errors import ConfigError, ContainerError, NumericError
 from .runconfig import _build_section
 from .tensor import Tensor
 from .unet import UNetConfig, UNetModel
@@ -45,7 +47,8 @@ def _pack(named: dict[str, np.ndarray]) -> tuple[list[dict], bytes]:
     blobs = []
     offset = 0
     for name in sorted(named):
-        arr = np.ascontiguousarray(named[name], dtype="<f4")
+        with np.errstate(over="ignore"):  # a value past float32's range becomes inf, refused on save
+            arr = np.ascontiguousarray(named[name], dtype="<f4")
         entries.append({
             "name": name,
             "shape": [int(d) for d in arr.shape],
@@ -55,6 +58,15 @@ def _pack(named: dict[str, np.ndarray]) -> tuple[list[dict], bytes]:
         blobs.append(arr.tobytes())
         offset += arr.nbytes
     return entries, b"".join(blobs)
+
+
+def _non_finite(table: list[dict], payload: bytes) -> str | None:
+    """Name of the first tensor whose float32 blob holds a NaN or inf, else None."""
+    bad = np.flatnonzero(~np.isfinite(np.frombuffer(payload, dtype="<f4")))
+    if not bad.size:
+        return None
+    at = 4 * int(bad[0])
+    return next(e["name"] for e in table if e["offset"] <= at < e["offset"] + e["nbytes"])
 
 
 def _atomic_write(path: str, blob: bytes) -> None:
@@ -74,6 +86,9 @@ def _atomic_write(path: str, blob: bytes) -> None:
 
 
 def _write_container(path: str, magic: bytes, header_obj: dict, payload: bytes) -> None:
+    name = _non_finite(header_obj["tensors"], payload)
+    if name is not None:
+        raise NumericError(f"{path}: {name}: non-finite value as float32, not saved")
     header = _canonical(header_obj)
     _atomic_write(path, _PREFIX.pack(magic, FORMAT_VERSION, len(header)) + header + payload)
 
@@ -140,10 +155,8 @@ def _validate_table(path: str, table, payload: bytes) -> None:
         raise ContainerError(f"{path}: truncated payload ({len(payload)} bytes, need {cursor})")
     if len(payload) > cursor:
         raise ContainerError(f"{path}: {len(payload) - cursor} trailing payload bytes")
-    bad = np.flatnonzero(~np.isfinite(np.frombuffer(payload, dtype="<f4")))
-    if bad.size:
-        at = 4 * int(bad[0])
-        name = next(e["name"] for e in table if e["offset"] <= at < e["offset"] + e["nbytes"])
+    name = _non_finite(table, payload)
+    if name is not None:
         raise ContainerError(f"{path}: {name}: non-finite value in the payload")
 
 

@@ -29,7 +29,6 @@ checks again. Its fingerprint therefore follows from the config alone.
 from __future__ import annotations
 
 import functools
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -40,10 +39,7 @@ from . import ops
 from .errors import ConfigError, ResolutionError, ShapeError, check_seed
 from .tensor import Tensor
 
-__all__ = [
-    "UNetConfig", "UNetModel", "build_unet", "unet_forward",
-    "site_shapes", "list_sites", "selector_pattern", "SITE_SELECTORS",
-]
+__all__ = ["UNetConfig", "UNetModel", "build_unet", "unet_forward", "site_shapes"]
 
 
 @dataclass(frozen=True)
@@ -219,29 +215,6 @@ def build_unet(config: UNetConfig, seed: int = 0) -> UNetModel:
             arr = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
         params[name] = Tensor(arr, requires_grad=True)
     return UNetModel(config=config, params=params)
-
-
-_SELECTOR_PATTERNS = {
-    "sampler_convs": re.compile(r"^(down|up)\.\d+\.sampler\.conv\.weight$"),
-    "resnet_norms": re.compile(r"^(down\.\d+|mid|up\.\d+)\.res\.\d+\.norm[12]\.(gamma|beta)$"),
-    "attention_projections": re.compile(r"^mid\.attn\.[qkvo]\.weight$"),
-    "all": re.compile(""),
-}
-SITE_SELECTORS = tuple(_SELECTOR_PATTERNS)
-
-
-def selector_pattern(selector: str) -> re.Pattern:
-    """The site-path pattern of a selector; "all" matches every path."""
-    pattern = _SELECTOR_PATTERNS.get(selector)
-    if pattern is None:
-        raise ConfigError(f"unknown site selector {selector!r} (choose from {SITE_SELECTORS})")
-    return pattern
-
-
-def list_sites(model: UNetModel, selector: str = "all") -> list[str]:
-    """Site paths matching a selector, sorted lexicographically."""
-    pattern = selector_pattern(selector)
-    return sorted(name for name in model.params if pattern.match(name))
 
 
 # The byte loop is pure Python (~0.3 ms for the desk model) and every adapter

@@ -8,6 +8,7 @@ import pytest
 
 from resolab import store
 from resolab.adapters import (
+    _layout,
     DELTA_BETA_SUFFIX,
     DELTA_GAMMA_SUFFIX,
     LORA_A_SUFFIX,
@@ -115,6 +116,24 @@ def test_check_rank_is_the_rule_attach_applies(kind, attach):
     with pytest.raises(ConfigError, match=re.escape(
             "rank 4 invalid for site down.0.sampler.conv.weight (must be in [1, 1])")):
         check_rank(UNetConfig(base_channels=1), "resadapter", 4)
+
+
+@pytest.mark.parametrize("config", [SMALL, UNetConfig()], ids=["small", "desk"])
+@pytest.mark.parametrize("kind,attach", [("resadapter", attach_resadapter),
+                                         ("style-lora", attach_style_lora)])
+def test_attach_builds_the_layout(config, kind, attach):
+    # the layout is the attached bundle's table: names, order and shapes, at every valid rank
+    valid = []
+    for rank in range(1, 2 * config.level_channels[-1] + 1):
+        try:
+            check_rank(config, kind, rank)
+        except ConfigError:
+            continue
+        valid.append(rank)
+        bundle = attach(build_unet(config, seed=0), rank=rank, seed=1)
+        assert [(n, t.shape) for n, t in bundle.tensors.items()] == list(
+            _layout(config, kind, rank).items())
+    assert valid == list(range(1, valid[-1] + 1)) and valid[-1] >= 4
 
 
 def test_attach_rejects_negative_seed():
@@ -228,6 +247,14 @@ def test_restricted_subsets():
     assert parts(delta_only) == {"delta"}
     neither = bundle.restricted(set())
     np.testing.assert_array_equal(adapted_forward(model, neither, x, t, c).data, base_out)
+    # a restricted table is a part of the layout: it passes the host check, and each
+    # site takes the full bundle's value where the part is kept and the base's elsewhere
+    full = effective_param_map(model, bundle)
+    for part in (lora_only, delta_only):
+        kept = {name.rsplit(".", 2)[0] for name in part.tensors}
+        for site, value in effective_param_map(model, part).items():
+            wrapped = site in kept or site.rsplit(".", 1)[0] in kept
+            np.testing.assert_array_equal(value.data, (full if wrapped else model.params)[site].data)
     with pytest.raises(ConfigError, match="unknown ablation mode"):
         bundle.restricted({"conv_lora", "attention"})
     # restriction does not mutate the original

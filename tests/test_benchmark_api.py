@@ -6,11 +6,13 @@ patches module attributes (``trainer.simple_loss``, ``trainer.make_batch``,
 fixed signatures. This test imports both files as they are and runs one tiny
 taped adapter loss with backward and one guided prediction under the tracer,
 so a change in ``src/`` that breaks the benchmark fails here. It also runs each
-workload end to end at perfbench's smoke sizes, so a new check inside the calls
-the workloads time (``train_base``, ``train_adapter``, ``multires_eval``,
-``cfg_predict``) cannot fail the benchmark's operations unseen.
+workload end to end at perfbench's smoke sizes, untraced and traced, so a new
+check inside the calls the workloads time (``train_base``, ``train_adapter``,
+``multires_eval``, ``cfg_predict``) cannot fail the benchmark's operations
+unseen, and a traced run's metric names stay those BENCHMARK.json declares.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -30,10 +32,17 @@ import workloads  # noqa: E402
 from test_perfbench import SMOKE  # noqa: E402
 
 
+PER_LAYER = [m["name"] for m in json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())["per_layer"]]
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_every_workload_runs_correctly_at_smoke_sizes(workload, tmp_path):
-    result = workloads.run(workload, 3, 0.01, False, sizes=SMOKE, out_dir=tmp_path)
+def test_every_workload_runs_correctly_at_smoke_sizes(workload, trace, tmp_path):
+    result = workloads.run(workload, 3, 0.01, trace, sizes=SMOKE, out_dir=tmp_path)
     assert result["correct"] is True and result["failed"] == 0, result["failures"]
+    if trace:  # a traced run reports exactly the per-layer metrics the benchmark declares
+        assert sorted(result["metrics"]) == sorted(PER_LAYER)
 
 
 def test_tracer_sees_a_taped_adapter_loss_and_a_guided_prediction():

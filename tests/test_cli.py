@@ -182,6 +182,26 @@ def test_bad_training_value_exits_2(work, capsys, key, value, command, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,command", [("lr_base", "train-base"), ("lr", "train-adapter")])
+def test_a_learning_rate_that_overflows_float32_exits_3_without_a_file(work, capsys, key,
+                                                                        command):
+    # one step at lr 1e300 leaves parameters past float32's range: the save refuses them
+    doc = dict(TINY_DOC)
+    doc["train"] = dict(TINY_DOC["train"], **{key: 1e300})
+    config = work["root"] / f"overflow_{key}.json"
+    config.write_text(json.dumps(doc))
+    out = work["root"] / f"overflow_{key}.out"
+    argv = [command, "--config", str(config), "--steps", "1", "--out", str(out)]
+    if command == "train-adapter":
+        argv += ["--model", work["model"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no raw numpy RuntimeWarning either
+        assert main(argv) == 3
+    assert f"{out}: " in capsys.readouterr().err
+    assert not out.exists()
+    assert not [p.name for p in work["root"].iterdir() if p.name.endswith(".tmp")]
+
+
 # ---------------------------------------------------------------------------
 # training commands
 

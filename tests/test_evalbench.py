@@ -403,6 +403,30 @@ def test_style_shift_grows_with_alpha_for_fixed_bundle():
     assert 0.0 < half < full
 
 
+def test_style_shift_is_the_unguided_forward_shift():
+    # both passes are cfg_predict at w = 1: the plain forward, bit for bit
+    model = small_model()
+    bundle = randomized_bundle(model)
+    probes = make_style_probes(DS, SCHED, 16, 3, seed=11)
+    params = effective_param_map(model, bundle)
+    rel = []
+    for x, t, c in probes:
+        base = unet_forward(model, x, t, c).data
+        shift = np.linalg.norm(unet_forward(model, x, t, c, params).data - base)
+        rel.append(float(shift) / float(np.linalg.norm(base)))
+    assert style_shift(model, bundle, bundle, probes) == (float(np.mean(rel)),) * 2
+
+
+def test_style_shift_rejects_a_probe_id_outside_the_model_classes():
+    # a 5-class dataset draws id 4, the 4-class model's null token
+    probes = make_style_probes(SyntheticDataset("gradients", 5), DiffusionSchedule(), 16, 8, seed=1)
+    assert [int(c[0]) for _, _, c in probes] == [2, 3, 4, 1, 3, 0, 4, 0]
+    model = build_unet(UNetConfig(), seed=0)
+    bundle = attach_resadapter(model, rank=2, seed=1)
+    with pytest.raises(ConfigError, match=r"class id 4 outside the model's classes \[0, 4\)"):
+        style_shift(model, bundle, bundle, probes)
+
+
 def test_style_shift_requires_probes():
     model = small_model()
     bundle = randomized_bundle(model)

@@ -18,7 +18,7 @@ from container_fixtures import (
 )
 from resolab.adapters import attach_resadapter, attach_style_lora, frozen_param_count, merge
 from resolab.cli import main
-from resolab.errors import ConfigError, ContainerError
+from resolab.errors import ConfigError, ContainerError, NumericError
 from resolab.store import (
     FORMAT_VERSION,
     inspect,
@@ -192,6 +192,20 @@ def test_a_bundle_leaf_reshaped_after_build_is_refused_at_save(tmp_path):
     with pytest.raises(ConfigError, match=r"^down\.0\.res\.0\.norm1: delta shapes \(3,\)/\(1,\) inconsistent$"):
         save_bundle(bundle, str(tmp_path / "b.rsad"))
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e39], ids=["nan", "past_float32"])
+def test_a_non_finite_payload_is_refused_at_save(tmp_path, value):
+    # a save refuses what a load would refuse: no NaN or inf as float32 in the file
+    model = small_model()
+    model.params["out.conv.bias"].data[0] = value
+    with pytest.raises(NumericError, match=r"m\.rsbm: out\.conv\.bias: non-finite value"):
+        save_model(model, str(tmp_path / "m.rsbm"))
+    bundle = small_bundle(small_model())
+    bundle.tensors["down.0.res.0.norm1.delta.gamma"].data[0] = value
+    with pytest.raises(NumericError, match=r"b\.rsad: down\.0\.res\.0\.norm1\.delta\.gamma: non-finite"):
+        save_bundle(bundle, str(tmp_path / "b.rsad"))
+    assert list(tmp_path.iterdir()) == []  # neither a file nor a temp file
 
 
 def test_no_temp_files_left_behind(tmp_path):

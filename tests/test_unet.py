@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from resolab import Tape, ops
+from resolab.adapters import _layout
 from resolab.errors import ConfigError, ResolutionError, ShapeError
 from resolab.unet import (
-    SITE_SELECTORS,
     UNetConfig,
     UNetModel,
     build_unet,
-    list_sites,
     _time_embedding_rows,
     site_shapes,
     unet_forward,
@@ -168,24 +167,26 @@ def test_forward_works_across_resolutions():
         assert unet_forward(model, x, 2, [0]).shape == (1, 1, hw, hw)
 
 
-def test_list_sites_selectors():
-    model = build_unet(UNetConfig(), seed=0)
-    assert list_sites(model, "sampler_convs") == [
-        "down.0.sampler.conv.weight", "up.0.sampler.conv.weight",
-    ]
-    assert list_sites(model, "attention_projections") == [
-        "mid.attn.k.weight", "mid.attn.o.weight", "mid.attn.q.weight", "mid.attn.v.weight",
-    ]
-    norms = list_sites(model, "resnet_norms")
-    assert len(norms) == 32  # 8 res blocks x 2 norms x (gamma, beta)
-    assert all(".res." in s and (".norm1." in s or ".norm2." in s) for s in norms)
-    assert "out.norm.gamma" not in norms  # head norm is not a resnet norm
-    assert list_sites(model) == sorted(model.params)
-    assert list_sites(model, "all") == sorted(model.params)
-    with pytest.raises(ConfigError):
-        list_sites(model, "nope")
-    assert set(SITE_SELECTORS) == {"sampler_convs", "resnet_norms",
-                                   "attention_projections", "all"}
+def test_adapter_layouts_on_the_desk_config():
+    # which sites each bundle kind wraps, read from the desk model's grammar
+    config = UNetConfig()
+    res = _layout(config, "resadapter", 4)
+    lora = [name for name in res if ".lora." in name]
+    assert lora == [f"{level}.sampler.conv.weight.lora.{ab}"
+                    for level in ("down.0", "up.0") for ab in "AB"]
+    deltas = [name for name in res if ".delta." in name]
+    assert len(deltas) == 32  # 8 res blocks x 2 norms x (gamma, beta)
+    assert all(re.fullmatch(r"(down\.\d|mid|up\.\d)\.res\.\d\.norm[12]\.delta\.(gamma|beta)", n)
+               for n in deltas)
+    assert not any(name.startswith("out.norm") for name in res)  # head norm is not a resnet norm
+    assert lora + deltas == list(res)  # LoRA pairs first, then the norm deltas
+    shapes = site_shapes(config)
+    for name in deltas:
+        assert res[name] == shapes[name.rsplit(".", 2)[0] + ".gamma"]
+    style = _layout(config, "style-lora", 2)
+    assert list(style) == [f"mid.attn.{p}.weight.lora.{ab}" for p in "koqv" for ab in "AB"]
+    assert set(style.values()) == {(16, 2)}
+    assert _layout(replace(config, attn_at_bottleneck=False), "style-lora", 2) == {}
 
 
 def test_fingerprint_depends_on_structure_only():
