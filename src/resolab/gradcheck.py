@@ -123,14 +123,24 @@ def _conv2d_strided(rng):
     return named, lambda ts: ops.mean_all(ops.conv2d(ts["x"], ts["w"], None, stride=2, padding=1))
 
 
-def _group_norm(norm_silu):
-    """Builder of a GroupNorm -> SiLU case, run through ``norm_silu(x, groups, gamma, beta)``."""
-    def build(rng):
-        named = {"x": _normal(rng, (2, 4, 3, 3)), "gamma": Tensor(1.0 + 0.2 * rng.standard_normal(4))}
-        named["beta"] = _normal(rng, 4, 0.2)
-        return named, lambda ts: ops.mean_all(norm_silu(ts["x"], 2, ts["gamma"], ts["beta"]))
+def _norm_args(rng) -> dict:
+    """x, gamma and beta of a two-group GroupNorm over four channels."""
+    named = {"x": _normal(rng, (2, 4, 3, 3)), "gamma": Tensor(1.0 + 0.2 * rng.standard_normal(4))}
+    named["beta"] = _normal(rng, 4, 0.2)
+    return named
 
-    return build
+
+def _group_norm(rng):
+    return _norm_args(rng), lambda ts: ops.mean_all(
+        ops.silu(ops.group_norm(ts["x"], 2, ts["gamma"], ts["beta"])))
+
+
+def _group_norm_silu_conv2d(rng):
+    named = _norm_args(rng)
+    named["w"] = _normal(rng, (3, 4, 3, 3), 0.5)
+    named["b"] = _normal(rng, 3)
+    return named, lambda ts: _mean_silu(ops.group_norm_silu_conv2d(
+        ts["x"], 2, ts["gamma"], ts["beta"], ts["w"], ts["b"], padding=1))
 
 
 def _self_attention(rng):
@@ -198,8 +208,8 @@ _CASES = (
                          lambda ts: ops.mean_all(ops.mul(ops.softmax(ts["x"]), _SOFTMAX_PROBE)))),
     ("conv2d", _conv2d),
     ("conv2d(stride=2)", _conv2d_strided),
-    ("group_norm", _group_norm(lambda *args: ops.silu(ops.group_norm(*args)))),
-    ("group_norm_silu", _group_norm(lambda *args: ops.group_norm_silu(*args))),
+    ("group_norm", _group_norm),
+    ("group_norm_silu_conv2d", _group_norm_silu_conv2d),
     ("self_attention", _self_attention),
     ("upsample_nearest2x", _normals({"x": (2, 3, 4, 4)},
                                     lambda ts: _mean_silu(ops.upsample_nearest2x(ts["x"])))),

@@ -6,9 +6,11 @@ closure. A closure holds only the arrays its backward reads, plus shapes and
 flags taken at forward time, never an input or output Tensor (parameters such
 as conv weights excepted), so the tape keeps no activation alive that backward
 does not need. What is cheap to recompute is recomputed instead of kept:
-``group_norm_silu`` keeps only xhat and the inverse deviations, and
-``self_attention`` keeps q, k^T and v but not its [N, T, T] probabilities.
-The large scratch arrays -- conv2d's im2col columns and the attention
+``group_norm_silu_conv2d``, the pre-activation unit GroupNorm -> SiLU ->
+conv, keeps only xhat and the inverse deviations (not the conv's padded
+input), and ``self_attention`` keeps q, k^T and v but not its [N, T, T]
+probabilities. conv2d and the fused unit share one forward and one vjp code
+path. The large scratch arrays -- the im2col columns and the attention
 probabilities -- are built for a bounded batch of samples at a time (see
 ``_BATCH_BYTES``), each batch with the same per-sample BLAS calls as the whole
 batch, so the bits do not depend on the bound. Backward formulas follow the
@@ -27,7 +29,7 @@ from .tensor import Tensor, active_tape
 __all__ = [
     "add", "sub", "mul", "scale", "silu",
     "linear", "matmul", "softmax", "self_attention",
-    "conv2d", "group_norm", "group_norm_silu", "upsample_nearest2x",
+    "conv2d", "group_norm", "group_norm_silu_conv2d", "upsample_nearest2x",
     "reshape", "permute", "embed_rows", "crop_cols",
     "sum_all", "mean_all",
 ]
@@ -120,7 +122,8 @@ def scale(a: Tensor, s: float) -> Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # sigma(x) = (1 + tanh(x/2)) / 2: one pass, no overflow in either tail;
     # absolute error <= 2.2e-16 (so sigma(-40) rounds to 0, not 4e-18)
-    out = np.tanh(0.5 * x)
+    out = 0.5 * x
+    np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
     return out
@@ -341,13 +344,14 @@ def _pad2d(x: np.ndarray, lo: int, size: tuple[int, int], stride: int = 1) -> np
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation, NCHW layout, square kernel, zero padding."""
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d: input must be [N, C, H, W], got {x.shape}")
+def _conv_shape(x_shape: tuple[int, ...], w: Tensor, b: Tensor | None, stride: int,
+                padding: int) -> tuple[int, int]:
+    """conv2d's checks of its input shape, weight, bias, stride and padding; the output's (ho, wo)."""
+    if len(x_shape) != 4:
+        raise ShapeError(f"conv2d: input must be [N, C, H, W], got {x_shape}")
     if w.ndim != 4 or w.shape[2] != w.shape[3]:
         raise ShapeError(f"conv2d: weight must be [C_out, C_in, k, k], got {w.shape}")
-    n, c, h, wd = x.shape
+    _, c, h, wd = x_shape
     co, ci, k, _ = w.shape
     if c != ci:
         raise ShapeError(f"conv2d: input channel axis 1 has {c} channels, weight expects {ci}")
@@ -360,9 +364,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     hp, wp = h + 2 * padding, wd + 2 * padding
     if hp < k or wp < k:
         raise ShapeError(f"conv2d: padded spatial dims ({hp}, {wp}) smaller than kernel {k}")
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    xp = _pad2d(x.data, padding, (hp, wp)) if padding else x.data
+    return (hp - k) // stride + 1, (wp - k) // stride + 1
+
+
+def _conv_forward(xp: np.ndarray, w: Tensor, b: Tensor | None, stride: int, ho: int,
+                  wo: int) -> np.ndarray:
+    """The conv of the padded input ``xp``: [N, C_out, ho, wo]."""
+    n = xp.shape[0]
+    co, ci, k, _ = w.shape
     wmat = w.data.reshape(co, ci * k * k)
     # im2col for a bounded batch of samples at a time, each batch's GEMM
     # written into its slice of the output
@@ -373,6 +382,58 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     out = out.reshape(n, co, ho, wo)
     if b is not None:
         out += b.data.reshape(1, co, 1, 1)
+    return out
+
+
+def _conv_input_grad(g: np.ndarray, w: np.ndarray, x_shape: tuple[int, ...], stride: int,
+                     padding: int) -> np.ndarray:
+    """The conv's input gradient for the output cotangent ``g``.
+
+    It is the stride-1 correlation of the cotangent, zero-dilated by stride
+    and padded by k-1-padding (plus the rows/cols the forward never read at
+    the bottom/right), with the flipped, transposed kernel: the same batched
+    im2col + GEMM as the forward, no scatter.
+    """
+    n, ci, h, wd = x_shape
+    co, _, k, _ = w.shape
+    wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
+    step = _batch_step(g.itemsize * co * k * k * h * wd)
+    gx = np.empty((n, ci, h * wd))
+    for lo in range(0, n, step):
+        gp = _pad2d(g[lo:lo + step], k - 1 - padding, (h + k - 1, wd + k - 1), stride)
+        np.matmul(wflip, _im2col(gp, k, 1, h, wd), out=gx[lo:lo + step])
+    return gx.reshape(x_shape)
+
+
+def _conv_weight_grad(g: np.ndarray, xp: np.ndarray, w_shape: tuple[int, ...],
+                      stride: int) -> np.ndarray:
+    """The conv's weight gradient for the output cotangent ``g`` and padded input ``xp``.
+
+    The sum over samples of gmat[i] @ cols_i^T, added in sample order from
+    sample 0: the same GEMMs and the same sequential sum as the batched
+    matmul(...).sum(axis=0), so the bits match, while only one sample's
+    columns exist at a time.
+    """
+    n, co, ho, wo = g.shape
+    _, ci, k, _ = w_shape
+    gmat = g.reshape(n, co, ho * wo)
+    win = _windows(xp, k, stride, ho, wo)
+    gw = np.zeros((co, ci * k * k))  # an empty batch's sum
+    for i in range(n):
+        gi = gmat[i] @ win[i].reshape(ci * k * k, ho * wo).T
+        if i:
+            gw += gi
+        else:
+            gw = gi
+    return gw.reshape(w_shape)
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-d cross-correlation, NCHW layout, square kernel, zero padding."""
+    ho, wo = _conv_shape(x.shape, w, b, stride, padding)
+    _, _, h, wd = x.shape
+    xp = _pad2d(x.data, padding, (h + 2 * padding, wd + 2 * padding)) if padding else x.data
+    out = _conv_forward(xp, w, b, stride, ho, wo)
     inputs = (x, w) if b is None else (x, w, b)
     # The im2col matrix is k*k times the input, so it is never kept: the weight
     # gradient rebuilds one sample's columns at a time from the padded input.
@@ -381,35 +442,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
         xp = None
 
     def vjp(g):
-        gx = None
-        if need_x:
-            # gx is the stride-1 correlation of the cotangent, zero-dilated by
-            # stride and padded by k-1-padding (plus the rows/cols the forward
-            # never read at the bottom/right), with the flipped, transposed
-            # kernel: the same batched im2col + GEMM as the forward, no scatter.
-            wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
-            gstep = _batch_step(g.itemsize * co * k * k * h * wd)
-            gx = np.empty((n, ci, h * wd))
-            for lo in range(0, n, gstep):
-                gp = _pad2d(g[lo:lo + gstep], k - 1 - padding, (h + k - 1, wd + k - 1), stride)
-                np.matmul(wflip, _im2col(gp, k, 1, h, wd), out=gx[lo:lo + gstep])
-            gx = gx.reshape(x_shape)
-        gw = None
-        if xp is not None:
-            # sum over samples of gmat[i] @ cols_i^T, added in sample order
-            # from sample 0: the same GEMMs and the same sequential sum as the
-            # batched matmul(...).sum(axis=0), so the bits match, while only
-            # one sample's columns exist at a time
-            gmat = g.reshape(n, co, ho * wo)
-            win = _windows(xp, k, stride, ho, wo)
-            gw = np.zeros((co, ci * k * k))  # an empty batch's sum
-            for i in range(n):
-                gi = gmat[i] @ win[i].reshape(ci * k * k, ho * wo).T
-                if i:
-                    gw += gi
-                else:
-                    gw = gi
-            gw = gw.reshape(w.shape)
+        gx = _conv_input_grad(g, w.data, x_shape, stride, padding) if need_x else None
+        gw = None if xp is None else _conv_weight_grad(g, xp, w.shape, stride)
         if b is None:
             return [gx, gw]
         return [gx, gw, g.sum(axis=(0, 2, 3)) if b.requires_grad else None]
@@ -474,28 +508,58 @@ def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float =
     return _result(out, (x, gamma, beta), vjp)
 
 
-def group_norm_silu(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """silu(group_norm(x, ...)) as one record, bit-equal to the two ops.
+def _silu_padded(y: np.ndarray, s: np.ndarray, padding: int) -> np.ndarray:
+    """SiLU(y) = y * s for s = sigmoid(y), written straight into zeros padded by ``padding``."""
+    n, c, h, w = y.shape
+    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    np.multiply(y, s, out=xp[:, :, padding:padding + h, padding:padding + w])
+    return xp
 
-    Keeps only xhat and the per-group inverse deviations (about one input's
-    worth); the backward pass recomputes the pre-activation y = xhat*gamma +
-    beta and its sigmoid with the forward's arithmetic, so the bits match.
+
+def group_norm_silu_conv2d(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, w: Tensor,
+                           b: Tensor | None = None, padding: int = 0) -> Tensor:
+    """conv2d(silu(group_norm(x, groups, gamma, beta)), w, b, padding=padding) as one record.
+
+    The pre-activation unit, bit-equal to the three ops in its output and in
+    every gradient. The record keeps only xhat and the per-group inverse
+    deviations (about one input's worth): the conv input, SiLU(y) for the
+    pre-activation y = xhat*gamma + beta, is written straight into the padded
+    im2col buffer and dropped after the forward GEMMs. The vjp forms the conv
+    input gradient first, then recomputes y, its sigmoid and, when the weight
+    needs a gradient, the padded conv input with the forward's arithmetic, so
+    the bits match and the input gradient's scratch never overlaps them.
     """
-    xhat_g, istd, y = _group_norm_forward(x, groups, gamma, beta, eps)
-    y *= _sigmoid(y)  # the output: neither y nor the sigmoid is kept
+    xhat_g, istd, y = _group_norm_forward(x, groups, gamma, beta, 1e-5)
+    ho, wo = _conv_shape(x.shape, w, b, 1, padding)
+    xp = _silu_padded(y, _sigmoid(y), padding)
+    del y
+    out = _conv_forward(xp, w, b, 1, ho, wo)
+    del xp
+    inputs = (x, gamma, beta, w) if b is None else (x, gamma, beta, w, b)
     x_shape, need_x = x.shape, x.requires_grad
+    need_h = need_x or gamma.requires_grad or beta.requires_grad
 
     def vjp(g):
-        # silu's d/dy [y*s(y)] = s + y*s*(1-s), evaluated in the same order
-        gy = _group_norm_affine(xhat_g, gamma, beta, x_shape)
-        s = _sigmoid(gy)
-        gy *= s
-        gy *= 1.0 - s
-        gy += s
-        gy *= g
-        return _group_norm_backward(gy, x_shape, need_x, gamma, beta, xhat_g, istd)
+        gh = _conv_input_grad(g, w.data, x_shape, 1, padding) if need_h else None
+        grads, gw = [None, None, None], None
+        if need_h or w.requires_grad:
+            y = _group_norm_affine(xhat_g, gamma, beta, x_shape)
+            s = _sigmoid(y)
+            if w.requires_grad:
+                gw = _conv_weight_grad(g, _silu_padded(y, s, padding), w.shape, 1)
+            if need_h:
+                # silu's d/dy [y*s(y)] = s + y*s*(1-s), evaluated in the same order
+                y *= s
+                y *= 1.0 - s
+                y += s
+                y *= gh
+                del s, gh
+                grads = _group_norm_backward(y, x_shape, need_x, gamma, beta, xhat_g, istd)
+        if b is None:
+            return [*grads, gw]
+        return [*grads, gw, g.sum(axis=(0, 2, 3)) if b.requires_grad else None]
 
-    return _result(y, (x, gamma, beta), vjp)
+    return _result(out, inputs, vjp)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

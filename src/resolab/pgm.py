@@ -3,20 +3,24 @@
 Netpbm is the one raster format writable without any imaging dependency:
 a tiny ASCII header followed by raw bytes. Single-channel arrays become P5
 (PGM), three-channel become P6 (PPM). Values in [-1, 1] map linearly onto
-[0, 255] with round-half-to-even, clipping anything outside the range.
+[0, 255] with round-half-to-even, clipping anything outside the range
+(so -inf and +inf become 0 and 255); a NaN pixel has no byte and raises
+NumericError before anything is written.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 
 __all__ = ["encode", "write"]
 
 
 def _to_bytes(image: np.ndarray) -> np.ndarray:
     scaled = (np.asarray(image, dtype=np.float64) + 1.0) * 127.5
+    if np.isnan(scaled).any():
+        raise NumericError("pgm: NaN pixel in image")
     return np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
 
 
@@ -37,5 +41,6 @@ def encode(image: np.ndarray) -> bytes:
 
 
 def write(path: str, image: np.ndarray) -> None:
+    data = encode(image)  # before the open, so a failed encode leaves no file
     with open(path, "wb") as fh:
-        fh.write(encode(image))
+        fh.write(data)

@@ -248,15 +248,21 @@ def _as_index_vector(value, n: int, name: str) -> np.ndarray:
     return arr.astype(np.intp)
 
 
+def _norm_silu_conv(p, norm: str, conv: str, h: Tensor, config: UNetConfig) -> Tensor:
+    """GroupNorm ``norm`` -> SiLU -> 3x3 conv ``conv`` over h, as one fused record."""
+    return ops.group_norm_silu_conv2d(
+        h, _norm_groups(config, h.shape[1]), p[f"{norm}.gamma"], p[f"{norm}.beta"],
+        p[f"{conv}.weight"], p[f"{conv}.bias"], padding=1,
+    )
+
+
 def _res_block(p, prefix: str, h: Tensor, cond: Tensor, config: UNetConfig) -> Tensor:
     cin = h.shape[1]
     cout = p[f"{prefix}.conv1.weight"].shape[0]
-    y = ops.group_norm_silu(h, _norm_groups(config, cin), p[f"{prefix}.norm1.gamma"], p[f"{prefix}.norm1.beta"])
-    y = ops.conv2d(y, p[f"{prefix}.conv1.weight"], p[f"{prefix}.conv1.bias"], stride=1, padding=1)
+    y = _norm_silu_conv(p, f"{prefix}.norm1", f"{prefix}.conv1", h, config)
     bias = ops.reshape(ops.crop_cols(cond, cout), (h.shape[0], cout, 1, 1))
     y = ops.add(y, bias)
-    y = ops.group_norm_silu(y, _norm_groups(config, cout), p[f"{prefix}.norm2.gamma"], p[f"{prefix}.norm2.beta"])
-    y = ops.conv2d(y, p[f"{prefix}.conv2.weight"], p[f"{prefix}.conv2.bias"], stride=1, padding=1)
+    y = _norm_silu_conv(p, f"{prefix}.norm2", f"{prefix}.conv2", y, config)
     skip = h
     if cin != cout:
         skip = ops.conv2d(h, p[f"{prefix}.skip.weight"], None, stride=1, padding=0)
@@ -301,7 +307,6 @@ def unet_forward(model: UNetModel, x: Tensor, t, c=None, params: dict[str, Tenso
             )
         cond = ops.add(cond, ops.embed_rows(p["embed.class.weight"], c_ids))
 
-    ch = config.level_channels
     hidden = x
     skips: list[Tensor] = []
     for level in range(config.levels):
@@ -336,5 +341,4 @@ def unet_forward(model: UNetModel, x: Tensor, t, c=None, params: dict[str, Tenso
         for b in range(config.num_res_blocks_per_level):
             hidden = _res_block(p, f"up.{level}.res.{b}", hidden, cond, config)
 
-    hidden = ops.group_norm_silu(hidden, _norm_groups(config, ch[0]), p["out.norm.gamma"], p["out.norm.beta"])
-    return ops.conv2d(hidden, p["out.conv.weight"], p["out.conv.bias"], stride=1, padding=1)
+    return _norm_silu_conv(p, "out.norm", "out.conv", hidden, config)
