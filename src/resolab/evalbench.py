@@ -9,6 +9,7 @@ comparisons paired rather than merely statistical.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ from .adapters import AdapterBundle, effective_param_map
 from .data import SyntheticDataset
 from .diffusion import (DiffusionSchedule, SamplerConfig, cfg_predict, ddim_denoise, ddim_sample,
                         forward_marginal, simple_loss)
-from .errors import ConfigError, ShapeError, check_seed, prefixed
+from .errors import ConfigError, NumericError, ShapeError, check_seed, prefixed
 from .tensor import Tensor
 from .trainer import check_buckets, check_fit, draw_batch
 from .unet import UNetModel, _as_index_vector, unet_forward
@@ -62,6 +63,11 @@ class EvalRow:
     variant: str
     metric: str
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise NumericError(f"{self.variant} at {self.bucket[0]}x{self.bucket[1]}: "
+                               f"{self.metric} is {self.value}")
 
     def to_json(self) -> str:
         return json.dumps({

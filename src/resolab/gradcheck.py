@@ -213,6 +213,9 @@ _CASES = (
     ("self_attention", _self_attention),
     ("upsample_nearest2x", _normals({"x": (2, 3, 4, 4)},
                                     lambda ts: _mean_silu(ops.upsample_nearest2x(ts["x"])))),
+    ("upsample_nearest2x_conv2d", _normals(
+        {"x": (2, 3, 3, 2), "w": (2, 3, 3, 3), "b": 2},
+        lambda ts: _mean_silu(ops.upsample_nearest2x_conv2d(ts["x"], ts["w"], ts["b"], padding=1)))),
     ("embed_rows", _embed_rows),
     ("crop_cols", _normals({"x": (3, 6)}, lambda ts: _mean_silu(ops.crop_cols(ts["x"], 4)))),
     ("reshape+permute", _normals({"x": (2, 3, 4)}, lambda ts: _mean_square(

@@ -8,13 +8,15 @@ as conv weights excepted), so the tape keeps no activation alive that backward
 does not need. What is cheap to recompute is recomputed instead of kept:
 ``group_norm_silu_conv2d``, the pre-activation unit GroupNorm -> SiLU ->
 conv, keeps only xhat and the inverse deviations (not the conv's padded
-input), and ``self_attention`` keeps q, k^T and v but not its [N, T, T]
-probabilities. conv2d and the fused unit share one forward and one vjp code
-path. The large scratch arrays -- the im2col columns and the attention
-probabilities -- are built for a bounded batch of samples at a time (see
-``_BATCH_BYTES``), each batch with the same per-sample BLAS calls as the whole
-batch, so the bits do not depend on the bound. Backward formulas follow the
-standard derivations; they are noted inline where non-obvious.
+input), ``upsample_nearest2x_conv2d`` keeps only the upsample's input (not
+the conv's padded, upsampled input), and ``self_attention`` keeps only x (not
+q, k^T, v or its [N, T, T] probabilities). conv2d and the fused convs share
+one forward and one vjp code path. The large scratch arrays -- the im2col
+columns and the attention probabilities -- are built for a bounded batch of
+samples at a time (see ``_BATCH_BYTES``), each batch with the same
+per-sample BLAS calls as the whole batch, so the bits do not depend on the
+bound. Backward formulas follow the standard derivations; they are noted
+inline where non-obvious.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "add", "sub", "mul", "scale", "silu",
     "linear", "matmul", "softmax", "self_attention",
     "conv2d", "group_norm", "group_norm_silu_conv2d", "upsample_nearest2x",
+    "upsample_nearest2x_conv2d",
     "reshape", "permute", "embed_rows", "crop_cols",
     "sum_all", "mean_all",
 ]
@@ -39,6 +42,10 @@ __all__ = [
 # self_attention's [T, T] scratch may take; an input within it runs as a
 # single batch. The bits do not depend on it: every GEMM is per sample either way.
 _BATCH_BYTES = 1 << 20
+
+
+# Rows of [T, T] products that self_attention's vjp forms at a time for its row sums.
+_ROW_BLOCK = 64
 
 
 def _batch_step(sample_bytes: int) -> int:
@@ -155,6 +162,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         )
     if b is not None and b.shape != (m,):
         raise ShapeError(f"linear: bias shape {b.shape} != ({m},)")
+    # fail before the GEMM meets inf * 0 and warns
+    x.check_finite("linear: input")
     lead = x.shape[:-1]
     x2 = x.data.reshape(-1, n)
     y2 = x2 @ w.data.T
@@ -215,22 +224,42 @@ def softmax(x: Tensor) -> Tensor:
     return _result(y, (x,), vjp)
 
 
-def _attention_probs(q: np.ndarray, kt: np.ndarray, s: float) -> np.ndarray:
-    """softmax(q @ k^T * s) over the last axis, for [B, T, d] q and [B, d, T] k^T."""
-    probs = q @ kt
-    probs *= s
-    return _softmax_rows(probs)
+def _attention_probs(q: np.ndarray, kt: np.ndarray, s: float, out: np.ndarray) -> np.ndarray:
+    """softmax(q @ k^T * s) over the last axis into ``out``, for [B, T, d] q and [B, d, T] k^T."""
+    np.matmul(q, kt, out=out)
+    out *= s
+    return _softmax_rows(out)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(a * b).sum(axis=-1, keepdims=True) of [..., T] arrays into ``out``, bit for bit.
+
+    The products are formed for ``len(scratch)`` rows at a time, so no third
+    array of a's size exists; each row is summed alone either way.
+    """
+    t = a.shape[-1]
+    a2, b2, out1 = a.reshape(-1, t), b.reshape(-1, t), out.reshape(-1)
+    for lo in range(0, len(a2), len(scratch)):
+        hi = min(lo + len(scratch), len(a2))
+        block = scratch[:hi - lo]
+        np.multiply(a2[lo:hi], b2[lo:hi], out=block)
+        np.add.reduce(block, axis=-1, out=out1[lo:hi])
+    return out
 
 
 def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) -> Tensor:
     """Single-head attention: softmax(QK^T/sqrt(d)) V, then output projection.
 
     x is [N, T, d]; the four projection weights are [d, d] with no bias.
-    One tape record; its vjp keeps q, k^T and v, plus attn@v when wo needs a
-    gradient and x when wq, wk or wv does, and forms only the gradients of
-    inputs that require one. It keeps no [N, T, T] array: the forward and the
-    vjp each form the probabilities for a bounded batch of samples at a time,
-    the vjp recomputing them with the forward's exact arithmetic.
+    One tape record that keeps only x and forms only the gradients of inputs
+    that require one. The forward and the vjp run a bounded batch of samples
+    at a time: each batch's q, k^T and v come from the same row-slice GEMMs,
+    and its probabilities are formed into one [B, T, T] buffer per call with
+    the same arithmetic, so the vjp's recomputation matches the forward bit
+    for bit. A batch short of all N samples has at least 182 rows, and
+    OpenBLAS gives such a row slice of a 2-d GEMM the whole GEMM's bits, so
+    the output and gradients also match the unbatched chain of linear,
+    matmul and softmax (the tests pin both).
     """
     if x.ndim != 3:
         raise ShapeError(f"self_attention: input must be [N, T, d], got {x.shape}")
@@ -243,59 +272,71 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) ->
         # meet inf * 0 and warn
         raise NumericError("softmax: non-finite input")
     s = 1.0 / math.sqrt(d)
-    x_shape, need_x = x.shape, x.requires_grad
+    x_shape = x.shape
     x2 = x.data.reshape(-1, d)
-    q = (x2 @ wq.data.T).reshape(x_shape)
-    kt = (x2 @ wk.data.T).reshape(x_shape).transpose(0, 2, 1).copy()
-    v = (x2 @ wv.data.T).reshape(x_shape)
-    # the vjp holds three [T, T] arrays per sample: probabilities, their
-    # cotangent and one product
-    step = _batch_step(3 * x.data.itemsize * t * t)
+    # the vjp holds two [T, T] arrays per sample: probabilities and their cotangent
+    step = _batch_step(2 * x.data.itemsize * t * t)
+
+    def batches():
+        """(sample slice, its rows of x2, q, k^T, v) for each batch of samples."""
+        for lo in range(0, n, step):
+            m = min(step, n - lo)
+            rows = slice(lo * t, (lo + m) * t)
+            xb = x2[rows]
+            q = (xb @ wq.data.T).reshape(m, t, d)
+            kt = (xb @ wk.data.T).reshape(m, t, d).transpose(0, 2, 1).copy()
+            v = (xb @ wv.data.T).reshape(m, t, d)
+            yield slice(lo, lo + m), rows, q, kt, v
+
+    probs = np.empty((min(step, n), t, t))
     av = np.empty(x_shape)
-    for lo in range(0, n, step):
-        sl = slice(lo, lo + step)
-        np.matmul(_attention_probs(q[sl], kt[sl], s), v[sl], out=av[sl])
-    av2 = av.reshape(-1, d)
-    out = (av2 @ wo.data.T).reshape(x_shape)
-    need_q = need_x or wq.requires_grad
-    need_k = need_x or wk.requires_grad
-    need_v = need_x or wv.requires_grad
-    if not (wq.requires_grad or wk.requires_grad or wv.requires_grad):
-        x2 = None  # only the projection weight gradients read the input
-    if not wo.requires_grad:
-        av2 = None
+    for sl, _, q, kt, v in batches():
+        np.matmul(_attention_probs(q, kt, s, probs[:len(q)]), v, out=av[sl])
+    out = (av.reshape(-1, d) @ wo.data.T).reshape(x_shape)
+    need_x = x.requires_grad
+    need = {p: need_x or w.requires_grad for p, w in (("q", wq), ("k", wk), ("v", wv))}
+    need_s = need["q"] or need["k"]
 
     def vjp(g):
         # the reverse of x->q,k,v (2-d GEMMs) -> q@k^T -> *s -> softmax -> @v -> @wo^T
         g2 = g.reshape(-1, d)
-        gwo = g2.T @ av2 if wo.requires_grad else None
-        grads = {p: np.empty(x_shape) for p, need in (("q", need_q), ("k", need_k), ("v", need_v))
-                 if need}
-        if grads:
-            gav = (g2 @ wo.data).reshape(x_shape)
-            for lo in range(0, n, step):
-                sl = slice(lo, lo + step)
-                probs = _attention_probs(q[sl], kt[sl], s)
-                if need_v:
-                    np.matmul(probs.swapaxes(-1, -2), gav[sl], out=grads["v"][sl])
-                if need_q or need_k:
-                    gs = gav[sl] @ v[sl].swapaxes(-1, -2)
-                    gs -= (gs * probs).sum(axis=-1, keepdims=True)
-                    gs *= probs
-                    gs *= s
-                    if need_q:
-                        np.matmul(gs, kt[sl].swapaxes(-1, -2), out=grads["q"][sl])
-                    if need_k:
-                        grads["k"][sl] = (q[sl].swapaxes(-1, -2) @ gs).transpose(0, 2, 1)
-            grads = {p: gp.reshape(-1, d) for p, gp in grads.items()}
-        gx = None
-        if need_x:
-            gx = grads["v"] @ wv.data
-            gx += grads["k"] @ wk.data
-            gx += grads["q"] @ wq.data
-            gx = gx.reshape(x_shape)
-        gw = [grads[p].T @ x2 if w.requires_grad else None
-              for p, w in (("q", wq), ("k", wk), ("v", wv))]
+        # whole-batch arrays only for the weight gradients, which sum over every sample
+        av = np.empty(x_shape) if wo.requires_grad else None
+        kept = {p: np.empty(x_shape) for p, w in (("q", wq), ("k", wk), ("v", wv)) if w.requires_grad}
+        gx = np.empty(x_shape) if need_x else None
+        # per-call scratch, reused by every batch
+        probs = np.empty((min(step, n), t, t))
+        if need_s:
+            gs, dots = np.empty_like(probs), np.empty((len(probs), t, 1))
+            products = np.empty((min(_ROW_BLOCK, t * len(probs)), t))
+        for sl, rows, q, kt, v in batches():
+            m = len(q)
+            pb = _attention_probs(q, kt, s, probs[:m])
+            if av is not None:
+                np.matmul(pb, v, out=av[sl])
+            grads = {name: kept[name][sl] if name in kept else np.empty((m, t, d))
+                     for name in "qkv" if need[name]}
+            if not grads:
+                continue
+            gav = (g2[rows] @ wo.data).reshape(m, t, d)
+            if need["v"]:
+                np.matmul(pb.swapaxes(-1, -2), gav, out=grads["v"])
+            if need_s:
+                gsb = np.matmul(gav, v.swapaxes(-1, -2), out=gs[:m])
+                gsb -= _row_dots(gsb, pb, dots[:m], products)
+                gsb *= pb
+                gsb *= s
+                if need["q"]:
+                    np.matmul(gsb, kt.swapaxes(-1, -2), out=grads["q"])
+                if need["k"]:
+                    grads["k"][...] = (q.swapaxes(-1, -2) @ gsb).transpose(0, 2, 1)
+            if need_x:
+                gxb = gx[sl].reshape(-1, d)
+                np.matmul(grads["v"].reshape(-1, d), wv.data, out=gxb)
+                gxb += grads["k"].reshape(-1, d) @ wk.data
+                gxb += grads["q"].reshape(-1, d) @ wq.data
+        gwo = None if av is None else g2.T @ av.reshape(-1, d)
+        gw = [kept[p].reshape(-1, d).T @ x2 if p in kept else None for p in "qkv"]
         return [gx, *gw, gwo]
 
     return _result(out, (x, wq, wk, wv, wo), vjp)
@@ -573,6 +614,52 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
         return [g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))]
 
     return _result(data, (x,), vjp)
+
+
+def _upsample_padded(x: np.ndarray, padding: int) -> np.ndarray:
+    """The nearest-2x upsample of x, written straight into zeros padded by ``padding``."""
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, 2 * h + 2 * padding, 2 * w + 2 * padding))
+    cols = slice(padding, padding + 2 * w)
+    even = xp[:, :, padding:padding + 2 * h:2]  # the upsampled image's even rows
+    even[..., padding:padding + 2 * w:2] = x
+    even[..., padding + 1:padding + 2 * w:2] = x
+    xp[:, :, padding + 1:padding + 2 * h:2, cols] = even[..., cols]
+    return xp
+
+
+def upsample_nearest2x_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> Tensor:
+    """conv2d(upsample_nearest2x(x), w, b, padding=padding) as one record.
+
+    Bit-equal to the two ops in its output and in every gradient. The forward
+    writes the upsample straight into the padded conv input, which is 4x the
+    input and more, so the record keeps x instead (and nothing when the
+    weight is frozen). The vjp rebuilds the conv input for the weight
+    gradient first, then forms the input gradient with the upsample's
+    reshape-sum.
+    """
+    if x.ndim != 4:
+        raise ShapeError(f"upsample_nearest2x_conv2d: input must be [N, C, H, W], got {x.shape}")
+    n, c, h, wd = x.shape
+    up_shape = (n, c, 2 * h, 2 * wd)
+    ho, wo = _conv_shape(up_shape, w, b, 1, padding)
+    out = _conv_forward(_upsample_padded(x.data, padding), w, b, 1, ho, wo)
+    inputs = (x, w) if b is None else (x, w, b)
+    need_x, xd = x.requires_grad, x.data if w.requires_grad else None
+
+    def vjp(g):
+        # the rebuilt conv input and a sample's columns are gone before the
+        # input gradient's scratch exists; the other order held gx beside them
+        gw = None if xd is None else _conv_weight_grad(g, _upsample_padded(xd, padding), w.shape, 1)
+        gx = None
+        if need_x:
+            gup = _conv_input_grad(g, w.data, up_shape, 1, padding)
+            gx = gup.reshape(n, c, h, 2, wd, 2).sum(axis=(3, 5))
+        if b is None:
+            return [gx, gw]
+        return [gx, gw, g.sum(axis=(0, 2, 3)) if b.requires_grad else None]
+
+    return _result(out, inputs, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ grammar is a public contract shared with serialization and the adapters:
 Architecture: res blocks are GN -> SiLU -> conv3x3 -> (+ conditioning) ->
 GN -> SiLU -> conv3x3 with a residual add (1x1 skip when channels change).
 Down levels end in a stride-2 conv; up levels start with nearest-2x + conv
-and an additive skip from the matching down level. The bottleneck holds two
-res blocks around an optional single-head self-attention. Conditioning is
-the time MLP output plus a class-embedding row; each block adds its first
-C components, so time_embed_dim must cover the widest level.
+(one fused record) and an additive skip from the matching down level, held
+only until that add. The bottleneck holds two res blocks around an optional
+single-head self-attention. Conditioning is the time MLP output plus a
+class-embedding row; each block adds its first C components, so
+time_embed_dim must cover the widest level.
 
 A model is valid once it exists: building a ``UNetModel`` checks its sites,
 value types and shapes against ``site_shapes`` of its config, and its map is
@@ -308,12 +309,12 @@ def unet_forward(model: UNetModel, x: Tensor, t, c=None, params: dict[str, Tenso
         cond = ops.add(cond, ops.embed_rows(p["embed.class.weight"], c_ids))
 
     hidden = x
-    skips: list[Tensor] = []
+    skips: list[Tensor] = []  # each down level's output but the last, until its up level reads it
     for level in range(config.levels):
         for b in range(config.num_res_blocks_per_level):
             hidden = _res_block(p, f"down.{level}.res.{b}", hidden, cond, config)
-        skips.append(hidden)
         if level < config.levels - 1:
+            skips.append(hidden)
             hidden = ops.conv2d(
                 hidden, p[f"down.{level}.sampler.conv.weight"], p[f"down.{level}.sampler.conv.bias"],
                 stride=2, padding=1,
@@ -332,12 +333,10 @@ def unet_forward(model: UNetModel, x: Tensor, t, c=None, params: dict[str, Tenso
     hidden = _res_block(p, "mid.res.1", hidden, cond, config)
 
     for level in range(config.levels - 2, -1, -1):
-        hidden = ops.upsample_nearest2x(hidden)
-        hidden = ops.conv2d(
-            hidden, p[f"up.{level}.sampler.conv.weight"], p[f"up.{level}.sampler.conv.bias"],
-            stride=1, padding=1,
+        hidden = ops.upsample_nearest2x_conv2d(
+            hidden, p[f"up.{level}.sampler.conv.weight"], p[f"up.{level}.sampler.conv.bias"], padding=1,
         )
-        hidden = ops.add(hidden, skips[level])
+        hidden = ops.add(hidden, skips.pop())
         for b in range(config.num_res_blocks_per_level):
             hidden = _res_block(p, f"up.{level}.res.{b}", hidden, cond, config)
 

@@ -427,6 +427,20 @@ def test_eval_with_a_zero_bucket_side_exits_2_without_warnings(work, capsys):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+def test_eval_of_an_overflowing_model_exits_3_without_a_report(work, capsys, monkeypatch):
+    # 1e200 fits no float32 checkpoint, so the loaded model is changed in memory
+    model = store.load_model(work["model"])
+    model.params["out.conv.weight"].data[:] = 1e200
+    monkeypatch.setattr(store, "load_model", lambda path: model)
+    out = work["root"] / "overflow.jsonl"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
+        code = main(["eval", "--config", work["config"], "--model", work["model"], "--out", str(out)])
+    assert code == 3
+    assert "heldout_simple_loss is inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_tiled_reports_ratio(work, capsys):
     code = main(["bench-tiled", "--config", work["config"], "--model", work["model"],
                  "--target", "16x16", "--tile", "8x8", "--overlap", "0",

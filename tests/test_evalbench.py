@@ -1,6 +1,7 @@
 """Evaluation reports, tiled generation, latency bench, style-shift probes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from resolab import evalbench, runconfig
 from resolab.adapters import attach_resadapter, attach_style_lora, effective_param_map
 from resolab.data import SyntheticDataset
 from resolab.diffusion import DiffusionSchedule, SamplerConfig, ddim_denoise, ddim_sample
-from resolab.errors import ConfigError, ShapeError
+from resolab.errors import ConfigError, NumericError, ShapeError
 from resolab.evalbench import (
     EvalConfig,
     EvalReport,
@@ -85,6 +86,22 @@ def test_table_is_aligned_text():
     report.add(EvalRow((8, 8), "base", HELDOUT_METRIC, 0.5))
     text = report.table()
     assert "bucket" in text and "8x8" in text and "0.5" in text
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_row_rejects_a_non_finite_value(value):
+    with pytest.raises(NumericError, match=f"base at 8x16: {HELDOUT_METRIC} is {value}"):
+        EvalRow((8, 16), "base", HELDOUT_METRIC, value)
+
+
+def test_multires_eval_of_an_overflowing_model_fails_typed():
+    # the loss overflows to inf; the report used to carry "value": Infinity
+    model = small_model()
+    model.params["out.conv.weight"].data[:] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow warning
+        with pytest.raises(NumericError, match=f"base at 8x8: {HELDOUT_METRIC} is inf"):
+            multires_eval(model, None, SCHED, DS, [(8, 8)], n_batches=1)
 
 
 def test_value_lookup_missing_raises():

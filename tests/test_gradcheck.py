@@ -80,7 +80,7 @@ def test_suite_covers_all_primitives_and_passes():
     for expected in [
         "elementwise(add,mul,scale,silu)", "linear", "matmul", "softmax",
         "conv2d", "conv2d(stride=2)", "group_norm", "group_norm_silu_conv2d", "self_attention",
-        "upsample_nearest2x", "embed_rows", "crop_cols", "reshape+permute",
+        "upsample_nearest2x", "upsample_nearest2x_conv2d", "embed_rows", "crop_cols", "reshape+permute",
         "convnet2", "simple_loss",
     ]:
         assert expected in names, f"suite missing {expected}"
