@@ -6,17 +6,22 @@ closure. A closure holds only the arrays its backward reads, plus shapes and
 flags taken at forward time, never an input or output Tensor (parameters such
 as conv weights excepted), so the tape keeps no activation alive that backward
 does not need. What is cheap to recompute is recomputed instead of kept:
+``conv2d`` keeps its input (not the padded input),
 ``group_norm_silu_conv2d``, the pre-activation unit GroupNorm -> SiLU ->
 conv, keeps only xhat and the inverse deviations (not the conv's padded
 input), ``upsample_nearest2x_conv2d`` keeps only the upsample's input (not
 the conv's padded, upsampled input), and ``self_attention`` keeps only x (not
 q, k^T, v or its [N, T, T] probabilities). conv2d and the fused convs share
-one forward and one vjp code path. The large scratch arrays -- the im2col
-columns and the attention probabilities -- are built for a bounded batch of
-samples at a time (see ``_BATCH_BYTES``), each batch with the same
-per-sample BLAS calls as the whole batch, so the bits do not depend on the
-bound. Backward formulas follow the standard derivations; they are noted
-inline where non-obvious.
+one forward and one vjp code path.
+
+Scratch is bounded by ``_BATCH_BYTES``: an op whose per-sample temporaries
+-- the im2col columns, the attention probabilities, and the conv's padded
+input with, for the fused convs, the pre-activation y, sigmoid(y) and SiLU'(y)
+-- would exceed it forms them for a bounded batch of samples at a time, and
+one whose temporaries fit runs as a single batch. Every GEMM is per sample and
+every reduction per row either way, so the bits do not depend on the bound.
+Backward formulas follow the standard derivations; they are noted inline
+where non-obvious.
 """
 
 from __future__ import annotations
@@ -38,19 +43,33 @@ __all__ = [
 ]
 
 
-# The most bytes that one batch of conv2d's im2col columns or of
-# self_attention's [T, T] scratch may take; an input within it runs as a
-# single batch. The bits do not depend on it: every GEMM is per sample either way.
+# The most bytes that one batch of an op's per-sample scratch may take: the
+# im2col columns, self_attention's [T, T] arrays, and the convs' padded inputs
+# with the fused convs' pre-activation temporaries; an input within it runs as
+# a single batch. The bits do not depend on it: every GEMM is per sample and
+# every reduction per row either way.
 _BATCH_BYTES = 1 << 20
 
 
 # Rows of [T, T] products that self_attention's vjp forms at a time for its row sums.
-_ROW_BLOCK = 64
+_ROW_BLOCK = 16
 
 
 def _batch_step(sample_bytes: int) -> int:
     """Samples per batch whose scratch of ``sample_bytes`` each fits _BATCH_BYTES (>= 1)."""
     return max(1, _BATCH_BYTES // max(1, sample_bytes))
+
+
+def _conv_batches(n: int, scratch: int, w_shape: tuple[int, ...], ho: int, wo: int) -> list[slice]:
+    """Sample slices, in order, for a conv that forms ``scratch`` float64 temporaries per sample.
+
+    One slice of all n samples when their temporaries fit _BATCH_BYTES
+    together; else batches in which both the temporaries and the im2col
+    columns fit it. There is always a slice, so an empty input runs once.
+    """
+    _, ci, k, _ = w_shape
+    step = n if 8 * n * scratch <= _BATCH_BYTES else _batch_step(8 * max(scratch, ci * k * k * ho * wo))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), max(step, 1))]
 
 
 def _result(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
@@ -408,18 +427,28 @@ def _conv_shape(x_shape: tuple[int, ...], w: Tensor, b: Tensor | None, stride: i
     return (hp - k) // stride + 1, (wp - k) // stride + 1
 
 
-def _conv_forward(xp: np.ndarray, w: Tensor, b: Tensor | None, stride: int, ho: int,
+def _conv_forward(padded, batches: list[slice], w: Tensor, b: Tensor | None, stride: int, ho: int,
                   wo: int) -> np.ndarray:
-    """The conv of the padded input ``xp``: [N, C_out, ho, wo]."""
-    n = xp.shape[0]
+    """The conv of a padded input that ``padded(sl)`` builds for each slice of ``batches``.
+
+    Returns [N, C_out, ho, wo], N being where the last slice stops.
+    """
+    n = batches[-1].stop
     co, ci, k, _ = w.shape
     wmat = w.data.reshape(co, ci * k * k)
     # im2col for a bounded batch of samples at a time, each batch's GEMM
     # written into its slice of the output
-    step = _batch_step(xp.itemsize * ci * k * k * ho * wo)
-    out = np.empty((n, co, ho * wo))
-    for lo in range(0, n, step):
-        np.matmul(wmat, _im2col(xp[lo:lo + step], k, stride, ho, wo), out=out[lo:lo + step])
+    step = _batch_step(8 * ci * k * k * ho * wo)
+    out = None
+    for sl in batches:
+        xp = padded(sl)
+        if out is None:
+            # allocated after the first padded input, in the room that its
+            # freed temporaries leave; allocating it first grew the heap past
+            # them, which glibc then trimmed and faulted back in every step
+            out = np.empty((n, co, ho * wo))
+        for lo in range(0, len(xp), step):
+            np.matmul(wmat, _im2col(xp[lo:lo + step], k, stride, ho, wo), out=out[sl][lo:lo + step])
     out = out.reshape(n, co, ho, wo)
     if b is not None:
         out += b.data.reshape(1, co, 1, 1)
@@ -446,45 +475,58 @@ def _conv_input_grad(g: np.ndarray, w: np.ndarray, x_shape: tuple[int, ...], str
     return gx.reshape(x_shape)
 
 
-def _conv_weight_grad(g: np.ndarray, xp: np.ndarray, w_shape: tuple[int, ...],
-                      stride: int) -> np.ndarray:
-    """The conv's weight gradient for the output cotangent ``g`` and padded input ``xp``.
+def _conv_weight_grad(g: np.ndarray, xp: np.ndarray, w_shape: tuple[int, ...], stride: int,
+                      gw: np.ndarray | None = None) -> np.ndarray:
+    """The conv's weight gradient for the cotangent ``g`` and padded input ``xp`` of the same samples.
 
-    The sum over samples of gmat[i] @ cols_i^T, added in sample order from
-    sample 0: the same GEMMs and the same sequential sum as the batched
-    matmul(...).sum(axis=0), so the bits match, while only one sample's
-    columns exist at a time.
+    The sum over samples of gmat[i] @ cols_i^T, added in sample order to
+    ``gw``, the gradient of the samples before them, or from this call's
+    first sample: the same GEMMs and the same sequential sum as the batched
+    matmul(...).sum(axis=0), so the bits match however the samples are split
+    into calls, while only one sample's columns exist at a time.
     """
     n, co, ho, wo = g.shape
     _, ci, k, _ = w_shape
     gmat = g.reshape(n, co, ho * wo)
     win = _windows(xp, k, stride, ho, wo)
-    gw = np.zeros((co, ci * k * k))  # an empty batch's sum
+    if gw is not None:
+        gw = gw.reshape(co, ci * k * k)
     for i in range(n):
         gi = gmat[i] @ win[i].reshape(ci * k * k, ho * wo).T
-        if i:
-            gw += gi
-        else:
+        if gw is None:
             gw = gi
+        else:
+            gw += gi
+    if gw is None:
+        gw = np.zeros((co, ci * k * k))  # an empty batch's sum
     return gw.reshape(w_shape)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-d cross-correlation, NCHW layout, square kernel, zero padding."""
     ho, wo = _conv_shape(x.shape, w, b, stride, padding)
-    _, _, h, wd = x.shape
-    xp = _pad2d(x.data, padding, (h + 2 * padding, wd + 2 * padding)) if padding else x.data
-    out = _conv_forward(xp, w, b, stride, ho, wo)
+    n, c, h, wd = x.shape
+    size = (h + 2 * padding, wd + 2 * padding)
+
+    def pad(a):
+        return _pad2d(a, padding, size) if padding else a
+
+    batches = _conv_batches(n, c * size[0] * size[1] if padding else 0, w.shape, ho, wo)
+    out = _conv_forward(lambda sl: pad(x.data[sl]), batches, w, b, stride, ho, wo)
     inputs = (x, w) if b is None else (x, w, b)
-    # The im2col matrix is k*k times the input, so it is never kept: the weight
-    # gradient rebuilds one sample's columns at a time from the padded input.
-    x_shape, need_x = x.shape, x.requires_grad
-    if not w.requires_grad:
-        xp = None
+    # The record keeps x, and only for a trainable weight: the weight gradient
+    # rebuilds the padded input for the same batches as the forward, and the
+    # im2col matrix, k*k times the input, one sample's columns at a time.
+    x_shape, need_x, xd = x.shape, x.requires_grad, x.data if w.requires_grad else None
 
     def vjp(g):
+        # the rebuilt padded input and a sample's columns are gone before the
+        # input gradient's scratch exists
+        gw = None
+        if xd is not None:
+            for sl in batches:
+                gw = _conv_weight_grad(g[sl], pad(xd[sl]), w.shape, stride, gw)
         gx = _conv_input_grad(g, w.data, x_shape, stride, padding) if need_x else None
-        gw = None if xp is None else _conv_weight_grad(g, xp, w.shape, stride)
         if b is None:
             return [gx, gw]
         return [gx, gw, g.sum(axis=(0, 2, 3)) if b.requires_grad else None]
@@ -492,47 +534,62 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
     return _result(out, inputs, vjp)
 
 
-def _group_norm_forward(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float):
-    """Checks, then (xhat_g [N, G, C/G*H*W], istd [N, G, 1], y = xhat*gamma + beta)."""
+def _group_norm_check(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> None:
     if x.ndim != 4:
         raise ShapeError(f"group_norm: input must be [N, C, H, W], got {x.shape}")
-    n, c, h, w = x.shape
+    c = x.shape[1]
     if groups < 1 or c % groups != 0:
         raise ConfigError(f"group_norm: channels {c} not divisible by groups {groups}")
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"group_norm: gamma/beta must be ({c},), got {gamma.shape} and {beta.shape}")
+
+
+def _group_norm_forward(x: Tensor, groups: int, eps: float, batches: list[slice]):
+    """(xhat_g [N, G, C/G*H*W], istd [N, G, 1]), squaring deviations a slice of ``batches`` at a time."""
+    n = x.shape[0]
     xg = x.data.reshape(n, groups, -1)
     count = xg.shape[-1]
     # the sums over count as ndarray.mean forms them, at less call cost
     d = xg - np.add.reduce(xg, axis=-1, keepdims=True) / count
-    var = np.add.reduce(d * d, axis=-1, keepdims=True) / count  # bit equal to xg.var(axis=-1)
+    var = np.empty((n, groups, 1))
+    for sl in batches:
+        np.add.reduce(d[sl] * d[sl], axis=-1, keepdims=True, out=var[sl])
+    var /= count  # bit equal to xg.var(axis=-1)
     istd = 1.0 / np.sqrt(var + eps)
     d *= istd  # now xhat, per group
-    return d, istd, _group_norm_affine(d, gamma, beta, x.shape)
+    return d, istd
 
 
-def _group_norm_affine(xhat_g: np.ndarray, gamma: Tensor, beta: Tensor, shape) -> np.ndarray:
-    c = shape[1]
-    y = xhat_g.reshape(shape) * gamma.data.reshape(1, c, 1, 1)
+def _group_norm_affine(xhat_g: np.ndarray, gamma: Tensor, beta: Tensor,
+                       chw: tuple[int, ...]) -> np.ndarray:
+    """y = xhat*gamma + beta, [len(xhat_g), *chw], for the samples whose xhat per group is xhat_g."""
+    c = chw[0]
+    y = xhat_g.reshape(len(xhat_g), *chw) * gamma.data.reshape(1, c, 1, 1)
     y += beta.data.reshape(1, c, 1, 1)
     return y
 
 
 def _group_norm_backward(g: np.ndarray, x_shape: tuple[int, ...], need_x: bool, gamma: Tensor,
                          beta: Tensor, xhat_g: np.ndarray, istd: np.ndarray) -> list:
-    """[gx, ggamma, gbeta] of group_norm for the output cotangent ``g``."""
+    """[gx, ggamma, gbeta] of group_norm for the output cotangent ``g``.
+
+    ``g`` is a C-ordered buffer of the caller's, which this overwrites: once
+    gxhat exists, g's bytes hold the g*xhat and gxhat*xhat products.
+    """
     n, c = x_shape[:2]
-    xhat = xhat_g.reshape(x_shape)
-    ggamma = (g * xhat).sum(axis=(0, 2, 3)) if gamma.requires_grad else None
     gbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
+    gxhat = (g * gamma.data.reshape(1, c, 1, 1)).reshape(n, xhat_g.shape[1], -1) if need_x else None
+    ggamma = None
+    if gamma.requires_grad:
+        ggamma = np.multiply(g, xhat_g.reshape(x_shape), out=g).sum(axis=(0, 2, 3))
     gx = None
     if need_x:
-        gxhat = (g * gamma.data.reshape(1, c, 1, 1)).reshape(n, xhat_g.shape[1], -1)
+        scratch = g.reshape(gxhat.shape)
         # dx = istd * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat))
         m1 = gxhat.mean(axis=-1, keepdims=True)
-        m2 = (gxhat * xhat_g).mean(axis=-1, keepdims=True)
+        m2 = np.multiply(gxhat, xhat_g, out=scratch).mean(axis=-1, keepdims=True)
         gxhat -= m1
-        gxhat -= xhat_g * m2
+        gxhat -= np.multiply(xhat_g, m2, out=scratch)
         gxhat *= istd
         gx = gxhat.reshape(x_shape)
     return [gx, ggamma, gbeta]
@@ -540,13 +597,15 @@ def _group_norm_backward(g: np.ndarray, x_shape: tuple[int, ...], need_x: bool, 
 
 def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over channel groups (population variance), then affine."""
-    xhat_g, istd, out = _group_norm_forward(x, groups, gamma, beta, eps)
+    _group_norm_check(x, groups, gamma, beta)
+    xhat_g, istd = _group_norm_forward(x, groups, eps, [slice(None)])
     x_shape, need_x = x.shape, x.requires_grad
 
     def vjp(g):
-        return _group_norm_backward(g, x_shape, need_x, gamma, beta, xhat_g, istd)
+        # the cotangent may be another record's too; the backward overwrites a copy
+        return _group_norm_backward(g.copy(), x_shape, need_x, gamma, beta, xhat_g, istd)
 
-    return _result(out, (x, gamma, beta), vjp)
+    return _result(_group_norm_affine(xhat_g, gamma, beta, x_shape[1:]), (x, gamma, beta), vjp)
 
 
 def _silu_padded(y: np.ndarray, s: np.ndarray, padding: int) -> np.ndarray:
@@ -565,17 +624,29 @@ def group_norm_silu_conv2d(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, 
     every gradient. The record keeps only xhat and the per-group inverse
     deviations (about one input's worth): the conv input, SiLU(y) for the
     pre-activation y = xhat*gamma + beta, is written straight into the padded
-    im2col buffer and dropped after the forward GEMMs. The vjp forms the conv
-    input gradient first, then recomputes y, its sigmoid and, when the weight
-    needs a gradient, the padded conv input with the forward's arithmetic, so
-    the bits match and the input gradient's scratch never overlaps them.
+    im2col buffer and dropped after the forward GEMMs. y, sigmoid(y) and the
+    padded input are formed one batch of samples at a time when the whole
+    batch's would not fit _BATCH_BYTES. The vjp forms the conv input gradient
+    first, then recomputes y and its sigmoid per batch with the forward's
+    arithmetic, for the weight gradient's padded input and for SiLU'(y),
+    which it multiplies into the conv input gradient in place; that buffer
+    then serves as GroupNorm's backward scratch.
     """
-    xhat_g, istd, y = _group_norm_forward(x, groups, gamma, beta, 1e-5)
+    _group_norm_check(x, groups, gamma, beta)
     ho, wo = _conv_shape(x.shape, w, b, 1, padding)
-    xp = _silu_padded(y, _sigmoid(y), padding)
-    del y
-    out = _conv_forward(xp, w, b, 1, ho, wo)
-    del xp
+    n, c, h, wd = x.shape
+    chw = x.shape[1:]
+    # y, sigmoid(y) and the padded conv input
+    batches = _conv_batches(n, c * (2 * h * wd + (h + 2 * padding) * (wd + 2 * padding)), w.shape,
+                            ho, wo)
+    xhat_g, istd = _group_norm_forward(x, groups, 1e-5, batches)
+
+    def preact(sl):
+        """y = xhat*gamma + beta and sigmoid(y) for the samples in slice sl."""
+        y = _group_norm_affine(xhat_g[sl], gamma, beta, chw)
+        return y, _sigmoid(y)
+
+    out = _conv_forward(lambda sl: _silu_padded(*preact(sl), padding), batches, w, b, 1, ho, wo)
     inputs = (x, gamma, beta, w) if b is None else (x, gamma, beta, w, b)
     x_shape, need_x = x.shape, x.requires_grad
     need_h = need_x or gamma.requires_grad or beta.requires_grad
@@ -584,18 +655,19 @@ def group_norm_silu_conv2d(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, 
         gh = _conv_input_grad(g, w.data, x_shape, 1, padding) if need_h else None
         grads, gw = [None, None, None], None
         if need_h or w.requires_grad:
-            y = _group_norm_affine(xhat_g, gamma, beta, x_shape)
-            s = _sigmoid(y)
-            if w.requires_grad:
-                gw = _conv_weight_grad(g, _silu_padded(y, s, padding), w.shape, 1)
+            for sl in batches:
+                y, s = preact(sl)
+                if w.requires_grad:
+                    gw = _conv_weight_grad(g[sl], _silu_padded(y, s, padding), w.shape, 1, gw)
+                if need_h:
+                    # silu's d/dy [y*s(y)] = s + y*s*(1-s), evaluated in the same order
+                    y *= s
+                    y *= 1.0 - s
+                    y += s
+                    gh[sl] *= y
+            del y, s  # before GroupNorm's backward allocates gxhat
             if need_h:
-                # silu's d/dy [y*s(y)] = s + y*s*(1-s), evaluated in the same order
-                y *= s
-                y *= 1.0 - s
-                y += s
-                y *= gh
-                del s, gh
-                grads = _group_norm_backward(y, x_shape, need_x, gamma, beta, xhat_g, istd)
+                grads = _group_norm_backward(gh, x_shape, need_x, gamma, beta, xhat_g, istd)
         if b is None:
             return [*grads, gw]
         return [*grads, gw, g.sum(axis=(0, 2, 3)) if b.requires_grad else None]
@@ -634,23 +706,28 @@ def upsample_nearest2x_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, pad
     Bit-equal to the two ops in its output and in every gradient. The forward
     writes the upsample straight into the padded conv input, which is 4x the
     input and more, so the record keeps x instead (and nothing when the
-    weight is frozen). The vjp rebuilds the conv input for the weight
-    gradient first, then forms the input gradient with the upsample's
-    reshape-sum.
+    weight is frozen). That padded input is built one batch of samples at a
+    time when the whole batch's would not fit _BATCH_BYTES. The vjp rebuilds
+    it, per batch likewise, for the weight gradient first, then forms the
+    input gradient with the upsample's reshape-sum.
     """
     if x.ndim != 4:
         raise ShapeError(f"upsample_nearest2x_conv2d: input must be [N, C, H, W], got {x.shape}")
     n, c, h, wd = x.shape
     up_shape = (n, c, 2 * h, 2 * wd)
     ho, wo = _conv_shape(up_shape, w, b, 1, padding)
-    out = _conv_forward(_upsample_padded(x.data, padding), w, b, 1, ho, wo)
+    batches = _conv_batches(n, c * (2 * h + 2 * padding) * (2 * wd + 2 * padding), w.shape, ho, wo)
+    out = _conv_forward(lambda sl: _upsample_padded(x.data[sl], padding), batches, w, b, 1, ho, wo)
     inputs = (x, w) if b is None else (x, w, b)
     need_x, xd = x.requires_grad, x.data if w.requires_grad else None
 
     def vjp(g):
         # the rebuilt conv input and a sample's columns are gone before the
         # input gradient's scratch exists; the other order held gx beside them
-        gw = None if xd is None else _conv_weight_grad(g, _upsample_padded(xd, padding), w.shape, 1)
+        gw = None
+        if xd is not None:
+            for sl in batches:
+                gw = _conv_weight_grad(g[sl], _upsample_padded(xd[sl], padding), w.shape, 1, gw)
         gx = None
         if need_x:
             gup = _conv_input_grad(g, w.data, up_shape, 1, padding)
