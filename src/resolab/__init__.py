@@ -12,9 +12,7 @@ from .adapters import (
     attach_resadapter,
     attach_style_lora,
     effective_param_map,
-    frozen_param_count,
     merge,
-    total_param_count,
     trainable_param_count,
 )
 from .data import GENERATORS, SyntheticDataset
@@ -99,8 +97,7 @@ __all__ = [
     # adapters
     "AdapterBundle",
     "attach_resadapter", "attach_style_lora", "effective_param_map",
-    "adapted_forward", "merge", "trainable_param_count", "frozen_param_count",
-    "total_param_count", "DEFAULT_RANK",
+    "adapted_forward", "merge", "trainable_param_count", "DEFAULT_RANK",
     # data / training
     "SyntheticDataset", "GENERATORS", "TrainPlan", "TrainTrace", "TraceRecord",
     "AdamW", "train_base", "train_adapter", "make_batch", "resolution_probs",

@@ -38,8 +38,7 @@ from .unet import UNetConfig, UNetModel, site_shapes, unet_forward
 __all__ = [
     "AdapterBundle", "BUNDLE_KINDS",
     "attach_resadapter", "attach_style_lora", "adapted_forward", "merge",
-    "effective_param_map", "trainable_param_count", "frozen_param_count",
-    "total_param_count",
+    "effective_param_map", "trainable_param_count",
 ]
 
 DEFAULT_RANK = 4
@@ -267,11 +266,3 @@ def merge(model: UNetModel, bundle: AdapterBundle) -> UNetModel:
 
 def trainable_param_count(bundle: AdapterBundle) -> int:
     return sum(t.size for t in bundle.tensors.values())
-
-
-def frozen_param_count(model: UNetModel) -> int:
-    return sum(t.size for t in model.params.values() if not t.requires_grad)
-
-
-def total_param_count(model: UNetModel) -> int:
-    return sum(t.size for t in model.params.values())

@@ -11,15 +11,20 @@ does not need. What is cheap to recompute is recomputed instead of kept:
 conv, keeps only xhat and the inverse deviations (not the conv's padded
 input), ``upsample_nearest2x_conv2d`` keeps only the upsample's input (not
 the conv's padded, upsampled input), and ``self_attention`` keeps only x (not
-q, k^T, v or its [N, T, T] probabilities). conv2d and the fused convs share
-one forward and one vjp code path.
+q, k^T, v or its [N, T, T] probabilities). conv2d and the up-sampler conv are
+one record body that differs only in how the padded conv input is built and
+how its gradient is folded back; the GroupNorm-SiLU conv shares its forward,
+its weight and input gradients and its bias gradient.
 
-Scratch is bounded by ``_BATCH_BYTES``: an op whose per-sample temporaries
--- the im2col columns, the attention probabilities, and the conv's padded
-input with, for the fused convs, the pre-activation y, sigmoid(y) and SiLU'(y)
--- would exceed it forms them for a bounded batch of samples at a time, and
-one whose temporaries fit runs as a single batch. Every GEMM is per sample and
-every reduction per row either way, so the bits do not depend on the bound.
+Scratch follows one rule, ``_batches``: an op forms its per-sample
+temporaries for as many samples at a time as fit ``_BATCH_BYTES``, sized by
+the largest of them -- the attention probabilities and their cotangent, or a
+conv's im2col columns against its padded input (with, for the GroupNorm-SiLU
+conv, the pre-activation y and sigmoid(y)). So a conv forward is one loop of
+padded batch -> im2col -> GEMM, and its traced scratch is at most one batch's
+columns and padded input: 1.12 MiB at [8, 8, 16, 16] and 0.63 MiB at
+[8, 8, 32, 32] for the GroupNorm-SiLU conv. Every GEMM is per sample and every
+reduction per row, so the bits do not depend on the bound.
 Backward formulas follow the standard derivations; they are noted inline
 where non-obvious.
 """
@@ -45,9 +50,8 @@ __all__ = [
 
 # The most bytes that one batch of an op's per-sample scratch may take: the
 # im2col columns, self_attention's [T, T] arrays, and the convs' padded inputs
-# with the fused convs' pre-activation temporaries; an input within it runs as
-# a single batch. The bits do not depend on it: every GEMM is per sample and
-# every reduction per row either way.
+# with the fused convs' pre-activation temporaries. The bits do not depend on
+# it: every GEMM is per sample and every reduction per row either way.
 _BATCH_BYTES = 1 << 20
 
 
@@ -55,21 +59,13 @@ _BATCH_BYTES = 1 << 20
 _ROW_BLOCK = 16
 
 
-def _batch_step(sample_bytes: int) -> int:
-    """Samples per batch whose scratch of ``sample_bytes`` each fits _BATCH_BYTES (>= 1)."""
-    return max(1, _BATCH_BYTES // max(1, sample_bytes))
+def _batches(n: int, sample_bytes: int) -> list[slice]:
+    """Slices that cover samples 0..n in order, each of at most max(1, _BATCH_BYTES // sample_bytes).
 
-
-def _conv_batches(n: int, scratch: int, w_shape: tuple[int, ...], ho: int, wo: int) -> list[slice]:
-    """Sample slices, in order, for a conv that forms ``scratch`` float64 temporaries per sample.
-
-    One slice of all n samples when their temporaries fit _BATCH_BYTES
-    together; else batches in which both the temporaries and the im2col
-    columns fit it. There is always a slice, so an empty input runs once.
+    An empty batch gets one empty slice, so an op's batch loop runs once for it too.
     """
-    _, ci, k, _ = w_shape
-    step = n if 8 * n * scratch <= _BATCH_BYTES else _batch_step(8 * max(scratch, ci * k * k * ho * wo))
-    return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), max(step, 1))]
+    step = max(1, _BATCH_BYTES // max(1, sample_bytes))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, max(n, 1), step)]
 
 
 def _result(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
@@ -294,20 +290,21 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) ->
     x_shape = x.shape
     x2 = x.data.reshape(-1, d)
     # the vjp holds two [T, T] arrays per sample: probabilities and their cotangent
-    step = _batch_step(2 * x.data.itemsize * t * t)
+    slices = _batches(n, 2 * x.data.itemsize * t * t)
+    size = slices[0].stop  # samples in the largest batch
 
     def batches():
         """(sample slice, its rows of x2, q, k^T, v) for each batch of samples."""
-        for lo in range(0, n, step):
-            m = min(step, n - lo)
-            rows = slice(lo * t, (lo + m) * t)
+        for sl in slices:
+            m = sl.stop - sl.start
+            rows = slice(sl.start * t, sl.stop * t)
             xb = x2[rows]
             q = (xb @ wq.data.T).reshape(m, t, d)
             kt = (xb @ wk.data.T).reshape(m, t, d).transpose(0, 2, 1).copy()
             v = (xb @ wv.data.T).reshape(m, t, d)
-            yield slice(lo, lo + m), rows, q, kt, v
+            yield sl, rows, q, kt, v
 
-    probs = np.empty((min(step, n), t, t))
+    probs = np.empty((size, t, t))
     av = np.empty(x_shape)
     for sl, _, q, kt, v in batches():
         np.matmul(_attention_probs(q, kt, s, probs[:len(q)]), v, out=av[sl])
@@ -324,10 +321,10 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) ->
         kept = {p: np.empty(x_shape) for p, w in (("q", wq), ("k", wk), ("v", wv)) if w.requires_grad}
         gx = np.empty(x_shape) if need_x else None
         # per-call scratch, reused by every batch
-        probs = np.empty((min(step, n), t, t))
+        probs = np.empty((size, t, t))
         if need_s:
-            gs, dots = np.empty_like(probs), np.empty((len(probs), t, 1))
-            products = np.empty((min(_ROW_BLOCK, t * len(probs)), t))
+            gs, dots = np.empty_like(probs), np.empty((size, t, 1))
+            products = np.empty((_ROW_BLOCK, t))
         for sl, rows, q, kt, v in batches():
             m = len(q)
             pb = _attention_probs(q, kt, s, probs[:m])
@@ -431,14 +428,12 @@ def _conv_forward(padded, batches: list[slice], w: Tensor, b: Tensor | None, str
                   wo: int) -> np.ndarray:
     """The conv of a padded input that ``padded(sl)`` builds for each slice of ``batches``.
 
-    Returns [N, C_out, ho, wo], N being where the last slice stops.
+    Returns [N, C_out, ho, wo], N being where the last slice stops. Each
+    batch's im2col columns are written by one GEMM into its slice of the output.
     """
     n = batches[-1].stop
     co, ci, k, _ = w.shape
     wmat = w.data.reshape(co, ci * k * k)
-    # im2col for a bounded batch of samples at a time, each batch's GEMM
-    # written into its slice of the output
-    step = _batch_step(8 * ci * k * k * ho * wo)
     out = None
     for sl in batches:
         xp = padded(sl)
@@ -447,8 +442,7 @@ def _conv_forward(padded, batches: list[slice], w: Tensor, b: Tensor | None, str
             # freed temporaries leave; allocating it first grew the heap past
             # them, which glibc then trimmed and faulted back in every step
             out = np.empty((n, co, ho * wo))
-        for lo in range(0, len(xp), step):
-            np.matmul(wmat, _im2col(xp[lo:lo + step], k, stride, ho, wo), out=out[sl][lo:lo + step])
+        np.matmul(wmat, _im2col(xp, k, stride, ho, wo), out=out[sl])
     out = out.reshape(n, co, ho, wo)
     if b is not None:
         out += b.data.reshape(1, co, 1, 1)
@@ -467,11 +461,12 @@ def _conv_input_grad(g: np.ndarray, w: np.ndarray, x_shape: tuple[int, ...], str
     n, ci, h, wd = x_shape
     co, _, k, _ = w.shape
     wflip = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ci, co * k * k)
-    step = _batch_step(g.itemsize * co * k * k * h * wd)
+    # allocated before the first batch's scratch; allocated after it, as
+    # _conv_forward does its output, it raised adapter training's peak RSS
     gx = np.empty((n, ci, h * wd))
-    for lo in range(0, n, step):
-        gp = _pad2d(g[lo:lo + step], k - 1 - padding, (h + k - 1, wd + k - 1), stride)
-        np.matmul(wflip, _im2col(gp, k, 1, h, wd), out=gx[lo:lo + step])
+    for sl in _batches(n, g.itemsize * co * k * k * h * wd):
+        gp = _pad2d(g[sl], k - 1 - padding, (h + k - 1, wd + k - 1), stride)
+        np.matmul(wflip, _im2col(gp, k, 1, h, wd), out=gx[sl])
     return gx.reshape(x_shape)
 
 
@@ -502,36 +497,52 @@ def _conv_weight_grad(g: np.ndarray, xp: np.ndarray, w_shape: tuple[int, ...], s
     return gw.reshape(w_shape)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation, NCHW layout, square kernel, zero padding."""
-    ho, wo = _conv_shape(x.shape, w, b, stride, padding)
-    n, c, h, wd = x.shape
-    size = (h + 2 * padding, wd + 2 * padding)
+def _with_bias_grad(grads: list, g: np.ndarray, b: Tensor | None) -> list:
+    """A conv's ``grads``, then, if it has a bias, the bias gradient for the output cotangent ``g``."""
+    if b is None:
+        return grads
+    return [*grads, g.sum(axis=(0, 2, 3)) if b.requires_grad else None]
 
-    def pad(a):
-        return _pad2d(a, padding, size) if padding else a
 
-    batches = _conv_batches(n, c * size[0] * size[1] if padding else 0, w.shape, ho, wo)
+def _conv_record(x: Tensor, in_shape: tuple[int, ...], w: Tensor, b: Tensor | None, stride: int,
+                 padding: int, pad, fold) -> Tensor:
+    """The record of a conv whose input, of shape ``in_shape``, is formed from x.
+
+    ``pad(a)`` builds the padded conv input of a batch ``a`` of x's samples,
+    and ``fold`` maps the conv input gradient onto x. Each batch holds as
+    many samples as fit _BATCH_BYTES with their padded input or their im2col
+    columns, whichever is larger. The record keeps x, and only for a
+    trainable weight. The vjp forms the weight gradient first, rebuilding the
+    padded input for the same batches as the forward and the im2col matrix
+    (k*k times the input) one sample's columns at a time, so they are gone
+    before the input gradient's scratch exists; the other order held that
+    gradient beside them.
+    """
+    ho, wo = _conv_shape(in_shape, w, b, stride, padding)
+    n, c, h, wd = in_shape
+    k = w.shape[2]
+    batches = _batches(n, 8 * c * max((h + 2 * padding) * (wd + 2 * padding), k * k * ho * wo))
     out = _conv_forward(lambda sl: pad(x.data[sl]), batches, w, b, stride, ho, wo)
-    inputs = (x, w) if b is None else (x, w, b)
-    # The record keeps x, and only for a trainable weight: the weight gradient
-    # rebuilds the padded input for the same batches as the forward, and the
-    # im2col matrix, k*k times the input, one sample's columns at a time.
-    x_shape, need_x, xd = x.shape, x.requires_grad, x.data if w.requires_grad else None
+    need_x, xd = x.requires_grad, x.data if w.requires_grad else None
 
     def vjp(g):
-        # the rebuilt padded input and a sample's columns are gone before the
-        # input gradient's scratch exists
         gw = None
         if xd is not None:
             for sl in batches:
                 gw = _conv_weight_grad(g[sl], pad(xd[sl]), w.shape, stride, gw)
-        gx = _conv_input_grad(g, w.data, x_shape, stride, padding) if need_x else None
-        if b is None:
-            return [gx, gw]
-        return [gx, gw, g.sum(axis=(0, 2, 3)) if b.requires_grad else None]
+        gx = fold(_conv_input_grad(g, w.data, in_shape, stride, padding)) if need_x else None
+        return _with_bias_grad([gx, gw], g, b)
 
-    return _result(out, inputs, vjp)
+    return _result(out, (x, w) if b is None else (x, w, b), vjp)
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-d cross-correlation, NCHW layout, square kernel, zero padding."""
+
+    def pad(a):
+        return _pad2d(a, padding, (a.shape[2] + 2 * padding, a.shape[3] + 2 * padding)) if padding else a
+
+    return _conv_record(x, x.shape, w, b, stride, padding, pad, lambda gx: gx)
 
 
 def _group_norm_check(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> None:
@@ -546,9 +557,9 @@ def _group_norm_check(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> No
 
 def _group_norm_forward(x: Tensor, groups: int, eps: float, batches: list[slice]):
     """(xhat_g [N, G, C/G*H*W], istd [N, G, 1]), squaring deviations a slice of ``batches`` at a time."""
-    n = x.shape[0]
-    xg = x.data.reshape(n, groups, -1)
-    count = xg.shape[-1]
+    n, c, h, w = x.shape
+    count = c // groups * h * w  # given, not -1: an empty batch has no size to infer it from
+    xg = x.data.reshape(n, groups, count)
     # the sums over count as ndarray.mean forms them, at less call cost
     d = xg - np.add.reduce(xg, axis=-1, keepdims=True) / count
     var = np.empty((n, groups, 1))
@@ -576,9 +587,9 @@ def _group_norm_backward(g: np.ndarray, x_shape: tuple[int, ...], need_x: bool, 
     ``g`` is a C-ordered buffer of the caller's, which this overwrites: once
     gxhat exists, g's bytes hold the g*xhat and gxhat*xhat products.
     """
-    n, c = x_shape[:2]
+    c = x_shape[1]
     gbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-    gxhat = (g * gamma.data.reshape(1, c, 1, 1)).reshape(n, xhat_g.shape[1], -1) if need_x else None
+    gxhat = (g * gamma.data.reshape(1, c, 1, 1)).reshape(xhat_g.shape) if need_x else None
     ggamma = None
     if gamma.requires_grad:
         ggamma = np.multiply(g, xhat_g.reshape(x_shape), out=g).sum(axis=(0, 2, 3))
@@ -624,9 +635,10 @@ def group_norm_silu_conv2d(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, 
     every gradient. The record keeps only xhat and the per-group inverse
     deviations (about one input's worth): the conv input, SiLU(y) for the
     pre-activation y = xhat*gamma + beta, is written straight into the padded
-    im2col buffer and dropped after the forward GEMMs. y, sigmoid(y) and the
-    padded input are formed one batch of samples at a time when the whole
-    batch's would not fit _BATCH_BYTES. The vjp forms the conv input gradient
+    im2col buffer and dropped after the forward GEMMs. y, sigmoid(y), the
+    padded input and its columns are formed one batch of samples at a time,
+    as many as fit _BATCH_BYTES with these temporaries or with their
+    columns, whichever is larger. The vjp forms the conv input gradient
     first, then recomputes y and its sigmoid per batch with the forward's
     arithmetic, for the weight gradient's padded input and for SiLU'(y),
     which it multiplies into the conv input gradient in place; that buffer
@@ -636,9 +648,8 @@ def group_norm_silu_conv2d(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, 
     ho, wo = _conv_shape(x.shape, w, b, 1, padding)
     n, c, h, wd = x.shape
     chw = x.shape[1:]
-    # y, sigmoid(y) and the padded conv input
-    batches = _conv_batches(n, c * (2 * h * wd + (h + 2 * padding) * (wd + 2 * padding)), w.shape,
-                            ho, wo)
+    k, hp, wp = w.shape[2], h + 2 * padding, wd + 2 * padding
+    batches = _batches(n, 8 * c * max(2 * h * wd + hp * wp, k * k * ho * wo))
     xhat_g, istd = _group_norm_forward(x, groups, 1e-5, batches)
 
     def preact(sl):
@@ -668,9 +679,7 @@ def group_norm_silu_conv2d(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, 
             del y, s  # before GroupNorm's backward allocates gxhat
             if need_h:
                 grads = _group_norm_backward(gh, x_shape, need_x, gamma, beta, xhat_g, istd)
-        if b is None:
-            return [*grads, gw]
-        return [*grads, gw, g.sum(axis=(0, 2, 3)) if b.requires_grad else None]
+        return _with_bias_grad([*grads, gw], g, b)
 
     return _result(out, inputs, vjp)
 
@@ -703,40 +712,21 @@ def _upsample_padded(x: np.ndarray, padding: int) -> np.ndarray:
 def upsample_nearest2x_conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, padding: int = 0) -> Tensor:
     """conv2d(upsample_nearest2x(x), w, b, padding=padding) as one record.
 
-    Bit-equal to the two ops in its output and in every gradient. The forward
-    writes the upsample straight into the padded conv input, which is 4x the
-    input and more, so the record keeps x instead (and nothing when the
-    weight is frozen). That padded input is built one batch of samples at a
-    time when the whole batch's would not fit _BATCH_BYTES. The vjp rebuilds
-    it, per batch likewise, for the weight gradient first, then forms the
-    input gradient with the upsample's reshape-sum.
+    Bit-equal to the two ops in its output and in every gradient. It is
+    conv2d's record with the upsample written straight into the padded conv
+    input, which is 4x the input and more, so the record keeps x instead
+    (and nothing when the weight is frozen); the input gradient is folded
+    back with the upsample's reshape-sum.
     """
     if x.ndim != 4:
         raise ShapeError(f"upsample_nearest2x_conv2d: input must be [N, C, H, W], got {x.shape}")
     n, c, h, wd = x.shape
-    up_shape = (n, c, 2 * h, 2 * wd)
-    ho, wo = _conv_shape(up_shape, w, b, 1, padding)
-    batches = _conv_batches(n, c * (2 * h + 2 * padding) * (2 * wd + 2 * padding), w.shape, ho, wo)
-    out = _conv_forward(lambda sl: _upsample_padded(x.data[sl], padding), batches, w, b, 1, ho, wo)
-    inputs = (x, w) if b is None else (x, w, b)
-    need_x, xd = x.requires_grad, x.data if w.requires_grad else None
 
-    def vjp(g):
-        # the rebuilt conv input and a sample's columns are gone before the
-        # input gradient's scratch exists; the other order held gx beside them
-        gw = None
-        if xd is not None:
-            for sl in batches:
-                gw = _conv_weight_grad(g[sl], _upsample_padded(xd[sl], padding), w.shape, 1, gw)
-        gx = None
-        if need_x:
-            gup = _conv_input_grad(g, w.data, up_shape, 1, padding)
-            gx = gup.reshape(n, c, h, 2, wd, 2).sum(axis=(3, 5))
-        if b is None:
-            return [gx, gw]
-        return [gx, gw, g.sum(axis=(0, 2, 3)) if b.requires_grad else None]
+    def fold(gup):
+        return gup.reshape(n, c, h, 2, wd, 2).sum(axis=(3, 5))
 
-    return _result(out, inputs, vjp)
+    return _conv_record(x, (n, c, 2 * h, 2 * wd), w, b, 1, padding,
+                        lambda a: _upsample_padded(a, padding), fold)
 
 
 # ---------------------------------------------------------------------------

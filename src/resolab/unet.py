@@ -241,6 +241,14 @@ def _time_embedding_rows(t: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _as_index_vector(value, n: int, name: str) -> np.ndarray:
+    """``value`` (a scalar or one id per sample) as a length-n index vector.
+
+    Every model entry point (unet_forward, cfg_predict, forward_marginal)
+    reads its batch's t or class ids here, so this is the one place that
+    refuses an empty batch.
+    """
+    if n < 1:
+        raise ShapeError(f"{name}: the batch is empty; a model call needs at least one sample")
     arr = np.asarray(value)
     if arr.ndim == 0:
         arr = np.full(n, int(arr))

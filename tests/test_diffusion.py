@@ -97,6 +97,13 @@ def test_forward_marginal_hand_value():
     assert x_t.item() == pytest.approx(np.sqrt(0.72) + np.sqrt(0.28) * 0.5, abs=1e-15)
 
 
+def test_forward_marginal_refuses_an_empty_batch():
+    # the timestep range check used to meet numpy's min() of an empty array
+    x0 = Tensor(np.zeros((0, 1, 2, 2)))
+    with pytest.raises(ShapeError, match="t: the batch is empty"):
+        forward_marginal(x0, 1, x0, TINY)
+
+
 def test_forward_marginal_per_sample_t_and_grads():
     s = DiffusionSchedule(10, 1e-3, 5e-2)
     rng = np.random.default_rng(0)
@@ -268,6 +275,12 @@ def test_cfg_predict_rejects_ids_outside_the_model_classes(c, w):
     with pytest.raises(ConfigError, match=r"class id (2|-1) outside the model's classes \[0, 2\)"):
         cfg_predict(_cond_model(), Tensor(np.zeros((2, 1, 4, 4))), 1, c, w, forward=fwd)
     assert fwd.calls == []
+
+
+@pytest.mark.parametrize("w", [0.0, 1.0, 7.5])
+def test_cfg_predict_refuses_an_empty_batch(w):
+    with pytest.raises(ShapeError, match="c: the batch is empty"):
+        cfg_predict(_cond_model(), Tensor(np.zeros((0, 1, 4, 4))), 1, [], w)
 
 
 def test_batched_cfg_predict_matches_two_pass_reference():

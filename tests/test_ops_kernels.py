@@ -129,7 +129,7 @@ CROSS_BATCH_CONVS = [(32, 1), (32, 2), (24, 1), (24, 2)]
 def test_conv2d_across_sample_batches_is_bit_equal_to_the_batch_formulation(size, stride, trainable):
     n, c = 5, 8
     # the input gradient's columns (8 bytes x c x 3 x 3 per pixel) span several batches
-    assert ops._batch_step(8 * c * 9 * size * size) < n
+    assert len(ops._batches(n, 8 * c * 9 * size * size)) > 1
     rng = np.random.default_rng(2000 + 10 * size + stride)
     arrays = [rng.standard_normal((n, c, size, size)), rng.standard_normal((c, c, 3, 3)),
               rng.standard_normal(c)]
@@ -140,6 +140,20 @@ def test_conv2d_across_sample_batches_is_bit_equal_to_the_batch_formulation(size
                            arrays, needs, g)
     out, grads = _conv_batch_reference(*arrays, g, stride, 1)
     _assert_bit_equal(got, (out, [gr if need else None for gr, need in zip(grads, needs)]))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 18])
+@pytest.mark.parametrize("sample_bytes", [1, 3 * 2**18, 2**20, 2**20 + 1, 2**22])
+def test_batches_cover_the_samples_in_order_within_the_bound(n, sample_bytes):
+    slices = ops._batches(n, sample_bytes)
+    if n == 0:
+        assert slices == [slice(0, 0)]  # one empty batch, so an op's loop still runs once
+        return
+    assert [sl.start for sl in slices] == [0] + [sl.stop for sl in slices[:-1]]
+    assert slices[-1].stop == n
+    assert all(0 < sl.stop - sl.start <= max(1, ops._BATCH_BYTES // sample_bytes) for sl in slices)
+    # only the last batch falls short of the bound
+    assert all(sl.stop - sl.start == min(n, max(1, ops._BATCH_BYTES // sample_bytes)) for sl in slices[:-1])
 
 
 def test_windows_view_is_read_only_and_copies_nothing():
@@ -179,6 +193,20 @@ def test_pad2d_dilates_and_crops():
     # a negative offset crops: row/col i lands at -2 + 2i, so only x[1, 1] fits
     assert np.array_equal(ops._pad2d(x, -2, (1, 2), stride=2), [[[[5.0, 0.0]]]])
     assert not ops._pad2d(x, -5, (2, 2), stride=2).any()
+
+
+@pytest.mark.parametrize("fused", [False, True], ids=["group_norm", "group_norm_silu_conv2d"])
+def test_group_norm_ops_take_an_empty_batch(fused):
+    # the group reshape used to infer its size from an empty array and raise numpy's ValueError
+    rng = np.random.default_rng(14)
+    arrays, g = _gn_silu_conv_arrays(rng, 0, (5, 4))
+    if fused:
+        op = _gn_silu_conv(1)
+    else:
+        op, arrays = (lambda x, ga, be: ops.group_norm(x, 4, ga, be)), arrays[:3]
+    y, grads = _value_and_grads(op, arrays, (True,) * len(arrays), g)
+    assert y.shape == (0, 8, 5, 4) and grads[0].shape == (0, 8, 5, 4)
+    assert all(gr.shape == a.shape and not gr.any() for gr, a in zip(grads[1:], arrays[1:]))
 
 
 def test_group_norm_forward_equals_np_var_form():
@@ -248,22 +276,23 @@ def test_group_norm_silu_conv2d_is_bit_equal_to_the_unfused_ops(needs, bias, pad
                       _value_and_grads(_gn_silu_conv_chain(padding), arrays, needs, g))
 
 
-# (batch, whole): at 8 channels and 32x32 each sample's columns take a batch
-# of their own; eight samples' y, sigmoid(y) and padded input (1.56 MiB) exceed
-# _BATCH_BYTES and are formed a sample at a time, three samples' fit and are
-# formed in one pass
-PREACT_BATCHES = [(8, False), (3, True)]
+# (batch, size, whole): at 8 channels and 32x32 each sample's columns take a
+# batch of their own, so eight samples' y, sigmoid(y), padded input and columns
+# are formed a sample at a time; at 16x16 three samples' columns (0.42 MiB)
+# and temporaries fit _BATCH_BYTES and are formed in one pass
+PREACT_BATCHES = [(8, 32, False), (3, 16, True)]
 
 
 @pytest.mark.parametrize("bias", [None, False, True], ids=["no-bias", "frozen-bias", "bias"])
 @pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
-@pytest.mark.parametrize("n,whole", PREACT_BATCHES, ids=["split", "whole"])
-def test_group_norm_silu_conv2d_across_sample_batches_is_bit_equal_to_the_chain(n, whole, trainable,
-                                                                                 bias):
-    assert ops._batch_step(8 * 8 * 9 * 32 * 32) < n
-    assert ops._conv_batches(n, 8 * (2 * 32 * 32 + 34 * 34), (8, 8, 3, 3), 32, 32) == (
-        [slice(0, n)] if whole else [slice(i, i + 1) for i in range(n)])
-    arrays, g = _gn_silu_conv_arrays(np.random.default_rng(12), n, (32, 32))
+@pytest.mark.parametrize("n,size,whole", PREACT_BATCHES, ids=["split", "whole"])
+def test_group_norm_silu_conv2d_across_sample_batches_is_bit_equal_to_the_chain(n, size, whole,
+                                                                                 trainable, bias):
+    # 8 bytes x 8 channels x the larger of y, sigmoid(y) and the padded input,
+    # and the 3x3 columns, per sample
+    per_sample = 8 * 8 * max(2 * size * size + (size + 2) ** 2, 9 * size * size)
+    assert ops._batches(n, per_sample) == ([slice(0, n)] if whole else [slice(i, i + 1) for i in range(n)])
+    arrays, g = _gn_silu_conv_arrays(np.random.default_rng(12), n, (size, size))
     needs = (True, True, True, trainable)
     if bias is None:
         arrays = arrays[:4]
@@ -301,9 +330,9 @@ def test_self_attention_is_bit_equal_to_the_primitive_chain(needs):
 @pytest.mark.parametrize("t", [128, 256])
 @pytest.mark.parametrize("needs", ATTENTION_NEEDS)
 def test_self_attention_across_sample_batches_is_bit_equal_to_the_chain(needs, t):
-    # five samples: two per batch at T=128 (a remainder of one), one at T=256
+    # five samples: four per batch at T=128 (a remainder of one), one at T=256
     n = 5
-    assert 1 < ops._batch_step(3 * 8 * 128 * 128) < n and n % ops._batch_step(3 * 8 * 128 * 128)
+    assert [sl.stop - sl.start for sl in ops._batches(n, 2 * 8 * 128 * 128)] == [4, 1]
     rng = np.random.default_rng(40 + t)
     arrays = [rng.standard_normal((n, t, 6))] + [0.5 * rng.standard_normal((6, 6)) for _ in range(4)]
     g = rng.standard_normal((n, t, 6))
@@ -329,7 +358,7 @@ def test_self_attention_recomputed_projections_are_bit_equal_to_the_chain(needs,
 def test_self_attention_batches_are_bit_equal_to_the_chain_at_any_width(d):
     # one sample per batch at T=182, the fewest rows a batch short of N can have
     n, t = 3, 182
-    assert ops._batch_step(2 * 8 * t * t) == 1 and ops._batch_step(2 * 8 * (t - 1) ** 2) == 2
+    assert len(ops._batches(2, 2 * 8 * t * t)) == 2 and len(ops._batches(2, 2 * 8 * (t - 1) ** 2)) == 1
     rng = np.random.default_rng(70 + d)
     arrays = [rng.standard_normal((n, t, d))] + [rng.standard_normal((d, d)) / d for _ in range(4)]
     g = rng.standard_normal((n, t, d))
@@ -406,11 +435,11 @@ def test_upsample_nearest2x_conv2d_is_bit_equal_to_the_unfused_ops(needs, bias, 
                           _value_and_grads(_upsample_conv_chain(padding), *cases, g))
 
 
-# (x shape, whole): the 32x32 upsampled columns take a batch per sample at 8
-# and 16 channels; eight samples' padded upsample at 16 channels (1.13 MiB)
-# exceeds _BATCH_BYTES and is built a sample at a time, five at 8 channels
-# (0.35 MiB) fit and are built in one pass
-UPSAMPLE_BATCHES = [((8, 16, 16, 16), False), ((5, 8, 16, 16), True)]
+# (x shape, whole): the 32x32 upsampled columns take a batch per sample at 16
+# channels, so eight samples' padded upsample and columns are built a sample at
+# a time; three 16x16 upsamples at 8 channels and their columns (0.42 MiB) fit
+# _BATCH_BYTES and are built in one pass
+UPSAMPLE_BATCHES = [((8, 16, 16, 16), False), ((3, 8, 8, 8), True)]
 
 
 @pytest.mark.parametrize("bias", [None, False, True], ids=["no-bias", "frozen-bias", "bias"])
@@ -418,16 +447,53 @@ UPSAMPLE_BATCHES = [((8, 16, 16, 16), False), ((5, 8, 16, 16), True)]
 @pytest.mark.parametrize("shape,whole", UPSAMPLE_BATCHES, ids=["split", "whole"])
 def test_upsample_nearest2x_conv2d_across_sample_batches_is_bit_equal_to_the_chain(
         shape, whole, trainable, bias):
-    n, c = shape[:2]
-    assert ops._batch_step(8 * c * 9 * 32 * 32) == 1
-    assert (len(ops._conv_batches(n, c * 34 * 34, (8, c, 3, 3), 32, 32)) == 1) == whole
+    n, c, h, wd = shape
+    # 8 bytes x c channels x the larger of the padded upsample and the 3x3 columns, per sample
+    per_sample = 8 * c * max((2 * h + 2) * (2 * wd + 2), 9 * 4 * h * wd)
+    assert ops._batches(n, per_sample) == ([slice(0, n)] if whole else [slice(i, i + 1) for i in range(n)])
     rng = np.random.default_rng(61)
     arrays = [rng.standard_normal(shape), 0.3 * rng.standard_normal((8, c, 3, 3)),
               rng.standard_normal(8)]
-    g = rng.standard_normal((n, 8, 32, 32))
+    g = rng.standard_normal((n, 8, 2 * h, 2 * wd))
     cases = (arrays[:2], (True, trainable)) if bias is None else (arrays, (True, trainable, bias))
     _assert_bit_equal(_value_and_grads(_upsample_conv(1), *cases, g),
                       _value_and_grads(_upsample_conv_chain(1), *cases, g))
+
+
+def _small_batch_case(op, rng, n):
+    """(op, its chain, input arrays, cotangent) of ``op`` on n samples; conv2d's chain is
+    its whole-batch formulation, _conv_batch_reference, which is not taped."""
+    if op == "group_norm_silu_conv2d":
+        return (_gn_silu_conv(1), _gn_silu_conv_chain(1), *_gn_silu_conv_arrays(rng, n, (5, 4)))
+    if op == "self_attention":
+        arrays = [rng.standard_normal((n, 9, 6))] + [0.5 * rng.standard_normal((6, 6)) for _ in range(4)]
+        return ops.self_attention, _attention_chain, arrays, rng.standard_normal((n, 9, 6))
+    # a 3 -> 4-channel 3x3 conv at padding 1 of a 7x6 input, or of a 3x5 one upsampled
+    h, wd = (7, 6) if op == "conv2d" else (6, 10)
+    x = rng.standard_normal((n, 3, h, wd) if op == "conv2d" else (n, 3, h // 2, wd // 2))
+    arrays = [x, rng.standard_normal((4, 3, 3, 3)), rng.standard_normal(4)]
+    g = rng.standard_normal((n, 4, h, wd))
+    if op == "conv2d":
+        return lambda x, w, b: ops.conv2d(x, w, b, padding=1), None, arrays, g
+    return _upsample_conv(1), _upsample_conv_chain(1), arrays, g
+
+
+@pytest.mark.parametrize("trainable", [True, False], ids=["trainable", "frozen"])
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("op", ["conv2d", "group_norm_silu_conv2d", "upsample_nearest2x_conv2d",
+                                "self_attention"])
+def test_ops_on_zero_and_one_samples_are_bit_equal_to_their_chains(op, n, trainable):
+    # an empty input runs each op's batch loop once, over one empty slice; a
+    # buffer sized by the first batch is then empty too
+    fused, chain, arrays, g = _small_batch_case(op, np.random.default_rng(90 + n), n)
+    needs = (True,) * (len(arrays) - 2) + (trainable,) * 2  # the last two: weight and bias, or wv and wo
+    got = _value_and_grads(fused, arrays, needs, g)
+    if chain is None:
+        out, grads = _conv_batch_reference(*arrays, g, 1, 1)
+        _assert_bit_equal(got, (out, [gr if need else None for gr, need in zip(grads, needs)]))
+    else:
+        _assert_bit_equal(got, _value_and_grads(chain, arrays, needs, g))
+    assert got[0].shape[0] == n
 
 
 def test_upsample_nearest2x_conv2d_checks_its_input():
@@ -446,6 +512,29 @@ def _retained_bytes(op, *args):
             before = tracemalloc.get_traced_memory()[0]
             out = op(*args)
             return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def _traced(run):
+    """Traced bytes of ``run()``, split where its one tape backward begins:
+    (held, forward scratch, backward scratch). held is what is allocated when
+    the backward begins, and each scratch the phase's peak beyond it."""
+    marks = []
+    run_backward = Tape.backward
+
+    def split_backward(tape, output):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        run_backward(tape, output)
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with mock.patch.object(Tape, "backward", split_backward):
+            run()
+        [(held, forward_peak)] = marks
+        return held - start, forward_peak - held, tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
 
@@ -491,6 +580,27 @@ def test_group_norm_silu_conv2d_record_keeps_about_one_input():
     assert retained <= out.data.nbytes + 1.1 * x.data.nbytes
 
 
+def _gn_silu_conv_scratch(shape, trainable):
+    """x and the forward and backward scratch of group_norm_silu_conv2d on a random x of ``shape``.
+
+    The forward's is beyond its record and its output, the backward's beyond
+    what was held when it began."""
+    rng = np.random.default_rng(13)
+    c = shape[1]
+    x = Tensor(rng.standard_normal(shape), requires_grad=True)
+    gamma, beta = Tensor(np.ones(c), requires_grad=True), Tensor(np.zeros(c), requires_grad=True)
+    w = Tensor(0.1 * rng.standard_normal((c, c, 3, 3)), requires_grad=trainable)
+    b = Tensor(np.zeros(c), requires_grad=trainable)
+
+    def run():
+        with Tape() as tape:
+            out = ops.group_norm_silu_conv2d(x, 4, gamma, beta, w, b, 1)
+            tape.backward(ops.mean_all(out))
+
+    _, forward, backward = _traced(run)
+    return x, forward, backward
+
+
 @pytest.mark.parametrize("trainable", [False, True], ids=["frozen", "trainable"])
 def test_group_norm_silu_conv2d_scratch_is_one_output_and_one_bounded_batch(trainable):
     # at [8, 8, 32, 32] the whole batch's y, sigmoid(y) and padded conv input
@@ -502,30 +612,33 @@ def test_group_norm_silu_conv2d_scratch_is_one_output_and_one_bounded_batch(trai
     # most one output-sized array and one bounded batch: 0.63 MiB of forward
     # scratch and 1.64 MiB of backward (1.77 with a trainable weight), where
     # whole-batch temporaries took 1.13 and 2.50 (3.14) MiB.
-    rng = np.random.default_rng(13)
-    x = Tensor(rng.standard_normal((8, 8, 32, 32)), requires_grad=True)
-    gamma, beta = Tensor(np.ones(8), requires_grad=True), Tensor(np.zeros(8), requires_grad=True)
-    w = Tensor(0.1 * rng.standard_normal((8, 8, 3, 3)), requires_grad=trainable)
-    b = Tensor(np.zeros(8), requires_grad=trainable)
-    tracemalloc.start()
-    try:
-        with Tape() as tape:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            out = ops.group_norm_silu_conv2d(x, 4, gamma, beta, w, b, 1)
-            held, peak = (m - before for m in tracemalloc.get_traced_memory())
-            forward = peak - held  # the scratch beyond the record and the output
-            loss = ops.mean_all(out)
-            del out
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            tape.backward(loss)
-            backward = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    x, forward, backward = _gn_silu_conv_scratch((8, 8, 32, 32), trainable)
     assert forward <= ops._BATCH_BYTES
     # the cotangent, then one output-sized array and one bounded batch
     assert backward <= 2 * x.data.nbytes + ops._BATCH_BYTES
+
+
+# Bytes of the forward's per-group statistics and the Python objects of its
+# batch loop, beyond the columns and the padded input: at most 0.3 KiB measured.
+GN_SILU_CONV_STATS_BYTES = 4096
+
+
+@pytest.mark.parametrize("trainable", [False, True], ids=["frozen", "trainable"])
+@pytest.mark.parametrize("shape", [(8, 8, 16, 16), (8, 16, 16, 16), (8, 8, 24, 24), (18, 8, 16, 16),
+                                   (8, 8, 32, 32)])
+def test_group_norm_silu_conv2d_forward_scratch_is_one_batch_of_columns_and_padded_input(shape,
+                                                                                      trainable):
+    # each batch holds as many samples as fit _BATCH_BYTES with their columns
+    # (the larger of those and y, sigmoid(y) and the padded input), and the
+    # batch's padded input lives while its columns are copied out of it.
+    # Forming y, sigmoid(y) and the padded input for the whole batch when they
+    # fit, before columns batched on their own, read 1.14, 1.16, 1.28, 1.34
+    # and 0.63 MiB for these shapes; this reads 1.12, 0.96, 1.07, 1.12 and 0.63.
+    n, c, h, wd = shape
+    per_batch = min(n, max(1, ops._BATCH_BYTES // (8 * c * 9 * h * wd)))
+    padded_batch = 8 * per_batch * c * (h + 2) * (wd + 2)
+    forward = _gn_silu_conv_scratch(shape, trainable)[1]
+    assert forward <= ops._BATCH_BYTES + padded_batch + GN_SILU_CONV_STATS_BYTES
 
 
 def test_self_attention_record_keeps_no_probabilities():
@@ -570,16 +683,12 @@ def test_self_attention_vjp_scratch_is_two_score_arrays_and_four_inputs():
     n, t, d = 8, 256, 16
     x = Tensor(rng.standard_normal((n, t, d)), requires_grad=True)
     ws = [Tensor(0.25 * rng.standard_normal((d, d))) for _ in range(4)]
-    tracemalloc.start()
-    try:
+
+    def run():
         with Tape() as tape:
-            loss = ops.mean_all(ops.self_attention(x, *ws))
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            tape.backward(loss)
-            scratch = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+            tape.backward(ops.mean_all(ops.self_attention(x, *ws)))
+
+    scratch = _traced(run)[2]
     assert scratch <= 2 * x.data.itemsize * t * t + 4 * x.data.nbytes
 
 
@@ -617,26 +726,15 @@ def _step_peak_mib(phase: str, size: int) -> tuple[float, float]:
     plan = TrainPlan(((size, size),), rc.train.standard_resolution, 1, phase, batch_size=8)
     data, sched = rc.data, rc.schedule
     bundle = attach_resadapter(model, rank=rc.train.rank, seed=0) if phase == "adapter" else None
-    peaks = []
-    run_backward = Tape.backward
 
-    def split_backward(tape, output):
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        run_backward(tape, output)
+    def run():
+        if bundle is None:
+            train_base(model, plan, data, sched)
+        else:
+            train_adapter(model, bundle, plan, data, sched)
 
-    tracemalloc.start()
-    try:
-        with mock.patch.object(Tape, "backward", split_backward):
-            if bundle is None:
-                train_base(model, plan, data, sched)
-            else:
-                train_adapter(model, bundle, plan, data, sched)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        forward, backward = (p / 2**20 for p in peaks)
-        return forward, backward
-    finally:
-        tracemalloc.stop()
+    held, forward, backward = _traced(run)
+    return (held + forward) / 2**20, (held + backward) / 2**20
 
 
 def _assert_step_peak(phase: str, size: int, bound: float) -> None:

@@ -158,6 +158,13 @@ def test_forward_shape_checks():
         unet_forward(model, Tensor(np.zeros((2, 1, 8, 8))), [1, 2, 3], [0, 1])
 
 
+def test_forward_refuses_an_empty_batch():
+    # the class-id range check used to meet numpy's min() of an empty array
+    model = build_unet(TINY, seed=0)
+    with pytest.raises(ShapeError, match="t: the batch is empty"):
+        unet_forward(model, Tensor(np.zeros((0, 1, 8, 8))), 1, [])
+
+
 def test_forward_works_across_resolutions():
     # the same weights run at any divisor-compatible size (fully convolutional)
     model = build_unet(TINY, seed=1)
