@@ -8,7 +8,6 @@ finite differences or recomputed by hand.
 from .adapters import (
     DEFAULT_RANK,
     AdapterBundle,
-    adapted_forward,
     attach_resadapter,
     attach_style_lora,
     effective_param_map,
@@ -97,7 +96,7 @@ __all__ = [
     # adapters
     "AdapterBundle",
     "attach_resadapter", "attach_style_lora", "effective_param_map",
-    "adapted_forward", "merge", "trainable_param_count", "DEFAULT_RANK",
+    "merge", "trainable_param_count", "DEFAULT_RANK",
     # data / training
     "SyntheticDataset", "GENERATORS", "TrainPlan", "TrainTrace", "TraceRecord",
     "AdamW", "train_base", "train_adapter", "make_batch", "resolution_probs",

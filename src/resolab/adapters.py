@@ -33,11 +33,11 @@ import numpy as np
 from . import ops
 from .errors import ConfigError, check_seed
 from .tensor import Tensor
-from .unet import UNetConfig, UNetModel, site_shapes, unet_forward
+from .unet import UNetConfig, UNetModel, site_shapes
 
 __all__ = [
     "AdapterBundle", "BUNDLE_KINDS",
-    "attach_resadapter", "attach_style_lora", "adapted_forward", "merge",
+    "attach_resadapter", "attach_style_lora", "merge",
     "effective_param_map", "trainable_param_count",
 ]
 
@@ -250,10 +250,6 @@ def effective_param_map(model: UNetModel, bundle: AdapterBundle) -> dict[str, Te
             site = f"{prefix}.{field}"
             p[site] = ops.add(model.params[site], ops.scale(leaf, alpha))
     return p
-
-
-def adapted_forward(model: UNetModel, bundle: AdapterBundle, x: Tensor, t, c=None) -> Tensor:
-    return unet_forward(model, x, t, c, effective_param_map(model, bundle))
 
 
 def merge(model: UNetModel, bundle: AdapterBundle) -> UNetModel:

@@ -60,7 +60,7 @@ class DiffusionSchedule:
         return self
 
     def _check_t(self, t: int) -> int:
-        t = int(t)
+        t = int(_as_index_vector(t, 1, "t")[0])  # an integer, never truncated
         if not 1 <= t <= self.timesteps:
             raise ConfigError(f"timestep {t} outside schedule range [1, {self.timesteps}]")
         return t

@@ -279,6 +279,8 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor) ->
     if x.ndim != 3:
         raise ShapeError(f"self_attention: input must be [N, T, d], got {x.shape}")
     n, t, d = x.shape
+    if not t or not d:  # no token to attend to, or no width to scale the scores by
+        raise ShapeError(f"self_attention: T and d must be positive, got {x.shape}")
     for name, w in (("q", wq), ("k", wk), ("v", wv), ("o", wo)):
         if w.shape != (d, d):
             raise ShapeError(f"self_attention: {name} weight shape {w.shape} != ({d}, {d})")
@@ -548,6 +550,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1, paddi
 def _group_norm_check(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> None:
     if x.ndim != 4:
         raise ShapeError(f"group_norm: input must be [N, C, H, W], got {x.shape}")
+    if 0 in x.shape[1:]:  # a group of no values has no mean; an empty batch (N = 0) is fine
+        raise ShapeError(f"group_norm: C, H and W must be positive, got {x.shape}")
     c = x.shape[1]
     if groups < 1 or c % groups != 0:
         raise ConfigError(f"group_norm: channels {c} not divisible by groups {groups}")

@@ -10,7 +10,6 @@ loudly instead of silently using a default.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import typing
@@ -92,9 +91,6 @@ class RunConfig:
             check_rank(self.model, "resadapter", self.train.rank)
         with prefixed("eval.buckets: "):
             check_fit(self.model, self.data, self.eval.buckets)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 _SECTION_TYPES = {

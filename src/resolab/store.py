@@ -8,6 +8,12 @@ nbytes} sorted by name with offsets relative to the payload start. A payload
 holds only finite values: a save refuses one that does not (NumericError), a
 load rejects it (ContainerError). Writes go through a temp file in the target
 directory and an atomic rename.
+
+The two kinds differ only in magic, config and the object built, so they share
+one write path (``_save``) and one read path (``_load``). The read path's key
+rule: the header, its config and each tensor record hold exactly the keys their
+writer writes, so a missing or unknown key fails naming it and no key is read
+with a default.
 """
 
 from __future__ import annotations
@@ -17,11 +23,11 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .adapters import AdapterBundle, trainable_param_count
+from .adapters import AdapterBundle
 from .errors import ConfigError, ContainerError, NumericError
 from .runconfig import _build_section
 from .tensor import Tensor
@@ -36,28 +42,8 @@ MODEL_MAGIC = b"RSBM"
 BUNDLE_MAGIC = b"RSAD"
 FORMAT_VERSION = 1
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
-
-
-def _canonical(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def _pack(named: dict[str, np.ndarray]) -> tuple[list[dict], bytes]:
-    entries = []
-    blobs = []
-    offset = 0
-    for name in sorted(named):
-        with np.errstate(over="ignore"):  # a value past float32's range becomes inf, refused on save
-            arr = np.ascontiguousarray(named[name], dtype="<f4")
-        entries.append({
-            "name": name,
-            "shape": [int(d) for d in arr.shape],
-            "offset": offset,
-            "nbytes": arr.nbytes,
-        })
-        blobs.append(arr.tobytes())
-        offset += arr.nbytes
-    return entries, b"".join(blobs)
+_HEADER_KEYS = frozenset({"config", "tensors"})
+_RECORD_KEYS = frozenset({"name", "shape", "offset", "nbytes"})
 
 
 def _non_finite(table: list[dict], payload: bytes) -> str | None:
@@ -85,35 +71,33 @@ def _atomic_write(path: str, blob: bytes) -> None:
         raise
 
 
-def _write_container(path: str, magic: bytes, header_obj: dict, payload: bytes) -> None:
-    name = _non_finite(header_obj["tensors"], payload)
+def _save(path: str, magic: bytes, config: dict, tensors) -> None:
+    """The one write path: ``config`` and the tensors' float32 blobs in name order."""
+    table, blobs, offset = [], [], 0
+    for name in sorted(tensors):
+        with np.errstate(over="ignore"):  # a value past float32's range becomes inf, refused below
+            arr = np.ascontiguousarray(tensors[name].data, dtype="<f4")
+        table.append({"name": name, "shape": [int(d) for d in arr.shape],
+                      "offset": offset, "nbytes": arr.nbytes})
+        blobs.append(arr.tobytes())
+        offset += arr.nbytes
+    payload = b"".join(blobs)
+    name = _non_finite(table, payload)
     if name is not None:
         raise NumericError(f"{path}: {name}: non-finite value as float32, not saved")
-    header = _canonical(header_obj)
+    header = json.dumps({"config": config, "tensors": table},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
     _atomic_write(path, _PREFIX.pack(magic, FORMAT_VERSION, len(header)) + header + payload)
 
 
-def _read_container(path: str, expected_magic: bytes) -> tuple[dict, bytes]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _PREFIX.size:
-        raise ContainerError(f"{path}: truncated header (file is {len(raw)} bytes)")
-    magic, version, header_len = _PREFIX.unpack_from(raw)
-    if magic != expected_magic:
-        raise ContainerError(f"{path}: bad magic {magic!r}, expected {expected_magic.decode()!r}")
-    if version > FORMAT_VERSION or version < 1:
-        raise ContainerError(f"{path}: unsupported format version {version} (readers know <= {FORMAT_VERSION})")
-    if len(raw) < _PREFIX.size + header_len:
-        raise ContainerError(f"{path}: truncated header (declared {header_len} bytes)")
-    try:
-        header = json.loads(raw[_PREFIX.size : _PREFIX.size + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerError(f"{path}: malformed header JSON ({exc})") from None
-    if not isinstance(header, dict) or "config" not in header or "tensors" not in header:
-        raise ContainerError(f"{path}: header must carry 'config' and 'tensors'")
-    if not isinstance(header["config"], dict):
-        raise ContainerError(f"{path}: header 'config' must be a JSON object")
-    return header, raw[_PREFIX.size + header_len :]
+def _check_keys(path: str, what: str, obj, keys: frozenset) -> None:
+    """The key rule: ``obj`` is a JSON object holding exactly ``keys``, those its writer writes."""
+    if not isinstance(obj, dict):
+        raise ContainerError(f"{path}: {what} must be a JSON object")
+    if obj.keys() != keys:
+        missing = sorted(keys - obj.keys())
+        raise ContainerError(f"{path}: {what} lacks {missing[0]!r}" if missing else
+                             f"{path}: {what} has unknown key {min(obj.keys() - keys)!r}")
 
 
 def _is_count(value) -> bool:
@@ -122,12 +106,10 @@ def _is_count(value) -> bool:
 
 
 def _validate_table(path: str, table, payload: bytes) -> None:
-    if not isinstance(table, list) or not all(isinstance(e, dict) for e in table):
+    if not isinstance(table, list):
         raise ContainerError(f"{path}: tensor table must be a list of records")
     for e in table:
-        missing = next((key for key in ("name", "shape", "offset", "nbytes") if key not in e), None)
-        if missing:
-            raise ContainerError(f"{path}: tensor record lacks {missing!r}")
+        _check_keys(path, "tensor record", e, _RECORD_KEYS)
         if not isinstance(e["name"], str):
             raise ContainerError(f"{path}: tensor name must be a string, got {e['name']!r}")
         # no stored tensor has a zero dim, and one would let any other dim pass the nbytes check
@@ -160,106 +142,95 @@ def _validate_table(path: str, table, payload: bytes) -> None:
         raise ContainerError(f"{path}: {name}: non-finite value in the payload")
 
 
-def _unpack_tensor(payload: bytes, entry: dict) -> np.ndarray:
-    count = entry["nbytes"] // 4
-    arr = np.frombuffer(payload, dtype="<f4", count=count, offset=entry["offset"])
-    return arr.astype(np.float64).reshape(entry["shape"])
+def _model(config: dict, params: dict[str, Tensor]) -> UNetModel:
+    # the run-config parser types the fields; the model checks its sites and shapes
+    return UNetModel(config=_build_section("model", UNetConfig, config), params=params)
 
 
-# ---------------------------------------------------------------------------
-# models
+def _bundle(config: dict, tensors: dict[str, Tensor]) -> AdapterBundle:
+    rank = config["rank"]
+    if not _is_count(rank):
+        raise ConfigError(f"rank must be a non-negative int, got {rank!r}")
+    # the bundle checks its kind, alpha, fingerprint, sites and pairs
+    bundle = AdapterBundle(kind=config["kind"], tensors=tensors, alpha=config["alpha_r"],
+                           base_fingerprint=config["base_fingerprint"])
+    if bundle.rank and bundle.rank != rank:
+        raise ConfigError(f"lora shapes of rank {bundle.rank} contradict rank {rank}")
+    return bundle
+
+
+# magic -> (the config keys its writer writes, the object a load builds)
+_KINDS = {
+    MODEL_MAGIC: (frozenset(f.name for f in fields(UNetConfig)), _model),
+    BUNDLE_MAGIC: (frozenset({"kind", "rank", "alpha_r", "base_fingerprint"}), _bundle),
+}
+
+
+def _load(path: str, magics: tuple[bytes, ...]) -> UNetModel | AdapterBundle:
+    """The one read path: the model or bundle in ``path``, whose magic must be one of ``magics``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    magic = raw[:4]
+    if magic not in magics:
+        expected = " or ".join(repr(m.decode()) for m in magics)
+        raise ContainerError(f"{path}: bad magic {magic!r}, expected {expected}")
+    if len(raw) < _PREFIX.size:
+        raise ContainerError(f"{path}: truncated header (file is {len(raw)} bytes)")
+    _, version, header_len = _PREFIX.unpack_from(raw)
+    if version > FORMAT_VERSION or version < 1:
+        raise ContainerError(f"{path}: unsupported format version {version} (readers know <= {FORMAT_VERSION})")
+    if len(raw) < _PREFIX.size + header_len:
+        raise ContainerError(f"{path}: truncated header (declared {header_len} bytes)")
+    try:  # ValueError also covers an int literal past Python's 4,300 digits
+        header = json.loads(raw[_PREFIX.size : _PREFIX.size + header_len].decode("utf-8"))
+    except ValueError as exc:
+        raise ContainerError(f"{path}: malformed header JSON ({exc})") from None
+    config_keys, build = _KINDS[magic]
+    _check_keys(path, "header", header, _HEADER_KEYS)
+    _check_keys(path, "header 'config'", header["config"], config_keys)
+    payload = raw[_PREFIX.size + header_len :]
+    _validate_table(path, header["tensors"], payload)
+    tensors = {}
+    for e in header["tensors"]:
+        blob = np.frombuffer(payload, dtype="<f4", count=e["nbytes"] // 4, offset=e["offset"])
+        tensors[e["name"]] = Tensor(blob.astype(np.float64).reshape(e["shape"]), requires_grad=True)
+    try:
+        return build(header["config"], tensors)
+    except ConfigError as exc:
+        raise ContainerError(f"{path}: {exc}") from None
 
 
 def save_model(model: UNetModel, path: str) -> None:
     model = replace(model)  # checks again: tensor data stays assignable after the model is built
-    config = asdict(model.config)
-    config["channel_mults"] = list(model.config.channel_mults)
-    entries, payload = _pack({name: t.data for name, t in model.params.items()})
-    _write_container(path, MODEL_MAGIC, {"config": config, "tensors": entries}, payload)
+    _save(path, MODEL_MAGIC, asdict(model.config), model.params)
 
 
 def load_model(path: str) -> UNetModel:
-    header, payload = _read_container(path, MODEL_MAGIC)
-    try:  # the run-config parser's typed fields, unknown-key check included
-        config = _build_section("model", UNetConfig, header["config"])
-    except ConfigError as exc:
-        raise ContainerError(f"{path}: {exc}") from None
-    _validate_table(path, header["tensors"], payload)
-    params = {e["name"]: Tensor(_unpack_tensor(payload, e), requires_grad=True)
-              for e in header["tensors"]}
-    try:  # the model checks its sites and shapes
-        return UNetModel(config=config, params=params)
-    except ConfigError as exc:
-        raise ContainerError(f"{path}: {exc}") from None
+    return _load(path, (MODEL_MAGIC,))
 
-
-# ---------------------------------------------------------------------------
-# adapter bundles
 
 def save_bundle(bundle: AdapterBundle, path: str) -> None:
     bundle = replace(bundle)  # checks again: tensor data stays assignable after the bundle is built
-    config = {
-        "kind": bundle.kind,
-        "rank": bundle.rank,
-        "alpha_r": float(bundle.alpha),
-        "base_fingerprint": bundle.base_fingerprint,
-    }
-    entries, payload = _pack({name: t.data for name, t in bundle.tensors.items()})
-    _write_container(path, BUNDLE_MAGIC, {"config": config, "tensors": entries}, payload)
+    config = {"kind": bundle.kind, "rank": bundle.rank, "alpha_r": bundle.alpha,
+              "base_fingerprint": bundle.base_fingerprint}
+    _save(path, BUNDLE_MAGIC, config, bundle.tensors)
 
 
 def load_bundle(path: str) -> AdapterBundle:
-    header, payload = _read_container(path, BUNDLE_MAGIC)
-    config = header["config"]
-    rank = config.get("rank", 0)
-    if not _is_count(rank):
-        raise ContainerError(f"{path}: rank must be a non-negative int, got {rank!r}")
-    _validate_table(path, header["tensors"], payload)
-    tensors = {e["name"]: Tensor(_unpack_tensor(payload, e), requires_grad=True)
-               for e in header["tensors"]}
-    try:  # the bundle checks its kind, alpha, fingerprint, sites and pairs
-        bundle = AdapterBundle(kind=config.get("kind"), tensors=tensors,
-                               alpha=config.get("alpha_r", 1.0),
-                               base_fingerprint=config.get("base_fingerprint"))
-    except ConfigError as exc:
-        raise ContainerError(f"{path}: {exc}") from None
-    if bundle.rank and bundle.rank != rank:
-        raise ContainerError(f"{path}: lora shapes of rank {bundle.rank} contradict rank {rank}")
-    return bundle
-
-
-# ---------------------------------------------------------------------------
-# inspection
+    return _load(path, (BUNDLE_MAGIC,))
 
 
 def inspect(path: str) -> str:
     """Human-readable report for either container kind; raises on malformed files."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == MODEL_MAGIC:
-        model = load_model(path)
-        lines = [
-            "kind: RSBM (base model checkpoint)",
-            f"version: {FORMAT_VERSION}",
-            f"tensors: {len(model.params)}",
-            f"parameters: {sum(t.size for t in model.params.values())}",
-            "sites:",
-        ]
-        lines += [f"  {name}  {list(model.params[name].shape)}" for name in sorted(model.params)]
-        return "\n".join(lines)
-    if magic == BUNDLE_MAGIC:
-        bundle = load_bundle(path)
-        lines = [
-            "kind: RSAD (adapter bundle)",
-            f"version: {FORMAT_VERSION}",
-            f"adapter kind: {bundle.kind}",
-            f"tensors: {len(bundle.tensors)}",
-            f"rank: {bundle.rank}",
-            f"alpha_r: {bundle.alpha}",
-            f"base_fingerprint: {bundle.base_fingerprint}",
-            f"trainable parameters: {trainable_param_count(bundle)}",
-            "sites:",
-        ]
-        lines += [f"  {name}  {list(t.shape)}" for name, t in sorted(bundle.tensors.items())]
-        return "\n".join(lines)
-    raise ContainerError(f"{path}: bad magic {magic!r}, expected 'RSBM' or 'RSAD'")
+    obj = _load(path, tuple(_KINDS))
+    if isinstance(obj, AdapterBundle):
+        title, tensors, count = "RSAD (adapter bundle)", obj.tensors, "trainable parameters"
+        facts = [("adapter kind", obj.kind), ("rank", obj.rank), ("alpha_r", obj.alpha),
+                 ("base_fingerprint", obj.base_fingerprint)]
+    else:
+        title, tensors, count, facts = "RSBM (base model checkpoint)", obj.params, "parameters", []
+    lines = [f"kind: {title}", f"version: {FORMAT_VERSION}", f"tensors: {len(tensors)}",
+             *(f"{label}: {value}" for label, value in facts),
+             f"{count}: {sum(t.size for t in tensors.values())}", "sites:"]
+    lines += [f"  {name}  {list(t.shape)}" for name, t in sorted(tensors.items())]
+    return "\n".join(lines)

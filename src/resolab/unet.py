@@ -243,18 +243,20 @@ def _time_embedding_rows(t: np.ndarray, dim: int) -> np.ndarray:
 def _as_index_vector(value, n: int, name: str) -> np.ndarray:
     """``value`` (a scalar or one id per sample) as a length-n index vector.
 
-    Every model entry point (unet_forward, cfg_predict, forward_marginal)
-    reads its batch's t or class ids here, so this is the one place that
-    refuses an empty batch.
+    Every model entry point (unet_forward, cfg_predict, forward_marginal) and
+    the schedule's per-timestep lookups read their t or class ids here, so this
+    is the one place that refuses an empty batch (first) and a non-integer id.
+    An id must have an integer dtype: a float is refused even when integral
+    (3.0), as are bools and strings (ConfigError), never truncated.
     """
     if n < 1:
         raise ShapeError(f"{name}: the batch is empty; a model call needs at least one sample")
     arr = np.asarray(value)
-    if arr.ndim == 0:
-        arr = np.full(n, int(arr))
-    if arr.shape != (n,):
+    if arr.shape not in ((), (n,)):
         raise ShapeError(f"{name} must be a scalar or length-{n} vector, got shape {arr.shape}")
-    return arr.astype(np.intp)
+    if arr.dtype.kind not in "iu":
+        raise ConfigError(f"{name} must hold integers, got {arr.dtype} values")
+    return np.full(n, arr, dtype=np.intp) if arr.ndim == 0 else arr.astype(np.intp)
 
 
 def _norm_silu_conv(p, norm: str, conv: str, h: Tensor, config: UNetConfig) -> Tensor:

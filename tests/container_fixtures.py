@@ -5,6 +5,7 @@ file in place, and loading it afterwards must raise ContainerError whose
 message matches ``pattern``.
 """
 
+import dataclasses
 import json
 import struct
 
@@ -169,6 +170,13 @@ def _drop_config_key(path, magic, key):
     _edit(path, magic, fn)
 
 
+def _add_header_key(path, magic, key, value):
+    def fn(header, payload):
+        header[key] = value
+        return header, payload
+    _edit(path, magic, fn)
+
+
 # --- model-file mutations ---------------------------------------------------
 
 def _m_truncate_prefix(path):
@@ -194,6 +202,13 @@ def _m_declare_long_header(path):
 def _m_garbage_json(path):
     _, _, _, payload = read_parts(path)
     blob = b"{this is not json"
+    path.write_bytes(PREFIX.pack(MODEL_MAGIC, 1, len(blob)) + blob + payload)
+
+
+def _m_huge_int_json(path):
+    # json.loads raises a bare ValueError on an int literal past Python's 4,300 digits
+    _, _, _, payload = read_parts(path)
+    blob = b'{"config":{"groups":' + b"9" * 5000 + b'},"tensors":[]}'
     path.write_bytes(PREFIX.pack(MODEL_MAGIC, 1, len(blob)) + blob + payload)
 
 
@@ -262,7 +277,10 @@ MODEL_CASES = [
     ("unsupported_version", _m_bump_version, "unsupported format version"),
     ("declared_header_too_long", _m_declare_long_header, "truncated header"),
     ("malformed_json", _m_garbage_json, "malformed header JSON"),
-    ("missing_required_keys", _m_drop_tensors_key, "must carry"),
+    ("malformed_json_huge_int", _m_huge_int_json, "malformed header JSON"),
+    ("missing_required_keys", _m_drop_tensors_key, "header lacks 'tensors'"),
+    ("unknown_header_key", lambda p: _add_header_key(p, MODEL_MAGIC, "schedule", {}),
+     "header has unknown key 'schedule'"),
     ("unsorted_names", lambda p: _swap_first_rows(p, MODEL_MAGIC), "unique and sorted"),
     ("duplicate_names", _m_duplicate_name, "unique and sorted"),
     ("nbytes_contradicts_shape", _m_nbytes_lie, "contradicts shape"),
@@ -271,7 +289,7 @@ MODEL_CASES = [
     ("truncated_payload", _m_truncate_payload, "truncated payload"),
     ("trailing_payload", _m_trailing_bytes, "trailing payload"),
     ("unknown_config_key", lambda p: _patch_config(p, MODEL_MAGIC, zoom_factor=2),
-     "unknown config key"),
+     "header 'config' has unknown key 'zoom_factor'"),
     ("config_not_object", lambda p: _set_config(p, MODEL_MAGIC, []),
      "'config' must be a JSON object"),
     ("config_int_as_string", lambda p: _patch_config(p, MODEL_MAGIC, groups="4"),
@@ -291,6 +309,8 @@ MODEL_CASES = [
      "lacks 'nbytes'"),
     ("record_lacks_name", lambda p: _drop_entry_key(p, MODEL_MAGIC, "name"),
      "lacks 'name'"),
+    ("record_unknown_key", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", dtype="<f4"),
+     "tensor record has unknown key 'dtype'"),
     ("name_not_string", lambda p: _patch_entry(p, MODEL_MAGIC, "down.0.res.0.conv1.bias",
                                                name=None), "name must be a string"),
     ("shape_not_list", lambda p: _patch_entry(p, MODEL_MAGIC, "out.conv.bias", shape=1),
@@ -313,6 +333,10 @@ MODEL_CASES = [
      "offset must be a non-negative int"),
     ("nan_payload", lambda p: _poison_payload(p, MODEL_MAGIC, np.nan), "non-finite value"),
     ("inf_payload", lambda p: _poison_payload(p, MODEL_MAGIC, -np.inf), "non-finite value"),
+] + [  # a loader fills no config field with its default: each is one the writer wrote
+    (f"config_lacks_{f.name}", lambda p, key=f.name: _drop_config_key(p, MODEL_MAGIC, key),
+     f"header 'config' lacks '{f.name}'")
+    for f in dataclasses.fields(UNetConfig)
 ]
 
 
@@ -350,7 +374,21 @@ BUNDLE_CASES = [
     ("unknown_kind", lambda p: _patch_config(p, BUNDLE_MAGIC, kind="hyper-lora"),
      "unknown bundle kind"),
     ("missing_fingerprint", lambda p: _drop_config_key(p, BUNDLE_MAGIC, "base_fingerprint"),
-     "base_fingerprint must be a string"),
+     "header 'config' lacks 'base_fingerprint'"),
+    # a bundle without alpha_r loaded at alpha 1.0, not at the blend strength it shipped with
+    ("missing_alpha", lambda p: _drop_config_key(p, BUNDLE_MAGIC, "alpha_r"),
+     "header 'config' lacks 'alpha_r'"),
+    ("missing_rank", lambda p: _drop_config_key(p, BUNDLE_MAGIC, "rank"),
+     "header 'config' lacks 'rank'"),
+    ("missing_kind", lambda p: _drop_config_key(p, BUNDLE_MAGIC, "kind"),
+     "header 'config' lacks 'kind'"),
+    ("unknown_config_key", lambda p: _patch_config(p, BUNDLE_MAGIC, zoom=2),
+     "header 'config' has unknown key 'zoom'"),
+    ("unknown_header_key", lambda p: _add_header_key(p, BUNDLE_MAGIC, "alpha_r", 0.4),
+     "header has unknown key 'alpha_r'"),
+    ("record_unknown_key",
+     lambda p: _patch_entry(p, BUNDLE_MAGIC, "down.0.sampler.conv.weight.lora.A", crc=0),
+     "tensor record has unknown key 'crc'"),
     ("non_string_fingerprint", lambda p: _patch_config(p, BUNDLE_MAGIC, base_fingerprint=7),
      "base_fingerprint must be a string"),
     ("alpha_above_one", lambda p: _patch_config(p, BUNDLE_MAGIC, alpha_r=5.0),

@@ -18,7 +18,6 @@ import pytest
 
 import container_fixtures as cf
 from resolab.adapters import (
-    adapted_forward,
     attach_resadapter,
     attach_style_lora,
     effective_param_map,
@@ -132,8 +131,10 @@ def test_criterion_03_attach_identity(verdict, protocol, base_model, adapter_bun
     for r in (8, 16, 24, 32):
         x = rng.standard_normal((2, 1, r, r))
         ref = unet_forward(base_model, Tensor(x), t, [0, 1]).data
-        out_f = adapted_forward(base_model, fresh, Tensor(x), t, [0, 1]).data
-        out_z = adapted_forward(base_model, zeroed, Tensor(x), t, [0, 1]).data
+        out_f = unet_forward(base_model, Tensor(x), t, [0, 1],
+                             effective_param_map(base_model, fresh)).data
+        out_z = unet_forward(base_model, Tensor(x), t, [0, 1],
+                             effective_param_map(base_model, zeroed)).data
         worst_fresh = max(worst_fresh, float(np.max(np.abs(out_f - ref))))
         worst_zero = max(worst_zero, float(np.max(np.abs(out_z - ref))))
     check(verdict, 3, "attach identity",
@@ -154,7 +155,7 @@ def test_criterion_04_merge_equivalence(verdict, protocol, base_model):
         r = (8, 16, 24, 32)[i % 4]
         t = 1 + (7 * i) % protocol.schedule.timesteps
         x = rng.standard_normal((1, 1, r, r))
-        a = adapted_forward(base_model, bundle, Tensor(x), t, [i % 4]).data
+        a = unet_forward(base_model, Tensor(x), t, [i % 4], effective_param_map(base_model, bundle)).data
         m = unet_forward(merged, Tensor(x), t, [i % 4]).data
         np.testing.assert_allclose(a, m, rtol=1e-9, atol=1e-12)
         scale = max(float(np.max(np.abs(m))), 1e-12)

@@ -14,7 +14,6 @@ from resolab.adapters import (
     LORA_A_SUFFIX,
     LORA_B_SUFFIX,
     AdapterBundle,
-    adapted_forward,
     attach_resadapter,
     attach_style_lora,
     check_rank,
@@ -171,7 +170,7 @@ def test_attach_changes_no_output():
     x, t, c = small_batch()
     before = unet_forward(model, x, t, c).data.copy()
     bundle = attach_resadapter(model, rank=3, seed=5)
-    after = adapted_forward(model, bundle, x, t, c).data
+    after = unet_forward(model, x, t, c, effective_param_map(model, bundle)).data
     np.testing.assert_array_equal(before, after)  # B and deltas start at zero
 
 
@@ -180,7 +179,8 @@ def test_attach_style_lora_identity_and_sites():
     x, t, c = small_batch()
     before = unet_forward(model, x, t, c).data.copy()
     bundle = attach_style_lora(model, rank=2, seed=5)
-    np.testing.assert_array_equal(before, adapted_forward(model, bundle, x, t, c).data)
+    after = unet_forward(model, x, t, c, effective_param_map(model, bundle)).data
+    np.testing.assert_array_equal(before, after)
     sites = [n.removesuffix(LORA_A_SUFFIX) for n in bundle.names("conv_lora")
              if n.endswith(LORA_A_SUFFIX)]
     assert sorted(sites) == [f"mid.attn.{k}.weight" for k in ("k", "o", "q", "v")]
@@ -201,9 +201,9 @@ def test_alpha_zero_recovers_base_after_training():
     x, t, c = small_batch(seed=3)
     base_out = unet_forward(model, x, t, c).data.copy()
     bundle = randomize_bundle(attach_resadapter(model, rank=3, seed=7), seed=8)
-    moved = adapted_forward(model, bundle, x, t, c).data
+    moved = unet_forward(model, x, t, c, effective_param_map(model, bundle)).data
     assert np.abs(moved - base_out).max() > 1e-6  # adapter genuinely active
-    off = adapted_forward(model, bundle.with_alpha(0.0), x, t, c).data
+    off = unet_forward(model, x, t, c, effective_param_map(model, bundle.with_alpha(0.0))).data
     np.testing.assert_array_equal(off, base_out)
     assert bundle.alpha == 1.0  # with_alpha returns a new bundle
 
@@ -247,7 +247,8 @@ def test_restricted_subsets():
     delta_only = bundle.restricted({"norm_delta"})
     assert parts(delta_only) == {"delta"}
     neither = bundle.restricted(set())
-    np.testing.assert_array_equal(adapted_forward(model, neither, x, t, c).data, base_out)
+    off = unet_forward(model, x, t, c, effective_param_map(model, neither)).data
+    np.testing.assert_array_equal(off, base_out)
     # a restricted table is a part of the layout: it passes the host check, and each
     # site takes the full bundle's value where the part is kept and the base's elsewhere
     full = effective_param_map(model, bundle)
@@ -279,7 +280,7 @@ def test_grads_flow_to_bundle_not_base():
     bundle = randomize_bundle(attach_resadapter(model, rank=2, seed=11), seed=12)
     x, t, c = small_batch(seed=13)
     with Tape() as tape:
-        out = adapted_forward(model, bundle, x, t, c)
+        out = unet_forward(model, x, t, c, effective_param_map(model, bundle))
         loss = ops.mean_all(ops.mul(out, out))
         tape.backward(loss)
     for name, tensor in bundle.tensors.items():
@@ -300,7 +301,7 @@ def test_merge_matches_adapted_forward_bitwise():
     merged = merge(model, bundle)
     for seed in range(5):
         x, t, c = small_batch(seed=seed, hw=12)
-        a = adapted_forward(model, bundle, x, t, c).data
+        a = unet_forward(model, x, t, c, effective_param_map(model, bundle)).data
         b = unet_forward(merged, x, t, c).data
         np.testing.assert_array_equal(a, b)  # same arithmetic on both paths
 
@@ -311,7 +312,7 @@ def test_merge_respects_alpha():
     half = bundle.with_alpha(0.5)
     merged = merge(model, half)
     x, t, c = small_batch(seed=18)
-    np.testing.assert_array_equal(adapted_forward(model, half, x, t, c).data,
+    np.testing.assert_array_equal(unet_forward(model, x, t, c, effective_param_map(model, half)).data,
                                   unet_forward(merged, x, t, c).data)
 
 
@@ -338,7 +339,7 @@ def test_fingerprint_mismatch_rejected():
     other = build_unet(other_cfg, seed=0)
     x, t, c = small_batch()
     with pytest.raises(ConfigError, match="fingerprint"):
-        adapted_forward(other, bundle, x, t, c)
+        unet_forward(other, x, t, c, effective_param_map(other, bundle))
     with pytest.raises(ConfigError, match="fingerprint"):
         merge(other, bundle)
 
@@ -386,7 +387,7 @@ def test_bundle_tensor_that_misfits_its_host_is_rejected(tmp_path, mutate):
     x, t, c = small_batch()
     for b in (bundle, store.load_bundle(path)):
         with pytest.raises(ConfigError, match=re.escape(f"adapter site {site}:")):
-            adapted_forward(model, b, x, t, c)
+            unet_forward(model, x, t, c, effective_param_map(model, b))
         with pytest.raises(ConfigError, match=re.escape(f"adapter site {site}:")):
             merge(model, b)
 
@@ -402,7 +403,7 @@ def test_data_reshaped_after_build_is_caught_at_use():
         bundle = attach_resadapter(model, rank=2, seed=3)
         bundle.tensors[name].data = np.zeros(shape)
         with pytest.raises(ConfigError, match=re.escape(f"adapter site {name.rsplit('.', 2)[0]}:")):
-            adapted_forward(model, bundle, x, t, c)
+            unet_forward(model, x, t, c, effective_param_map(model, bundle))
 
 
 def test_a_name_in_no_pair_is_rejected():

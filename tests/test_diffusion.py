@@ -104,6 +104,15 @@ def test_forward_marginal_refuses_an_empty_batch():
         forward_marginal(x0, 1, x0, TINY)
 
 
+@pytest.mark.parametrize("t", [1.7, 2.0, "2", True, None],
+                         ids=["float", "integral_float", "string", "bool", "none"])
+def test_schedule_lookups_refuse_a_non_integer_timestep(t):
+    # alpha_bar_at(1.7) used to read alpha_bar_at(1): the rule of unet_forward's t
+    with pytest.raises(ConfigError, match="^t must hold integers"):
+        TINY.alpha_bar_at(t)
+    assert TINY.alpha_bar_at(np.int64(2)) == TINY.alpha_bar_at(2)
+
+
 def test_forward_marginal_per_sample_t_and_grads():
     s = DiffusionSchedule(10, 1e-3, 5e-2)
     rng = np.random.default_rng(0)

@@ -209,6 +209,40 @@ def test_group_norm_ops_take_an_empty_batch(fused):
     assert all(gr.shape == a.shape and not gr.any() for gr, a in zip(grads[1:], arrays[1:]))
 
 
+def _refused_without_warnings(op, *arrays, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeError, match=match):
+            op(*(Tensor(a) for a in arrays))
+
+
+def test_group_norm_refuses_a_zero_area_input():
+    # a group of no values used to divide by its count of 0 and return NaN
+    _refused_without_warnings(lambda x, ga, be: ops.group_norm(x, 2, ga, be),
+                              np.ones((2, 4, 0, 3)), np.ones(4), np.zeros(4),
+                              match=r"group_norm: C, H and W must be positive, got \(2, 4, 0, 3\)")
+
+
+def test_group_norm_silu_conv2d_refuses_a_zero_area_input():
+    # a 1x1 kernel at padding 1 fits the padded (2, 5) input, so only the norm can refuse it
+    _refused_without_warnings(
+        lambda x, ga, be, w: ops.group_norm_silu_conv2d(x, 2, ga, be, w, padding=1),
+        np.ones((2, 4, 0, 3)), np.ones(4), np.zeros(4), np.ones((3, 4, 1, 1)),
+        match=r"group_norm: C, H and W must be positive")
+
+
+def test_self_attention_refuses_no_tokens():
+    # used to reach _softmax_rows and raise numpy's ValueError on an empty reduction
+    _refused_without_warnings(ops.self_attention, np.ones((2, 0, 4)), *[np.eye(4)] * 4,
+                              match=r"self_attention: T and d must be positive, got \(2, 0, 4\)")
+
+
+def test_self_attention_refuses_a_zero_width():
+    # used to raise ZeroDivisionError scaling the scores by 1/sqrt(d)
+    _refused_without_warnings(ops.self_attention, np.ones((2, 3, 0)), *[np.ones((0, 0))] * 4,
+                              match=r"self_attention: T and d must be positive, got \(2, 3, 0\)")
+
+
 def test_group_norm_forward_equals_np_var_form():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((4, 8, 6, 5))

@@ -1,6 +1,7 @@
 """Strict run-configuration parsing: dotted-path errors, coercion, defaults; every parsed
 single-leaf document also runs through the commands."""
 
+import dataclasses
 import inspect
 import itertools
 import json
@@ -185,7 +186,7 @@ def test_readme_defaults_block_equals_the_code():
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Run configuration\n", 1)[1]
     block = section.split("```json\n", 1)[1].split("```", 1)[0]
-    assert json.loads(block) == json.loads(json.dumps(default_runconfig().to_dict()))
+    assert json.loads(block) == json.loads(json.dumps(dataclasses.asdict(default_runconfig())))
 
 
 @pytest.mark.parametrize("section,name", [("train", "train.seed"), ("eval", "eval.seed")])
@@ -213,7 +214,7 @@ def test_malformed_json_file(tmp_path):
 
 def test_to_dict_survives_json_round_trip():
     rc = default_runconfig()
-    reparsed = parse_runconfig(json.loads(json.dumps(rc.to_dict())))
+    reparsed = parse_runconfig(json.loads(json.dumps(dataclasses.asdict(rc))))
     assert reparsed == rc
 
 
@@ -222,8 +223,8 @@ def test_schedule_and_data_sections_are_the_objects_they_configure():
                           "data": {"generator": "discs", "num_classes": 3}})
     assert rc.schedule == DiffusionSchedule(7, 0.01, 0.02)
     assert rc.data == SyntheticDataset("discs", 3)
-    assert parse_runconfig(rc.to_dict()) == rc
-    assert rc.to_dict()["schedule"] == {"timesteps": 7, "beta_start": 0.01, "beta_end": 0.02}
+    assert parse_runconfig(dataclasses.asdict(rc)) == rc
+    assert dataclasses.asdict(rc)["schedule"] == {"timesteps": 7, "beta_start": 0.01, "beta_end": 0.02}
 
 
 def test_data_classes_must_fit_the_model():
@@ -292,7 +293,7 @@ def test_configs_are_checked_when_built(build):
 
 # --- fuzz: every document parses or raises ConfigError -----------------------
 
-_DEFAULTS = default_runconfig().to_dict()
+_DEFAULTS = dataclasses.asdict(default_runconfig())
 _LEAVES = [(section, key) for section, body in _DEFAULTS.items() for key in body]
 _INTS = [-1, 0, 1, 7, 2**63, 10**30]
 _SCALAR_POOL = [*_INTS, True, False, None, "", "discs", float("nan"), float("inf"),

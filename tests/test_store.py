@@ -147,6 +147,19 @@ def test_bundle_bytes_are_pinned(tmp_path):
         "298d125cfe3b208b639cadedb38b42ea989e88630ad171609af3689a9cae7228")
 
 
+@pytest.mark.parametrize("save,make,digest", [
+    (save_model, small_model,
+     "5b9edac1ff4651f417afdf03216f2fa6fea013c54f5f23c9ba7d1e4265b7d12d"),
+    (save_bundle, lambda: small_bundle(small_model()),
+     "4498f4f20375422899204818ba26c7fedf077c96b4acfcd76c202fda7a70f22e"),
+], ids=["model", "bundle"])
+def test_diagnostics_base_files_are_pinned(tmp_path, save, make, digest):
+    # the files every malformed-file row starts from: a codec change cannot alter them unseen
+    path = tmp_path / "c.bin"
+    save(make(), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def _built(tmp_path):
     return small_model(seed=6)
 

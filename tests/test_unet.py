@@ -165,6 +165,25 @@ def test_forward_refuses_an_empty_batch():
         unet_forward(model, Tensor(np.zeros((0, 1, 8, 8))), 1, [])
 
 
+@pytest.mark.parametrize("t,c,dtype", [
+    (2.7, [0, 1], "float64"), (3.0, [0, 1], "float64"), ("x", [0, 1], "<U1"),
+    (True, [0, 1], "bool"), (2, [0, 1.9], "float64"), (2, np.array([0.0, 1.0]), "float64"),
+], ids=["t_float", "t_integral_float", "t_string", "t_bool", "c_float", "c_integral_floats"])
+def test_forward_refuses_a_non_integer_id(t, c, dtype):
+    # t = 2.7 used to run as t = 2 and class id 1.9 as 1; "x" raised numpy's ValueError
+    model = build_unet(TINY, seed=0)
+    name = "c" if isinstance(t, int) and not isinstance(t, bool) else "t"
+    with pytest.raises(ConfigError, match=f"^{name} must hold integers, got {re.escape(dtype)} values$"):
+        unet_forward(model, Tensor(np.zeros((2, 1, 8, 8))), t, c)
+
+
+def test_forward_takes_numpy_integer_ids():
+    model = build_unet(TINY, seed=0)
+    x = Tensor(np.random.default_rng(3).standard_normal((2, 1, 8, 8)))
+    ref = unet_forward(model, x, 2, [0, 1]).data
+    assert np.array_equal(unet_forward(model, x, np.int32(2), np.array([0, 1], np.uint8)).data, ref)
+
+
 def test_forward_works_across_resolutions():
     # the same weights run at any divisor-compatible size (fully convolutional)
     model = build_unet(TINY, seed=1)
