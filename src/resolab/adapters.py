@@ -31,7 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, check_seed
+from .errors import ConfigError, check_seed, prefixed
 from .tensor import Tensor
 from .unet import UNetConfig, UNetModel, site_shapes
 
@@ -75,8 +75,8 @@ class AdapterBundle:
         kind, alpha, fingerprint = self.kind, self.alpha, self.base_fingerprint
         if not isinstance(kind, str) or kind not in BUNDLE_KINDS:
             raise ConfigError(f"unknown bundle kind {kind!r} (choose from {sorted(BUNDLE_KINDS)})")
-        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"alpha_r must be a number in [0, 1], got {alpha!r}")
+        with prefixed("alpha_r "):
+            check_alpha(alpha)
         if not isinstance(fingerprint, str):
             raise ConfigError(f"base_fingerprint must be a string, got {fingerprint!r}")
         tensors = MappingProxyType(dict(self.tensors))
@@ -170,6 +170,12 @@ def _layout(config: UNetConfig, kind: str, rank: int) -> Mapping[str, tuple[int,
         if norm_sites is not None and norm != site and norm_sites.match(norm):
             layout[norm + DELTA_GAMMA_SUFFIX] = layout[norm + DELTA_BETA_SUFFIX] = shape
     return MappingProxyType(layout)
+
+
+def check_alpha(alpha) -> None:
+    """ConfigError unless ``alpha`` is a blend strength: a real number in [0, 1], not a bool."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"must be a number in [0, 1], got {alpha!r}")
 
 
 def check_rank(config: UNetConfig, kind: str, rank: int) -> None:

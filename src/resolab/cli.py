@@ -13,15 +13,16 @@ import sys
 import numpy as np
 
 from . import store
-from .adapters import attach_resadapter, effective_param_map, merge, trainable_param_count
+from .adapters import (AdapterBundle, attach_resadapter, effective_param_map, merge,
+                       trainable_param_count)
 from .diffusion import SamplerConfig, ddim_sample
-from .errors import ConfigError, ContainerError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ResolabError
 from .evalbench import ablation_grid, bench_latency, multires_eval, tiled_generate
 from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .pgm import write as write_pgm
 from .runconfig import RunConfig, load_runconfig
 from .trainer import train_adapter, train_base
-from .unet import build_unet
+from .unet import UNetModel, build_unet
 
 __all__ = ["main", "app"]
 
@@ -31,16 +32,15 @@ NUMERIC_EXIT = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's 2
+    """Usage problems exit 1, not argparse's 2; help shows every option's default."""
+
+    def __init__(self, *args, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs):
+        super().__init__(*args, formatter_class=formatter_class, **kwargs)
+
+    def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
-
-
-def _add_parser(subparsers, name: str, **kwargs):
-    return subparsers.add_parser(
-        name, formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs
-    )
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -54,20 +54,42 @@ def _parse_size(text: str) -> tuple[int, int]:
     return size
 
 
-def _load_model_for(args, rc: RunConfig):
-    model = store.load_model(args.model)
-    if model.config != rc.model:
+def _inputs(args) -> tuple[RunConfig | None, UNetModel | None, AdapterBundle | None]:
+    """A command's run config, ``--model`` checkpoint and ``--adapter`` bundle at ``--alpha``.
+
+    Each is None where the command takes no such option (the run config is the
+    defaults without ``--config``). A command that reads both a run config and a
+    checkpoint gets the one rule between them: the checkpoint is the run config's model.
+    """
+    rc = load_runconfig(args.config) if "config" in args else None
+    model = store.load_model(args.model) if "model" in args else None
+    if rc is not None and model is not None and model.config != rc.model:
         raise ConfigError(
             f"checkpoint {args.model} was built with a different model configuration "
             f"than the run configuration supplies; re-point --config or --model"
         )
-    return model
+    bundle = store.load_bundle(args.adapter) if getattr(args, "adapter", None) else None
+    if bundle is not None and args.alpha is not None:
+        bundle = bundle.with_alpha(args.alpha)  # adapters checks its fingerprint on use
+    return rc, model, bundle
 
 
-def _load_bundle_for(path: str, alpha: float | None):
-    """Load a bundle, optionally re-blended; adapters checks its fingerprint on use."""
-    bundle = store.load_bundle(path)
-    return bundle if alpha is None else bundle.with_alpha(alpha)
+def _sampling(args, model: UNetModel, bundle: AdapterBundle | None):
+    """The adapted parameter map, sampler config and class ids of a sampling command."""
+    params = effective_param_map(model, bundle) if bundle is not None else None
+    cfg = SamplerConfig(steps=args.steps, guidance_scale=args.guidance, eta=args.eta,
+                        seed=args.seed)
+    return params, cfg, np.array([args.class_id])
+
+
+def _report_training(args, trace, steps: int, what: str) -> None:
+    """Write the ``--trace`` file, pass the trace's notes to stderr, print the final loss."""
+    if args.trace:
+        trace.write(args.trace)
+    for note in trace.notes:
+        print(f"note: {note}", file=sys.stderr)
+    final = trace.records[-1].loss if trace.records else float("nan")
+    print(f"trained {what}: {steps} steps, final loss {final:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -75,34 +97,25 @@ def _load_bundle_for(path: str, alpha: float | None):
 
 
 def _cmd_train_base(args) -> int:
-    rc = load_runconfig(args.config)
+    rc, _, _ = _inputs(args)
     model = build_unet(rc.model, seed=rc.train.seed)
     plan = rc.train.plan("base", args.steps)
     trace = train_base(model, plan, rc.data, rc.schedule)
     store.save_model(model, args.out)
-    if args.trace:
-        trace.write(args.trace)
-    final = trace.records[-1].loss if trace.records else float("nan")
-    print(f"trained base model: {plan.steps} steps, final loss {final:.6g}")
+    _report_training(args, trace, plan.steps, "base model")
     print(f"fingerprint: {model.fingerprint}")
     print(f"saved: {args.out}")
     return 0
 
 
 def _cmd_train_adapter(args) -> int:
-    rc = load_runconfig(args.config)
-    model = _load_model_for(args, rc)
+    rc, model, _ = _inputs(args)
     bundle = attach_resadapter(model, rank=rc.train.rank, seed=rc.train.seed)
     plan = rc.train.plan("adapter", args.steps)
     trace = train_adapter(model, bundle, plan, rc.data, rc.schedule)
     bundle = bundle.with_alpha(rc.train.alpha_r)
     store.save_bundle(bundle, args.out)
-    if args.trace:
-        trace.write(args.trace)
-    for note in trace.notes:
-        print(f"note: {note}", file=sys.stderr)
-    final = trace.records[-1].loss if trace.records else float("nan")
-    print(f"trained adapter: {plan.steps} steps, final loss {final:.6g}")
+    _report_training(args, trace, plan.steps, "adapter")
     print(f"trainable parameters: {trainable_param_count(bundle)}")
     print(f"bundle alpha_r: {bundle.alpha:g}")
     print(f"saved: {args.out}")
@@ -110,25 +123,18 @@ def _cmd_train_adapter(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model = store.load_model(args.model)
-    params = None
-    if args.adapter:
-        bundle = _load_bundle_for(args.adapter, args.alpha)
-        params = effective_param_map(model, bundle)
-    cfg = SamplerConfig(steps=args.steps, guidance_scale=args.guidance,
-                        eta=args.eta, seed=args.seed)
+    rc, model, bundle = _inputs(args)
+    params, cfg, classes = _sampling(args, model, bundle)
     h, w = _parse_size(args.size)
     shape = (1, model.config.in_channels, h, w)
-    schedule = load_runconfig(args.config).schedule
-    x = ddim_sample(model, shape, cfg, np.array([args.class_id]), schedule, params=params)
+    x = ddim_sample(model, shape, cfg, classes, rc.schedule, params=params)
     write_pgm(args.out, x.data[0])
     print(f"wrote {args.out} ({h}x{w}, class {args.class_id}, seed {cfg.seed})")
     return 0
 
 
 def _cmd_merge(args) -> int:
-    model = store.load_model(args.model)
-    bundle = _load_bundle_for(args.adapter, args.alpha)
+    _, model, bundle = _inputs(args)
     merged = merge(model, bundle)
     store.save_model(merged, args.out)
     n_lora, n_delta = (len(bundle.names(part)) // 2 for part in ("conv_lora", "norm_delta"))
@@ -170,9 +176,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    rc = load_runconfig(args.config)
-    model = _load_model_for(args, rc)
-    bundle = _load_bundle_for(args.adapter, args.alpha) if args.adapter else None
+    rc, model, bundle = _inputs(args)
     reports = [multires_eval(
         model, bundle, rc.schedule, rc.data, rc.eval.buckets,
         n_batches=rc.eval.n_batches, seed=rc.eval.seed, batch_size=rc.eval.batch_size,
@@ -192,23 +196,17 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench_tiled(args) -> int:
-    model = store.load_model(args.model)
-    bundle = _load_bundle_for(args.adapter, args.alpha) if args.adapter else None
-    schedule = load_runconfig(args.config).schedule
-    cfg = SamplerConfig(steps=args.steps, guidance_scale=args.guidance,
-                        eta=0.0, seed=args.seed)
+    rc, model, bundle = _inputs(args)
+    params, cfg, classes = _sampling(args, model, bundle)
     target, tile = _parse_size(args.target), _parse_size(args.tile)
-    result = bench_latency(
-        model, bundle, target, tile, args.overlap,
-        cfg, np.array([args.class_id]), schedule, repeats=args.repeats,
-    )
+    result = bench_latency(model, bundle, target, tile, args.overlap, cfg, classes, rc.schedule,
+                           repeats=args.repeats)
     print(f"direct @ {args.target}: {result['direct_ms']:.1f} ms (median of {args.repeats})")
     print(f"tiled  {args.tile} overlap {args.overlap}: {result['tiled_ms']:.1f} ms")
     print(f"ratio (tiled/direct): {result['ratio']:.2f}")
     if args.out:
-        x = tiled_generate(model, schedule, target, tile, args.overlap, cfg,
-                           np.array([args.class_id]),
-                           params=effective_param_map(model, bundle) if bundle else None)
+        x = tiled_generate(model, rc.schedule, target, tile, args.overlap, cfg, classes,
+                           params=params)
         write_pgm(args.out, x.data[0])
         print(f"wrote {args.out}")
     return 0
@@ -220,52 +218,54 @@ def _cmd_bench_tiled(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="resolab",
-                     description="Desk-scale diffusion lab with resolution adapters.",
-                     formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                     description="Desk-scale diffusion lab with resolution adapters.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = _add_parser(sub, "train-base", help="train a base denoiser at the standard resolution")
-    p.add_argument("--config", default=None, help="run configuration JSON (defaults if omitted)")
+    # the options several commands share, each declared once in a parent parser
+    config, model, bundle, bundle_required, training, sampler = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    config.add_argument("--config", default=None,
+                        help="run configuration JSON (defaults if omitted)")
+    model.add_argument("--model", required=True, help="model checkpoint")
+    for parent, required in ((bundle, False), (bundle_required, True)):
+        parent.add_argument("--adapter", required=required, default=None, help="adapter bundle")
+        parent.add_argument("--alpha", type=float, default=None,
+                            help="override bundle blend strength")
+    training.add_argument("--steps", type=int, default=None,
+                          help="override the phase's train.steps_base or steps_adapter")
+    training.add_argument("--trace", default=None, help="write per-step loss trace to this path")
+    sampler.add_argument("--steps", type=int, default=25, help="sampler steps")
+    sampler.add_argument("--guidance", type=float, default=1.0, help="guidance weight")
+    sampler.add_argument("--seed", type=int, default=0, help="sampling seed")
+    sampler.add_argument("--class-id", type=int, default=0, help="class label to condition on")
+
+    p = sub.add_parser("train-base", parents=[config, training],
+                       help="train a base denoiser at the standard resolution")
     p.add_argument("--out", required=True, help="output model checkpoint (.rsbm)")
-    p.add_argument("--steps", type=int, default=None, help="override train.steps_base")
-    p.add_argument("--trace", default=None, help="write per-step loss trace to this path")
     p.set_defaults(fn=_cmd_train_base)
 
-    p = _add_parser(sub, "train-adapter",
-                    help="attach and train resolution adapters on a frozen base model")
-    p.add_argument("--config", default=None, help="run configuration JSON")
-    p.add_argument("--model", required=True, help="base model checkpoint")
+    p = sub.add_parser("train-adapter", parents=[config, model, training],
+                       help="attach and train resolution adapters on a frozen base model")
     p.add_argument("--out", required=True, help="output adapter bundle (.rsad)")
-    p.add_argument("--steps", type=int, default=None, help="override train.steps_adapter")
-    p.add_argument("--trace", default=None, help="write per-step loss trace to this path")
     p.set_defaults(fn=_cmd_train_adapter)
 
-    p = _add_parser(sub, "sample", help="draw one image with the deterministic sampler")
-    p.add_argument("--config", default=None, help="run configuration JSON")
-    p.add_argument("--model", required=True, help="model checkpoint")
-    p.add_argument("--adapter", default=None, help="optional adapter bundle")
-    p.add_argument("--alpha", type=float, default=None, help="override bundle blend strength")
+    p = sub.add_parser("sample", parents=[config, model, bundle, sampler],
+                       help="draw one image with the deterministic sampler")
     p.add_argument("--size", default="16x16", help="output size HxW")
-    p.add_argument("--steps", type=int, default=25, help="sampler steps")
-    p.add_argument("--guidance", type=float, default=1.0, help="guidance weight")
     p.add_argument("--eta", type=float, default=0.0, help="stochasticity (0 = deterministic)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    p.add_argument("--class-id", type=int, default=0, help="class label to condition on")
     p.add_argument("--out", required=True, help="output image (.pgm)")
     p.set_defaults(fn=_cmd_sample)
 
-    p = _add_parser(sub, "merge", help="fold an adapter bundle into a standalone checkpoint")
-    p.add_argument("--model", required=True, help="base model checkpoint")
-    p.add_argument("--adapter", required=True, help="adapter bundle")
-    p.add_argument("--alpha", type=float, default=None, help="override bundle blend strength")
+    p = sub.add_parser("merge", parents=[model, bundle_required],
+                       help="fold an adapter bundle into a standalone checkpoint")
     p.add_argument("--out", required=True, help="output merged checkpoint")
     p.set_defaults(fn=_cmd_merge)
 
-    p = _add_parser(sub, "inspect", help="describe a checkpoint or bundle container")
+    p = sub.add_parser("inspect", help="describe a checkpoint or bundle container")
     p.add_argument("path", nargs="?", default=None, help="container file")
     p.set_defaults(fn=_cmd_inspect)
 
-    p = _add_parser(sub, "gradcheck", help="finite-difference audit of every primitive")
+    p = sub.add_parser("gradcheck", help="finite-difference audit of every primitive")
     p.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds to run")
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--step", type=float, default=1e-4, help="finite-difference step")
@@ -273,29 +273,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max allowed relative error")
     p.set_defaults(fn=_cmd_gradcheck)
 
-    p = _add_parser(sub, "eval", help="held-out loss per resolution bucket, base vs adapted")
-    p.add_argument("--config", default=None, help="run configuration JSON")
-    p.add_argument("--model", required=True, help="model checkpoint")
-    p.add_argument("--adapter", default=None, help="optional adapter bundle")
-    p.add_argument("--alpha", type=float, default=None, help="override bundle blend strength")
+    p = sub.add_parser("eval", parents=[config, model, bundle],
+                       help="held-out loss per resolution bucket, base vs adapted")
     p.add_argument("--out", default=None, help="also write JSONL report here")
     p.set_defaults(fn=_cmd_eval)
 
-    p = _add_parser(sub, "bench-tiled", help="compare direct vs tile-and-blend sampling latency")
-    p.add_argument("--config", default=None, help="run configuration JSON")
-    p.add_argument("--model", required=True, help="model checkpoint")
-    p.add_argument("--adapter", default=None, help="optional adapter bundle")
-    p.add_argument("--alpha", type=float, default=None, help="override bundle blend strength")
+    p = sub.add_parser("bench-tiled", parents=[config, model, bundle, sampler],
+                       help="compare direct vs tile-and-blend sampling latency")
     p.add_argument("--target", default="32x32", help="full output size HxW")
     p.add_argument("--tile", default="16x16", help="tile size HxW")
     p.add_argument("--overlap", type=int, default=8, help="tile overlap in pixels")
-    p.add_argument("--steps", type=int, default=25, help="sampler steps")
-    p.add_argument("--guidance", type=float, default=1.0, help="guidance weight")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--repeats", type=int, default=3, help="timing repeats per variant")
-    p.add_argument("--class-id", type=int, default=0, help="class label to condition on")
     p.add_argument("--out", default=None, help="optionally write the tiled sample (.pgm)")
-    p.set_defaults(fn=_cmd_bench_tiled)
+    p.set_defaults(fn=_cmd_bench_tiled, eta=0.0)  # timing runs the deterministic sampler
 
     return parser
 
@@ -308,13 +298,10 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         return args.fn(args)
-    except (ConfigError, ContainerError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONFIG_EXIT
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
-    except OSError as exc:  # a missing file, a directory where a file should be, ...
+    except (ResolabError, OSError) as exc:  # OSError: a missing file, a directory for a file, ...
         print(f"error: {exc}", file=sys.stderr)
         return CONFIG_EXIT
 

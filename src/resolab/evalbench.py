@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterBundle, effective_param_map
+from .adapters import AdapterBundle, check_alpha, effective_param_map
 from .data import SyntheticDataset
 from .diffusion import (DiffusionSchedule, SamplerConfig, cfg_predict, ddim_denoise, ddim_sample,
                         forward_marginal, simple_loss)
@@ -47,9 +47,9 @@ class EvalConfig:
         buckets = check_buckets("eval.buckets", self.buckets)
         if not self.alphas:
             raise ConfigError("eval.alphas must be non-empty")
-        for alpha in self.alphas:
-            if not 0.0 <= alpha <= 1.0:  # NaN fails too
-                raise ConfigError(f"eval.alphas must lie in [0, 1], got {alpha}")
+        for i, alpha in enumerate(self.alphas):
+            with prefixed(f"eval.alphas[{i}] "):
+                check_alpha(alpha)
         if self.n_batches < 1 or self.batch_size < 1:
             raise ConfigError(f"eval.n_batches and batch_size must be >= 1, "
                               f"got {self.n_batches} and {self.batch_size}")
@@ -234,6 +234,7 @@ def bench_latency(model: UNetModel, bundle, target: tuple[int, int], tile: tuple
     """Median wall-clock of direct generation at target vs tile-and-blend."""
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    tile_layout(target, tile, overlap)  # a bad layout fails before any timed run
     params = effective_param_map(model, bundle) if bundle is not None else None
     shape = (1, model.config.in_channels, target[0], target[1])
 

@@ -15,7 +15,7 @@ import json
 import typing
 from dataclasses import dataclass, field, fields
 
-from .adapters import DEFAULT_RANK, check_rank
+from .adapters import DEFAULT_RANK, check_alpha, check_rank
 from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule
 from .errors import ConfigError, check_seed, prefixed
@@ -66,8 +66,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_seed("train.seed", self.seed)
-        if not (0.0 <= self.alpha_r <= 1.0):
-            raise ConfigError(f"train.alpha_r must lie in [0, 1], got {self.alpha_r}")
+        with prefixed("train.alpha_r "):
+            check_alpha(self.alpha_r)
         for phase in ("base", "adapter"):
             with prefixed(f"train ({phase} phase): "):
                 self.plan(phase)

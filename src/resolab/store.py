@@ -154,7 +154,7 @@ def _bundle(config: dict, tensors: dict[str, Tensor]) -> AdapterBundle:
     # the bundle checks its kind, alpha, fingerprint, sites and pairs
     bundle = AdapterBundle(kind=config["kind"], tensors=tensors, alpha=config["alpha_r"],
                            base_fingerprint=config["base_fingerprint"])
-    if bundle.rank and bundle.rank != rank:
+    if bundle.rank != rank:  # a bundle without LoRA pairs is rank 0
         raise ConfigError(f"lora shapes of rank {bundle.rank} contradict rank {rank}")
     return bundle
 

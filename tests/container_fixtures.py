@@ -73,6 +73,12 @@ def drop_entry(path, magic, predicate):
     _edit(path, magic, fn)
 
 
+def drop_entries(path, magic, predicate):
+    """Remove every matching table entry, one at a time."""
+    for name in [e["name"] for e in read_parts(path)[2]["tensors"] if predicate(e["name"])]:
+        drop_entry(path, magic, lambda n, name=name: n == name)
+
+
 def shrink_entry(path, magic, suffix):
     """Drop the last element of a 1-D tensor, keeping the table consistent."""
     def fn(header, payload):
@@ -359,6 +365,10 @@ BUNDLE_CASES = [
      "beta present without gamma"),
     ("rank_contradiction",
      lambda p: _patch_config(p, BUNDLE_MAGIC, rank=3), "contradict rank"),
+    # a bundle without LoRA pairs is rank 0, and its header rank is compared all the same
+    ("rank_without_lora_pairs",
+     lambda p: drop_entries(p, BUNDLE_MAGIC, lambda n: ".lora." in n),
+     "lora shapes of rank 0 contradict rank 2"),
     ("unknown_lora_site",
      lambda p: _rename(p, BUNDLE_MAGIC, "down.0.sampler.conv.weight.lora.A",
                        "down.0.sampler.conv.wei.lora.A"), "unknown site-path"),

@@ -6,14 +6,19 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from container_fixtures import read_parts, write_parts
 import resolab
-from resolab import cli, store
+from resolab import cli, pgm, store
+from resolab.adapters import effective_param_map
 from resolab.cli import main
+from resolab.diffusion import SamplerConfig, ddim_sample
+from resolab.evalbench import tiled_generate
+from resolab.runconfig import load_runconfig
 from resolab.trainer import train_base
 from resolab.unet import UNetConfig, build_unet
 
@@ -69,46 +74,52 @@ def test_missing_required_argument_exits_1():
 
 
 def test_bad_size_argument_exits_2(work, capsys):
-    code = main(["sample", "--model", work["model"], "--size", "16",
+    code = main(["sample", "--config", work["config"], "--model", work["model"], "--size", "16",
                  "--out", str(work["root"] / "x.pgm")])
     assert code == 2
     assert "size must look like HxW" in capsys.readouterr().err
 
 
 def test_missing_model_file_exits_2(work, capsys):
-    code = main(["sample", "--model", str(work["root"] / "nope.rsbm"),
+    code = main(["sample", "--config", work["config"], "--model", str(work["root"] / "nope.rsbm"),
                  "--out", str(work["root"] / "x.pgm")])
     assert code == 2
+    assert "No such file or directory" in capsys.readouterr().err
 
 
-_SAMPLE = "sample --model {model} --out {root}/x.pgm"
-_TILED = "bench-tiled --model {model} --steps 2 --repeats 1 --target 32x32 --tile 16x16"
+_SAMPLE = "sample --config {config} --model {model} --steps 2 --out {root}/x.pgm"
+_TILED = ("bench-tiled --config {config} --model {model} --steps 2 --repeats 1 "
+          "--target 32x32 --tile 16x16")
+_ALPHA = r"alpha_r must be a number in [0, 1], got {}"
 
 
-@pytest.mark.parametrize("argv", [
-    f"{_SAMPLE} --size 15x15",  # not divisible by the model's spatial divisor
-    f"{_SAMPLE} --steps 100",  # the default schedule has 50 steps
-    *(f"{cmd} --alpha {alpha}" for cmd in (
+@pytest.mark.parametrize("argv,message", [
+    (f"{_SAMPLE} --size 15x15", "spatial dims must be divisible by 2 for 2 levels; got 15x15"),
+    (f"{_SAMPLE} --steps 100", "steps must be in [1, 10], got 100"),  # the last --steps counts
+    *((f"{cmd} --alpha {alpha}", _ALPHA.format(alpha)) for cmd in (
         f"{_SAMPLE} --adapter {{bundle}}",
         "merge --model {model} --adapter {bundle} --out {root}/merged-x.rsbm",
         "eval --config {config} --model {model} --adapter {bundle}",
     ) for alpha in ("1.5", "-0.5", "nan")),
-    f"{_TILED} --tile 48x48",
-    f"{_TILED} --overlap 16",
-    f"{_TILED} --overlap -1",
-    f"{_TILED} --repeats 0",
-    "train-base --config {config} --steps -3 --out {root}/never.rsbm",
-    f"{_SAMPLE} --class-id 7",
-    "inspect {root}",
-    "sample --model {root} --out {root}/x.pgm",
-    "train-base --config {config} --steps 1 --out {root}/missing_dir/m.rsbm",
-    "train-base --config {config} --steps 1 --out {root}",
+    (f"{_TILED} --tile 48x48", "tile 48x48 larger than target 32x32"),
+    (f"{_TILED} --overlap 16", "overlap must be in [0, min(tile)), got 16"),
+    (f"{_TILED} --overlap -1", "overlap must be in [0, min(tile)), got -1"),
+    (f"{_TILED} --repeats 0", "repeats must be >= 1, got 0"),
+    ("train-base --config {config} --steps -3 --out {root}/never.rsbm",
+     "steps must be >= 0, got -3"),
+    (f"{_SAMPLE} --class-id 7", "class id 7 outside the model's classes [0, 2)"),
+    ("inspect {root}", "Is a directory"),
+    ("sample --config {config} --model {root} --out {root}/x.pgm", "Is a directory"),
+    ("train-base --config {config} --steps 1 --out {root}/missing_dir/m.rsbm",
+     "No such file or directory"),
+    ("train-base --config {config} --steps 1 --out {root}", "Is a directory"),
 ])
-def test_bad_argument_exits_2(work, capsys, argv):
+def test_bad_argument_exits_2(work, capsys, argv, message):
     code = main(argv.format(**work).split())
     err = capsys.readouterr().err
     assert code == 2, err
     assert "error:" in err and "Traceback" not in err
+    assert message in err
     assert ".resolab-" not in err  # a failed write names its target, not the temp file
 
 
@@ -144,7 +155,8 @@ def test_more_data_classes_than_model_classes_exits_2_without_a_file(tmp_path, c
 
 @pytest.mark.parametrize("command", [
     ["sample", "--steps", "1"],
-    ["bench-tiled", "--steps", "1", "--repeats", "1", "--target", "16x16", "--tile", "8x8"],
+    ["bench-tiled", "--steps", "1", "--repeats", "1", "--target", "16x16", "--tile", "8x8",
+     "--overlap", "0"],
 ])
 @pytest.mark.parametrize("class_id", ["4", "-1"])
 def test_class_id_outside_the_model_classes_exits_2_without_a_file(tmp_path, capsys, command,
@@ -272,6 +284,30 @@ def test_config_checkpoint_mismatch_exits_2(work, capsys):
     assert "different model configuration" in capsys.readouterr().err
 
 
+def other_config(work):
+    """A run config like the tiny one whose model has two resnets per level."""
+    path = work["root"] / "other.json"
+    path.write_text(json.dumps(dict(TINY_DOC, model=dict(TINY_DOC["model"],
+                                                         num_res_blocks_per_level=2))))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--steps", "2"],
+    ["bench-tiled", "--steps", "2", "--repeats", "1", "--target", "16x16", "--tile", "8x8",
+     "--overlap", "0"],
+])
+@pytest.mark.parametrize("with_config", [False, True], ids=["defaults", "other_config"])
+def test_sampling_commands_refuse_a_checkpoint_that_is_not_the_config_model(
+        work, capsys, command, with_config):
+    # both used to sample the tiny checkpoint under whichever schedule the config held
+    out = work["root"] / "mismatch.pgm"
+    config = ["--config", other_config(work)] if with_config else []
+    assert main([*command, *config, "--model", work["model"], "--out", str(out)]) == 2
+    assert "different model configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sampling, merging, inspecting
 
@@ -317,11 +353,29 @@ def test_sample_adapter_on_other_model_exits_2(work, capsys):
     store.save_model(build_unet(UNetConfig(in_channels=1, base_channels=4, channel_mults=(1, 2),
                                            num_res_blocks_per_level=2, groups=4,
                                            time_embed_dim=8, num_classes=2)), str(other))
-    code = main(["sample", "--config", work["config"], "--model", str(other),
+    code = main(["sample", "--config", other_config(work), "--model", str(other),
                  "--adapter", work["bundle"], "--steps", "2",
                  "--out", str(work["root"] / "wrong.pgm")])
     assert code == 2
     assert "fingerprint" in capsys.readouterr().err
+
+
+def test_sampling_commands_write_the_library_sample(work, capsys):
+    rc = load_runconfig(work["config"])
+    model = store.load_model(work["model"])
+    params = effective_param_map(model, store.load_bundle(work["bundle"]))
+    cfg, c = SamplerConfig(steps=4, guidance_scale=2.0, eta=0.5, seed=3), np.array([1])
+    flags = ["--config", work["config"], "--model", work["model"], "--adapter", work["bundle"],
+             "--steps", "4", "--guidance", "2", "--seed", "3", "--class-id", "1"]
+    sampled, tiled = work["root"] / "library.pgm", work["root"] / "library-tiled.pgm"
+    assert main(["sample", *flags, "--eta", "0.5", "--size", "16x24", "--out", str(sampled)]) == 0
+    assert main(["bench-tiled", *flags, "--target", "16x24", "--tile", "8x8", "--overlap", "4",
+                 "--repeats", "1", "--out", str(tiled)]) == 0
+    x = ddim_sample(model, (1, 1, 16, 24), cfg, c, rc.schedule, params=params)
+    assert sampled.read_bytes() == pgm.encode(x.data[0])
+    x = tiled_generate(model, rc.schedule, (16, 24), (8, 8), 4, replace(cfg, eta=0.0), c,
+                       params=params)  # bench-tiled samples deterministically
+    assert tiled.read_bytes() == pgm.encode(x.data[0])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -189,7 +189,7 @@ def test_eval_config_is_the_run_config_section_and_stores_normalised_values():
 
 @pytest.mark.parametrize("modes,alphas,message", [
     ([{"conv_lora"}], (), "eval.alphas must be non-empty"),
-    ([{"conv_lora"}], (0.5, 2.0), r"eval.alphas must lie in \[0, 1\], got 2.0"),
+    ([{"conv_lora"}], (0.5, 2.0), r"eval.alphas\[1\] must be a number in \[0, 1\], got 2.0"),
     ([], (1.0,), "modes must be non-empty"),
 ], ids=["no_alphas", "alpha_range", "no_modes"])
 def test_ablation_grid_checks_its_inputs_before_any_batch(modes, alphas, message, monkeypatch):
@@ -370,6 +370,20 @@ def test_bench_latency_repeats_validated():
     cfg = SamplerConfig(steps=2, guidance_scale=1.0, eta=0.0, seed=9)
     with pytest.raises(ConfigError, match="repeats must be >= 1"):
         bench_latency(model, None, (16, 16), (8, 8), 0, cfg, [0], SCHED, repeats=0)
+
+
+@pytest.mark.parametrize("tile,overlap,error,message", [
+    ((16, 16), 16, ConfigError, r"overlap must be in \[0, min\(tile\)\), got 16"),
+    ((32, 32), 0, ShapeError, "tile 32x32 larger than target 16x16"),
+], ids=["overlap", "tile"])
+def test_bench_latency_checks_its_tile_layout_before_timing(tile, overlap, error, message,
+                                                           monkeypatch):
+    calls = []
+    monkeypatch.setattr(evalbench, "ddim_sample", lambda *args, **kwargs: calls.append(args))
+    cfg = SamplerConfig(steps=2, guidance_scale=1.0, eta=0.0, seed=9)
+    with pytest.raises(error, match=message):
+        bench_latency(small_model(), None, (16, 16), tile, overlap, cfg, [0], SCHED, repeats=3)
+    assert calls == []
 
 
 def test_bench_latency_times_adapter_on_direct_and_tiled_runs():

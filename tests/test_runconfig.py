@@ -150,7 +150,7 @@ def test_p_uncond_range_checked():
 
 
 def test_alpha_r_range_checked():
-    with pytest.raises(ConfigError, match=r"alpha_r must lie in \[0, 1\]"):
+    with pytest.raises(ConfigError, match=r"train.alpha_r must be a number in \[0, 1\], got 1.5"):
         parse_runconfig({"train": {"alpha_r": 1.5}})
 
 
@@ -167,8 +167,20 @@ def test_eval_bucket_sides_checked_at_load(bucket):
 
 @pytest.mark.parametrize("alpha", [2.0, -0.1, float("nan"), float("inf")])
 def test_eval_alphas_range_checked(alpha):
-    with pytest.raises(ConfigError, match=r"eval.alphas must lie in \[0, 1\]"):
+    with pytest.raises(ConfigError, match=r"eval.alphas\[1\] must be a number in \[0, 1\]"):
         parse_runconfig({"eval": {"alphas": [0.5, alpha]}})
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: TrainConfig(alpha_r="x"), "train.alpha_r must be a number in [0, 1], got 'x'"),
+    (lambda: TrainConfig(alpha_r=True), "train.alpha_r must be a number in [0, 1], got True"),
+    (lambda: EvalConfig(alphas=("x",)), "eval.alphas[0] must be a number in [0, 1], got 'x'"),
+], ids=["train_string", "train_bool", "eval_string"])
+def test_a_non_number_alpha_is_a_config_error(build, message):
+    # a string used to raise a raw TypeError, and a bool passed until the bundle refused it
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_sampler_section_is_an_unknown_key():
@@ -373,7 +385,8 @@ def test_documents_that_would_fail_in_a_command_fail_at_load(section, key, value
 
 _RULE_FRAGMENTS = ["must equal model.in_channels", "must not exceed model.num_classes",
                    "not divisible by the model's spatial divisor", "invalid for site",
-                   "n_batches and batch_size must be >= 1", '"eval.seed"']
+                   "n_batches and batch_size must be >= 1", '"eval.seed"',
+                   "must be a number in [0, 1]"]
 
 
 def test_each_rule_between_a_runs_parts_has_one_home():
