@@ -31,7 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, check_seed, prefixed
+from .errors import ConfigError, check_int, check_seed, prefixed
 from .tensor import Tensor
 from .unet import UNetConfig, UNetModel, site_shapes
 
@@ -180,7 +180,7 @@ def check_alpha(alpha) -> None:
 
 def check_rank(config: UNetConfig, kind: str, rank: int) -> None:
     """ConfigError unless ``rank`` is in [1, min(m, n)] at every LoRA host of a ``kind`` bundle."""
-    layout = _layout(config, kind, rank)
+    layout = _layout(config, kind, check_int("rank", rank))
     for name, shape in layout.items():
         if name.endswith(LORA_A_SUFFIX):
             site = name.removesuffix(LORA_A_SUFFIX)

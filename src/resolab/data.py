@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 
 __all__ = ["SyntheticDataset", "GENERATORS"]
 
@@ -33,12 +33,12 @@ class SyntheticDataset:
     channels: int = 1
 
     def __post_init__(self):
+        check_fields(self, "data.")
         if self.generator not in GENERATORS:
             raise ConfigError(f"unknown generator {self.generator!r} (choose from {GENERATORS})")
-        if self.num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.channels < 1:
-            raise ConfigError(f"channels must be >= 1, got {self.channels}")
+        for name in ("num_classes", "channels"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def build(self) -> SyntheticDataset:
         """Return self: the benchmark harness (perfbench/workloads.py) calls ``build()``."""

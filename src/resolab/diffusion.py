@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, NumericError, ShapeError, check_seed
+from .errors import ConfigError, NumericError, ShapeError, check_fields, check_int, check_seed
 from .tensor import Tensor
-from .unet import _as_index_vector, unet_forward
+from .unet import unet_forward
 
 __all__ = [
     "DiffusionSchedule", "forward_marginal", "simple_loss",
@@ -44,6 +44,7 @@ class DiffusionSchedule:
     beta_end: float = DESK_BETA_END
 
     def __post_init__(self):
+        check_fields(self, "schedule.")
         if not 1 <= self.timesteps <= MAX_TIMESTEPS:
             raise ConfigError(f"timesteps must be in [1, {MAX_TIMESTEPS}], got {self.timesteps}")
         if not 0.0 < self.beta_start <= self.beta_end < 1.0:
@@ -60,7 +61,7 @@ class DiffusionSchedule:
         return self
 
     def _check_t(self, t: int) -> int:
-        t = int(_as_index_vector(t, 1, "t")[0])  # an integer, never truncated
+        t = int(ops._as_index_vector(t, 1, "t")[0])  # an integer, never truncated
         if not 1 <= t <= self.timesteps:
             raise ConfigError(f"timestep {t} outside schedule range [1, {self.timesteps}]")
         return t
@@ -79,7 +80,7 @@ class DiffusionSchedule:
 
 
 def _per_sample_coeffs(schedule: DiffusionSchedule, t, n: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = _as_index_vector(t, n, "t")
+    idx = ops._as_index_vector(t, n, "t")
     if idx.min() < 1 or idx.max() > schedule.timesteps:
         raise ConfigError(f"timestep outside schedule range [1, {schedule.timesteps}]")
     ab = schedule.alpha_bar[idx - 1]
@@ -141,7 +142,7 @@ def cfg_predict(model, x: Tensor, t, c, w: float, params=None, forward=unet_forw
     """
     w = float(w)
     n, k = x.shape[0], model.config.num_classes
-    c_ids = _as_index_vector(c, n, "c") if k and c is not None else None
+    c_ids = ops._as_index_vector(c, n, "c") if k and c is not None else None
     bad = () if c_ids is None else c_ids[(c_ids < 0) | (c_ids >= k)]
     if len(bad):
         raise ConfigError(f"cfg_predict: class id {bad[0]} outside the model's classes [0, {k})")
@@ -155,7 +156,7 @@ def cfg_predict(model, x: Tensor, t, c, w: float, params=None, forward=unet_forw
         return forward(model, x, t, null_ids, params)
     if c is None:
         raise ConfigError("cfg_predict: class ids required for a guided pass")
-    t_ids = _as_index_vector(t, n, "t")
+    t_ids = ops._as_index_vector(t, n, "t")
     eps = forward(model, Tensor(np.concatenate([x.data, x.data])), np.concatenate([t_ids, t_ids]),
                   np.concatenate([null_ids, c_ids]), params).data
     eps_u, eps_c = Tensor(eps[:n]), Tensor(eps[n:])
@@ -170,6 +171,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, "sampler ")
         if self.steps < 1:
             raise ConfigError(f"sampler steps must be >= 1, got {self.steps}")
         if not 0.0 <= self.eta <= 1.0:
@@ -181,7 +183,7 @@ class SamplerConfig:
 
 def ddim_timesteps(timesteps: int, steps: int) -> list[int]:
     """Uniformly spaced decreasing timesteps from T down to 1, length ``steps``."""
-    if steps < 1 or steps > timesteps:
+    if not 1 <= check_int("steps", steps) <= check_int("timesteps", timesteps):
         raise ConfigError(f"steps must be in [1, {timesteps}], got {steps}")
     ts = np.round(np.linspace(timesteps, 1, steps)).astype(int)
     return [int(t) for t in ts]
@@ -221,7 +223,7 @@ def ddim_sample(model, shape: tuple[int, int, int, int], cfg: SamplerConfig, c,
     if len(shape) != 4:
         raise ShapeError(f"ddim_sample: shape must be [N, C, H, W], got {shape}")
     rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal(shape)
+    x = rng.standard_normal([check_int("ddim_sample: shape", d) for d in shape])
 
     def predict(arr: np.ndarray, t: int) -> np.ndarray:
         return cfg_predict(model, Tensor(arr), t, c, cfg.guidance_scale, params, forward).data

@@ -19,10 +19,11 @@ from .adapters import AdapterBundle, check_alpha, effective_param_map
 from .data import SyntheticDataset
 from .diffusion import (DiffusionSchedule, SamplerConfig, cfg_predict, ddim_denoise, ddim_sample,
                         forward_marginal, simple_loss)
-from .errors import ConfigError, NumericError, ShapeError, check_seed, prefixed
+from .errors import ConfigError, NumericError, ShapeError, check_fields, check_int, check_seed, prefixed
+from .ops import _as_index_vector
 from .tensor import Tensor
 from .trainer import check_buckets, check_fit, draw_batch
-from .unet import UNetModel, _as_index_vector, unet_forward
+from .unet import UNetModel, unet_forward
 
 __all__ = [
     "EvalConfig", "EvalRow", "EvalReport", "multires_eval", "ablation_grid",
@@ -44,7 +45,8 @@ class EvalConfig:
     alphas: tuple[float, ...] = (0.0, 0.5, 1.0)  # blend strengths of the ablation grid
 
     def __post_init__(self):
-        buckets = check_buckets("eval.buckets", self.buckets)
+        check_fields(self, "eval.")
+        check_buckets("eval.buckets", self.buckets)
         if not self.alphas:
             raise ConfigError("eval.alphas must be non-empty")
         for i, alpha in enumerate(self.alphas):
@@ -54,7 +56,6 @@ class EvalConfig:
             raise ConfigError(f"eval.n_batches and batch_size must be >= 1, "
                               f"got {self.n_batches} and {self.batch_size}")
         check_seed("eval.seed", self.seed)
-        self.__dict__.update(buckets=buckets, alphas=tuple(self.alphas))  # past the frozen setattr
 
 
 @dataclass(frozen=True)
@@ -174,11 +175,11 @@ def ablation_grid(model: UNetModel, bundle: AdapterBundle, modes, alphas,
 
 def tile_layout(target: tuple[int, int], tile: tuple[int, int], overlap: int):
     """Tile origins covering the target and the per-pixel coverage counts."""
-    th, tw = target
-    h, w = tile
+    th, tw = (check_int("target", side) for side in target)
+    h, w = (check_int("tile", side) for side in tile)
     if h > th or w > tw:
         raise ShapeError(f"tile {h}x{w} larger than target {th}x{tw}")
-    if overlap < 0 or overlap >= min(h, w):
+    if not 0 <= check_int("overlap", overlap) < min(h, w):
         raise ConfigError(f"overlap must be in [0, min(tile)), got {overlap}")
 
     def axis_positions(full: int, span: int) -> list[int]:
@@ -232,7 +233,7 @@ def bench_latency(model: UNetModel, bundle, target: tuple[int, int], tile: tuple
                   overlap: int, cfg: SamplerConfig, c, schedule: DiffusionSchedule,
                   repeats: int = 3, forward=unet_forward) -> dict:
     """Median wall-clock of direct generation at target vs tile-and-blend."""
-    if repeats < 1:
+    if check_int("repeats", repeats) < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     tile_layout(target, tile, overlap)  # a bad layout fails before any timed run
     params = effective_param_map(model, bundle) if bundle is not None else None

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, check_int, check_number
 from .tensor import Tensor, active_tape
 
 __all__ = [
@@ -133,7 +133,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
+    s = check_number("scale: factor", s)
+    if not math.isfinite(s):
+        raise NumericError(f"scale: factor must be finite, got {s}")
 
     def vjp(g):
         return [s * g]
@@ -416,9 +418,9 @@ def _conv_shape(x_shape: tuple[int, ...], w: Tensor, b: Tensor | None, stride: i
         raise ShapeError(f"conv2d: input channel axis 1 has {c} channels, weight expects {ci}")
     if b is not None and b.shape != (co,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({co},)")
-    if stride < 1:
+    if check_int("conv2d: stride", stride) < 1:
         raise ConfigError(f"conv2d: stride must be >= 1, got {stride}")
-    if padding < 0:
+    if check_int("conv2d: padding", padding) < 0:
         raise ConfigError(f"conv2d: padding must be >= 0, got {padding}")
     hp, wp = h + 2 * padding, wd + 2 * padding
     if hp < k or wp < k:
@@ -553,7 +555,7 @@ def _group_norm_check(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> No
     if 0 in x.shape[1:]:  # a group of no values has no mean; an empty batch (N = 0) is fine
         raise ShapeError(f"group_norm: C, H and W must be positive, got {x.shape}")
     c = x.shape[1]
-    if groups < 1 or c % groups != 0:
+    if check_int("group_norm: groups", groups) < 1 or c % groups != 0:
         raise ConfigError(f"group_norm: channels {c} not divisible by groups {groups}")
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"group_norm: gamma/beta must be ({c},), got {gamma.shape} and {beta.shape}")
@@ -613,6 +615,8 @@ def _group_norm_backward(g: np.ndarray, x_shape: tuple[int, ...], need_x: bool, 
 def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over channel groups (population variance), then affine."""
     _group_norm_check(x, groups, gamma, beta)
+    if not 0.0 < check_number("group_norm: eps", eps) < math.inf:
+        raise ConfigError(f"group_norm: eps must be finite and > 0, got {eps}")
     xhat_g, istd = _group_norm_forward(x, groups, eps, [slice(None)])
     x_shape, need_x = x.shape, x.requires_grad
 
@@ -762,13 +766,33 @@ def permute(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _result(data, (x,), vjp)
 
 
+def _as_index_vector(value, n: int, name: str) -> np.ndarray:
+    """``value`` (a scalar or one id per sample) as a length-n index vector.
+
+    Every model entry point (unet_forward, cfg_predict, forward_marginal), the
+    schedule's per-timestep lookups and ``embed_rows`` read their ids here: the
+    one place that refuses an empty batch (first) and an id without an integer
+    dtype (a float even when integral, a bool, a string), never truncated.
+    """
+    if n < 1:
+        raise ShapeError(f"{name}: the batch is empty; a model call needs at least one sample")
+    arr = np.asarray(value)
+    if arr.shape not in ((), (n,)):
+        raise ShapeError(f"{name} must be a scalar or length-{n} vector, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise ConfigError(f"{name} must hold integers, got {arr.dtype} values")
+    return np.full(n, arr, dtype=np.intp) if arr.ndim == 0 else arr.astype(np.intp)
+
+
 def embed_rows(weight: Tensor, ids) -> Tensor:
     """Gather rows of a [num_rows, dim] table; differentiable w.r.t. the table."""
     if weight.ndim != 2:
         raise ShapeError(f"embed_rows: table must be 2-d, got {weight.shape}")
-    idx = np.asarray(ids, dtype=np.intp)
+    idx = np.asarray(ids)
     if idx.ndim != 1:
         raise ShapeError(f"embed_rows: ids must be 1-d, got shape {idx.shape}")
+    # no ids (float64 to numpy) gather no rows; any other ids need an integer dtype
+    idx = _as_index_vector(idx, len(idx), "embed_rows: ids") if len(idx) else idx.astype(np.intp)
     rows = weight.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise ConfigError(f"embed_rows: id out of range [0, {rows})")
@@ -787,7 +811,7 @@ def crop_cols(x: Tensor, n: int) -> Tensor:
     """Keep the first n columns of a [N, D] tensor (zero-padded gradient)."""
     if x.ndim != 2:
         raise ShapeError(f"crop_cols: input must be 2-d, got {x.shape}")
-    if not 1 <= n <= x.shape[1]:
+    if not 1 <= check_int("crop_cols: n", n) <= x.shape[1]:
         raise ShapeError(f"crop_cols: n={n} out of range for width {x.shape[1]}")
     data = x.data[:, :n].copy()
     x_shape = x.shape

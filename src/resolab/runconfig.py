@@ -3,22 +3,22 @@
 The document has five sections -- model, schedule, data, train, eval --
 each a frozen dataclass that checks itself when built, and ``RunConfig`` makes the
 commands' own checks between sections, so a config that loads also runs.
-Loading is strict: unknown keys and wrong types (per the annotations) fail
-with the exact dotted path of the offender, so a typo in a config file fails
-loudly instead of silently using a default.
+Loading is strict: an unknown key fails with its dotted path, so a typo in a
+config file fails loudly instead of silently using a default. The loader
+checks no type itself: each section holds its fields to the one type rule of
+``errors.check_fields`` (per the annotations) when built, from a file and from
+Python alike, and names the offender by its dotted path.
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import typing
 from dataclasses import dataclass, field, fields
 
 from .adapters import DEFAULT_RANK, check_alpha, check_rank
 from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule
-from .errors import ConfigError, check_seed, prefixed
+from .errors import ConfigError, _field_types, _shown, check_fields, check_seed, prefixed
 from .evalbench import EvalConfig
 from .trainer import TrainPlan, check_fit
 from .unet import UNetConfig
@@ -65,6 +65,7 @@ class TrainConfig:
         )
 
     def __post_init__(self):
+        check_fields(self, "train.")
         check_seed("train.seed", self.seed)
         with prefixed("train.alpha_r "):
             check_alpha(self.alpha_r)
@@ -82,6 +83,7 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
+        check_fields(self, "")
         check_fit(self.model, self.data)
         for phase in ("base", "adapter"):
             plan = self.train.plan(phase)
@@ -93,101 +95,24 @@ class RunConfig:
             check_fit(self.model, self.data, self.eval.buckets)
 
 
-_SECTION_TYPES = {
-    "model": UNetConfig,
-    "schedule": DiffusionSchedule,
-    "data": SyntheticDataset,
-    "train": TrainConfig,
-    "eval": EvalConfig,
-}
-
-def _coerce_leaf(path: str, expected, value):
-    if expected is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path} must be a boolean, got {_shown(value)}")
-        return value
-    if expected is int:
-        return _int_at(path, value)
-    if expected is float:
-        return _float_at(path, value)
-    if expected is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path} must be a string, got {_shown(value)}")
-        return value
-    if expected == tuple[tuple[int, int], ...]:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path} must be a list of [H, W] pairs")
-        out = []
-        for hw in value:
-            if not isinstance(hw, (list, tuple)) or len(hw) != 2:
-                raise ConfigError(f"{path} entries must be [H, W] pairs, got {_shown(hw)}")
-            out.append((_int_at(f"{path}[0]", hw[0]), _int_at(f"{path}[1]", hw[1])))
-        return tuple(out)
-    if typing.get_origin(expected) is tuple:  # tuple[T, ...]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path} must be a list of numbers")
-        item = typing.get_args(expected)[0]
-        return tuple(_coerce_leaf(path, item, v) for v in value)
-    raise ConfigError(f"{path}: unsupported config field type {expected!r}")
-
-
-def _shown(value) -> str:
-    """``repr`` for error messages, made total: repr raises ValueError on an int past
-    Python's 4,300-digit limit, so an int past 63 bits shows its bit length, nested too."""
-    if isinstance(value, int) and value.bit_length() > 63:
-        return f"a {value.bit_length()}-bit integer"
-    if isinstance(value, (list, tuple)):
-        return f"[{', '.join(map(_shown, value))}]"
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{_shown(k)}: {_shown(v)}" for k, v in value.items()) + "}"
-    return repr(value)
-
-
-def _int_at(path: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {_shown(value)}")
-    if not -2**63 <= value < 2**63:  # numpy indexes and sizes with int64
-        raise ConfigError(f"{path} must fit in 64 bits, got {_shown(value)}")
-    return value
-
-
-def _float_at(path: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {_shown(value)}")
-    return float(_int_at(path, value) if isinstance(value, int) else value)
-
-
-@functools.cache
-def _field_types(cls) -> dict:
-    """Each field's resolved annotation; resolving costs ~0.2 ms, so once per class."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
 def _build_section(name: str, cls, payload: dict):
     if not isinstance(payload, dict):
         raise ConfigError(f"section '{name}' must be an object, got {_shown(payload)}")
-    valid = _field_types(cls)
-    unknown = sorted(set(payload) - set(valid))
+    unknown = sorted(set(payload) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(f'{name}.{k}' for k in unknown)}")
-    kwargs = {key: _coerce_leaf(f"{name}.{key}", valid[key], value)
-              for key, value in payload.items()}
-    return cls(**kwargs)
+    return cls(**payload)  # the section checks its field types and values itself
 
 
 def parse_runconfig(document: dict) -> RunConfig:
     if not isinstance(document, dict):
         raise ConfigError("run configuration must be a JSON object")
-    unknown = sorted(set(document) - set(_SECTION_TYPES))
+    sections = dict(_field_types(RunConfig))
+    unknown = sorted(set(document) - set(sections))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    kwargs = {
-        name: _build_section(name, cls, document[name])
-        for name, cls in _SECTION_TYPES.items()
-        if name in document
-    }
-    return RunConfig(**kwargs)
+    return RunConfig(**{name: _build_section(name, cls, document[name])
+                        for name, cls in sections.items() if name in document})
 
 
 def load_runconfig(path: str | None) -> RunConfig:

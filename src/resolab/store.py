@@ -29,7 +29,6 @@ import numpy as np
 
 from .adapters import AdapterBundle
 from .errors import ConfigError, ContainerError, NumericError
-from .runconfig import _build_section
 from .tensor import Tensor
 from .unet import UNetConfig, UNetModel
 
@@ -143,8 +142,8 @@ def _validate_table(path: str, table, payload: bytes) -> None:
 
 
 def _model(config: dict, params: dict[str, Tensor]) -> UNetModel:
-    # the run-config parser types the fields; the model checks its sites and shapes
-    return UNetModel(config=_build_section("model", UNetConfig, config), params=params)
+    # the config checks its field types and values, the model its sites and shapes
+    return UNetModel(config=UNetConfig(**config), params=params)
 
 
 def _bundle(config: dict, tensors: dict[str, Tensor]) -> AdapterBundle:

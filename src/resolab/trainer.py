@@ -17,7 +17,7 @@ import numpy as np
 from .adapters import effective_param_map
 from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule, simple_loss
-from .errors import ConfigError, NumericError, check_seed
+from .errors import ConfigError, NumericError, check_fields, check_int, check_seed
 from .tensor import Tape, Tensor
 from .unet import UNetConfig, UNetModel
 
@@ -53,15 +53,13 @@ def sample_resolution(probs, u: float) -> int:
     return int(p.size - 1)  # guards rounding at the tail
 
 
-def check_buckets(name: str, buckets) -> tuple[tuple[int, int], ...]:
-    """``buckets`` as (H, W) int pairs; ConfigError if there are none or a side is < 1."""
-    buckets = tuple((int(h), int(w)) for h, w in buckets)
+def check_buckets(name: str, buckets) -> None:
+    """ConfigError if the (H, W) pairs ``buckets`` are none or a side is < 1."""
     if not buckets:
         raise ConfigError(f"{name} must be non-empty")
     for hw in buckets:
         if not 1 <= min(hw):
             raise ConfigError(f"{name}: bucket sides must be >= 1, got {hw}")
-    return buckets
 
 
 def check_fit(config: UNetConfig, dataset: SyntheticDataset, buckets=(), p_uncond=0.0) -> None:
@@ -86,7 +84,7 @@ def make_batch(dataset: SyntheticDataset, bucket: tuple[int, int], batch_size: i
                null_class: int | None = None) -> tuple[Tensor, np.ndarray]:
     """Render a batch at the bucket size; optionally drop labels to the null id."""
     h, w = bucket
-    if batch_size < 1:
+    if check_int("batch_size", batch_size) < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     classes = rng.integers(0, dataset.num_classes, size=batch_size)
     imgs = np.stack([dataset.render(int(k), h, w, rng) for k in classes])
@@ -116,6 +114,7 @@ class TrainPlan:
     probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_fields(self, "")
         # each range is written as not (lo <= x < hi) so that NaN fails it too
         if self.phase not in ("base", "adapter"):
             raise ConfigError(f"phase must be 'base' or 'adapter', got {self.phase!r}")
@@ -135,12 +134,10 @@ class TrainPlan:
         if not 0.0 <= self.p_uncond < 1.0:
             raise ConfigError(f"p_uncond must lie in [0, 1), got {self.p_uncond}")
         check_seed("plan seed", self.seed)
-        resolutions = check_buckets("resolutions", self.resolutions)
-        if len(resolutions) == 1:
-            probs = np.array([1.0])
-        else:
-            probs = resolution_probs([max(hw) for hw in resolutions], self.standard_resolution)
-        self.__dict__.update(resolutions=resolutions, probs=probs)  # past the frozen setattr
+        check_buckets("resolutions", self.resolutions)
+        edges = [max(hw) for hw in self.resolutions]
+        object.__setattr__(self, "probs", np.array([1.0]) if len(edges) == 1 else
+                           resolution_probs(edges, self.standard_resolution))
 
     def extrapolation_buckets(self) -> list[tuple[int, int]]:
         return [hw for hw in self.resolutions if max(hw) > self.standard_resolution]

@@ -37,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, ResolutionError, ShapeError, check_seed
+from .errors import ConfigError, ResolutionError, ShapeError, check_fields, check_seed
 from .tensor import Tensor
 
 __all__ = ["UNetConfig", "UNetModel", "build_unet", "unet_forward", "site_shapes"]
@@ -78,18 +78,14 @@ class UNetConfig:
         return self.num_classes if (self.num_classes > 0 and self.null_class_reserved) else None
 
     def __post_init__(self):
-        if self.in_channels < 1:
-            raise ConfigError(f"in_channels must be >= 1, got {self.in_channels}")
-        if self.base_channels < 1:
-            raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
+        check_fields(self, "model.")
+        for name in ("in_channels", "base_channels", "num_res_blocks_per_level", "groups"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(self.channel_mults) < 2:
             raise ConfigError("channel_mults needs at least 2 levels")
-        if any(int(m) != m or m < 1 for m in self.channel_mults):
+        if any(m < 1 for m in self.channel_mults):
             raise ConfigError(f"channel_mults must be positive ints, got {self.channel_mults}")
-        if self.num_res_blocks_per_level < 1:
-            raise ConfigError("num_res_blocks_per_level must be >= 1")
-        if self.groups < 1:
-            raise ConfigError(f"groups must be >= 1, got {self.groups}")
         if self.time_embed_dim < 2 or self.time_embed_dim % 2:
             raise ConfigError(f"time_embed_dim must be even and >= 2, got {self.time_embed_dim}")
         if self.num_classes < 0:
@@ -103,7 +99,6 @@ class UNetConfig:
             g = min(self.groups, c)
             if c % g:
                 raise ConfigError(f"channel count {c} not divisible by effective groups {g}")
-        object.__setattr__(self, "channel_mults", tuple(self.channel_mults))  # hashed by _fingerprint
 
 
 def _norm_groups(config: UNetConfig, channels: int) -> int:
@@ -240,25 +235,6 @@ def _time_embedding_rows(t: np.ndarray, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
 
 
-def _as_index_vector(value, n: int, name: str) -> np.ndarray:
-    """``value`` (a scalar or one id per sample) as a length-n index vector.
-
-    Every model entry point (unet_forward, cfg_predict, forward_marginal) and
-    the schedule's per-timestep lookups read their t or class ids here, so this
-    is the one place that refuses an empty batch (first) and a non-integer id.
-    An id must have an integer dtype: a float is refused even when integral
-    (3.0), as are bools and strings (ConfigError), never truncated.
-    """
-    if n < 1:
-        raise ShapeError(f"{name}: the batch is empty; a model call needs at least one sample")
-    arr = np.asarray(value)
-    if arr.shape not in ((), (n,)):
-        raise ShapeError(f"{name} must be a scalar or length-{n} vector, got shape {arr.shape}")
-    if arr.dtype.kind not in "iu":
-        raise ConfigError(f"{name} must hold integers, got {arr.dtype} values")
-    return np.full(n, arr, dtype=np.intp) if arr.ndim == 0 else arr.astype(np.intp)
-
-
 def _norm_silu_conv(p, norm: str, conv: str, h: Tensor, config: UNetConfig) -> Tensor:
     """GroupNorm ``norm`` -> SiLU -> 3x3 conv ``conv`` over h, as one fused record."""
     return ops.group_norm_silu_conv2d(
@@ -302,7 +278,7 @@ def unet_forward(model: UNetModel, x: Tensor, t, c=None, params: dict[str, Tenso
             f"spatial dims must be divisible by {div} for {config.levels} levels; got {h}x{w}"
         )
 
-    t_ids = _as_index_vector(t, n, "t")
+    t_ids = ops._as_index_vector(t, n, "t")
     emb = Tensor(_time_embedding_rows(t_ids.astype(np.float64), config.time_embed_dim))
     cond = ops.linear(emb, p["time.mlp0.weight"], p["time.mlp0.bias"])
     cond = ops.silu(cond)
@@ -311,7 +287,7 @@ def unet_forward(model: UNetModel, x: Tensor, t, c=None, params: dict[str, Tenso
     if rows:
         if c is None:
             raise ConfigError("unet_forward: class ids required for a class-conditional model")
-        c_ids = _as_index_vector(c, n, "c")
+        c_ids = ops._as_index_vector(c, n, "c")
         if c_ids.min() < 0 or c_ids.max() >= rows:
             raise ConfigError(
                 f"unet_forward: class id out of range [0, {rows}) (null token = {config.num_classes})"

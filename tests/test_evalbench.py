@@ -159,11 +159,12 @@ _BAD_EVAL_INPUTS = [
     (dict(n_batches=0), "n_batches and batch_size must be >= 1"),
     (dict(batch_size=0), "n_batches and batch_size must be >= 1"),
     (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(n_batches=2.5), r"eval\.n_batches must be an integer, got 2\.5"),
 ]
 
 
 @pytest.mark.parametrize("kwargs,message", _BAD_EVAL_INPUTS,
-                         ids=["empty", "zero_side", "n_batches", "batch_size", "seed"])
+                         ids=["empty", "zero_side", "n_batches", "batch_size", "seed", "n_batches_float"])
 @pytest.mark.parametrize("who", ["multires_eval", "ablation_grid"])
 def test_eval_inputs_checked_in_both_entry_points(who, kwargs, message):
     # n_batches=0 used to report a NaN loss, the others a raw numpy error or an empty report
@@ -375,7 +376,9 @@ def test_bench_latency_repeats_validated():
 @pytest.mark.parametrize("tile,overlap,error,message", [
     ((16, 16), 16, ConfigError, r"overlap must be in \[0, min\(tile\)\), got 16"),
     ((32, 32), 0, ShapeError, "tile 32x32 larger than target 16x16"),
-], ids=["overlap", "tile"])
+    ((8, 8), 2.5, ConfigError, "overlap must be an integer, got 2.5"),
+    ((8.5, 8), 0, ConfigError, "tile must be an integer, got 8.5"),
+], ids=["overlap", "tile", "overlap_float", "tile_float"])
 def test_bench_latency_checks_its_tile_layout_before_timing(tile, overlap, error, message,
                                                            monkeypatch):
     calls = []

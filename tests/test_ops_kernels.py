@@ -530,6 +530,12 @@ def test_ops_on_zero_and_one_samples_are_bit_equal_to_their_chains(op, n, traina
     assert got[0].shape[0] == n
 
 
+@pytest.mark.parametrize("ids", [[], np.array([], dtype=np.int64)], ids=["list", "int64"])
+def test_embed_rows_of_no_ids_gathers_no_rows(ids):
+    # the ops take N = 0; only a non-empty id list must hold integers
+    assert ops.embed_rows(Tensor(np.ones((3, 2))), ids).shape == (0, 2)
+
+
 def test_upsample_nearest2x_conv2d_checks_its_input():
     w = Tensor(np.zeros((2, 3, 3, 3)))
     with pytest.raises(ShapeError, match=r"upsample_nearest2x_conv2d: input must be \[N, C, H, W\]"):
