@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -31,7 +30,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, check_int, check_seed, prefixed
+from .errors import NON_NEGATIVE, UNIT, ConfigError, Range, check_int, check_number
 from .tensor import Tensor
 from .unet import UNetConfig, UNetModel, site_shapes
 
@@ -75,13 +74,12 @@ class AdapterBundle:
         kind, alpha, fingerprint = self.kind, self.alpha, self.base_fingerprint
         if not isinstance(kind, str) or kind not in BUNDLE_KINDS:
             raise ConfigError(f"unknown bundle kind {kind!r} (choose from {sorted(BUNDLE_KINDS)})")
-        with prefixed("alpha_r "):
-            check_alpha(alpha)
+        alpha = check_number("alpha_r", alpha, UNIT)
         if not isinstance(fingerprint, str):
             raise ConfigError(f"base_fingerprint must be a string, got {fingerprint!r}")
         tensors = MappingProxyType(dict(self.tensors))
         rank, lora, norms = _paired_sites(kind, tensors)
-        for name, value in (("tensors", tensors), ("alpha", float(alpha)), ("rank", rank),
+        for name, value in (("tensors", tensors), ("alpha", alpha), ("rank", rank),
                             ("_lora", lora), ("_norms", norms)):
             object.__setattr__(self, name, value)
 
@@ -172,12 +170,6 @@ def _layout(config: UNetConfig, kind: str, rank: int) -> Mapping[str, tuple[int,
     return MappingProxyType(layout)
 
 
-def check_alpha(alpha) -> None:
-    """ConfigError unless ``alpha`` is a blend strength: a real number in [0, 1], not a bool."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"must be a number in [0, 1], got {alpha!r}")
-
-
 def check_rank(config: UNetConfig, kind: str, rank: int) -> None:
     """ConfigError unless ``rank`` is in [1, min(m, n)] at every LoRA host of a ``kind`` bundle."""
     layout = _layout(config, kind, check_int("rank", rank))
@@ -185,12 +177,11 @@ def check_rank(config: UNetConfig, kind: str, rank: int) -> None:
         if name.endswith(LORA_A_SUFFIX):
             site = name.removesuffix(LORA_A_SUFFIX)
             top = min(shape[0], layout[site + LORA_B_SUFFIX][0])
-            if not 1 <= rank <= top:
-                raise ConfigError(f"rank {rank} invalid for site {site} (must be in [1, {top}])")
+            check_int(f"rank at {site}", rank, Range(1, top))
 
 
 def _attach(model: UNetModel, kind: str, rank: int, seed: int) -> AdapterBundle:
-    check_seed("adapter seed", seed)
+    check_int("adapter seed", seed, NON_NEGATIVE)
     check_rank(model.config, kind, rank)
     rng = np.random.default_rng(seed)
     tensors = {}

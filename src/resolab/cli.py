@@ -7,7 +7,6 @@ error, 3 numeric failure (divergence, gradient-check breach).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -16,7 +15,8 @@ from . import store
 from .adapters import (AdapterBundle, attach_resadapter, effective_param_map, merge,
                        trainable_param_count)
 from .diffusion import SamplerConfig, ddim_sample
-from .errors import ConfigError, NumericError, ResolabError
+from .errors import (AT_LEAST_1, NON_NEGATIVE, ConfigError, NumericError, ResolabError, check_int,
+                     check_number)
 from .evalbench import ablation_grid, bench_latency, multires_eval, tiled_generate
 from .gradcheck import DEFAULT_TOLERANCE, run_suite
 from .pgm import write as write_pgm
@@ -49,9 +49,7 @@ def _parse_size(text: str) -> tuple[int, int]:
         size = (int(h), int(w))
     except ValueError:
         raise ConfigError(f"size must look like HxW (e.g. 32x32), got {text!r}") from None
-    if size[0] < 1 or size[1] < 1:
-        raise ConfigError(f"size components must be >= 1, got {text!r}")
-    return size
+    return tuple(check_int(f"size {text!r}", side, AT_LEAST_1) for side in size)
 
 
 def _inputs(args) -> tuple[RunConfig | None, UNetModel | None, AdapterBundle | None]:
@@ -151,11 +149,9 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.seeds < 1:
-        raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    check_int("--seeds", args.seeds, AT_LEAST_1)
     # tolerance 0 is allowed: it demands exact agreement and fails (exit 3)
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
-        raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    check_number("--tolerance", args.tolerance, NON_NEGATIVE)
     worst_overall = 0.0
     failures = []
     for i in range(args.seeds):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_fields
+from .errors import AT_LEAST_1, ConfigError, Count, Range, check_fields, check_int
 
 __all__ = ["SyntheticDataset", "GENERATORS"]
 
@@ -29,16 +29,13 @@ def _grid(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class SyntheticDataset:
     generator: str = "gradients"
-    num_classes: int = 4
-    channels: int = 1
+    num_classes: Count = 4
+    channels: Count = 1
 
     def __post_init__(self):
         check_fields(self, "data.")
         if self.generator not in GENERATORS:
             raise ConfigError(f"unknown generator {self.generator!r} (choose from {GENERATORS})")
-        for name in ("num_classes", "channels"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def build(self) -> SyntheticDataset:
         """Return self: the benchmark harness (perfbench/workloads.py) calls ``build()``."""
@@ -46,8 +43,9 @@ class SyntheticDataset:
 
     def render(self, class_id: int, height: int, width: int, rng: np.random.Generator) -> np.ndarray:
         """One [C, H, W] sample in [-1, 1]; consumes a fixed number of draws."""
-        if not 0 <= class_id < self.num_classes:
-            raise ConfigError(f"class id {class_id} outside [0, {self.num_classes})")
+        class_id = check_int("class id", class_id, Range(0, self.num_classes, open_hi=True))
+        height = check_int("height", height, AT_LEAST_1)
+        width = check_int("width", width, AT_LEAST_1)
         jitter = rng.uniform(0.0, 1.0, size=4)
         planes = [
             self._render_plane(class_id, height, width, jitter, ch_shift=0.07 * ch)

@@ -8,13 +8,14 @@ as the reverse-step noise scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, NumericError, ShapeError, check_fields, check_int, check_seed
+from .errors import (AT_LEAST_1, ConfigError, Count, Natural, NonNegative, NumericError, Range,
+                     ShapeError, Unit, check_fields, check_int)
 from .tensor import Tensor
 from .unet import unet_forward
 
@@ -29,6 +30,7 @@ DESK_BETA_START = 1e-3
 DESK_BETA_END = 5e-2
 # DDPM uses 1,000; the bound keeps a typo from allocating gigabytes of schedule
 MAX_TIMESTEPS = 100_000
+_Beta = Annotated[float, Range(0, 1, open_lo=True, open_hi=True)]
 
 
 @dataclass(frozen=True)
@@ -39,17 +41,15 @@ class DiffusionSchedule:
     equality, hashing, ``asdict`` and the run-config loader see only the scalars.
     """
 
-    timesteps: int = DESK_TIMESTEPS
-    beta_start: float = DESK_BETA_START
-    beta_end: float = DESK_BETA_END
+    timesteps: Annotated[int, Range(1, MAX_TIMESTEPS)] = DESK_TIMESTEPS
+    beta_start: _Beta = DESK_BETA_START
+    beta_end: _Beta = DESK_BETA_END
 
     def __post_init__(self):
         check_fields(self, "schedule.")
-        if not 1 <= self.timesteps <= MAX_TIMESTEPS:
-            raise ConfigError(f"timesteps must be in [1, {MAX_TIMESTEPS}], got {self.timesteps}")
-        if not 0.0 < self.beta_start <= self.beta_end < 1.0:
+        if self.beta_start > self.beta_end:
             raise ConfigError(
-                f"need 0 < beta_start <= beta_end < 1, got [{self.beta_start}, {self.beta_end}]")
+                f"need beta_start <= beta_end, got [{self.beta_start}, {self.beta_end}]")
         beta = np.linspace(self.beta_start, self.beta_end, self.timesteps)
         alpha = 1.0 - beta
         # alpha_bar holds exact sequential products; __dict__ sidesteps the frozen __setattr__
@@ -62,9 +62,7 @@ class DiffusionSchedule:
 
     def _check_t(self, t: int) -> int:
         t = int(ops._as_index_vector(t, 1, "t")[0])  # an integer, never truncated
-        if not 1 <= t <= self.timesteps:
-            raise ConfigError(f"timestep {t} outside schedule range [1, {self.timesteps}]")
-        return t
+        return Range(1, self.timesteps).check("timestep", t)
 
     def beta_at(self, t: int) -> float:
         return float(self.beta[self._check_t(t) - 1])
@@ -80,9 +78,7 @@ class DiffusionSchedule:
 
 
 def _per_sample_coeffs(schedule: DiffusionSchedule, t, n: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = ops._as_index_vector(t, n, "t")
-    if idx.min() < 1 or idx.max() > schedule.timesteps:
-        raise ConfigError(f"timestep outside schedule range [1, {schedule.timesteps}]")
+    idx = Range(1, schedule.timesteps).check_all("timestep", ops._as_index_vector(t, n, "t"))
     ab = schedule.alpha_bar[idx - 1]
     return np.sqrt(ab), np.sqrt(1.0 - ab)
 
@@ -143,9 +139,8 @@ def cfg_predict(model, x: Tensor, t, c, w: float, params=None, forward=unet_forw
     w = float(w)
     n, k = x.shape[0], model.config.num_classes
     c_ids = ops._as_index_vector(c, n, "c") if k and c is not None else None
-    bad = () if c_ids is None else c_ids[(c_ids < 0) | (c_ids >= k)]
-    if len(bad):
-        raise ConfigError(f"cfg_predict: class id {bad[0]} outside the model's classes [0, {k})")
+    if c_ids is not None:
+        Range(0, k, open_hi=True).check_all("cfg_predict: class id", c_ids)
     if w == 1.0:
         return forward(model, x, t, c, params)
     null_id = model.config.null_class
@@ -165,26 +160,18 @@ def cfg_predict(model, x: Tensor, t, c, w: float, params=None, forward=unet_forw
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    steps: int = 25
-    guidance_scale: float = 7.5
-    eta: float = 0.0
-    seed: int = 0
+    steps: Count = 25
+    guidance_scale: NonNegative = 7.5
+    eta: Unit = 0.0
+    seed: Natural = 0
 
     def __post_init__(self):
         check_fields(self, "sampler ")
-        if self.steps < 1:
-            raise ConfigError(f"sampler steps must be >= 1, got {self.steps}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError(f"eta must be in [0, 1], got {self.eta}")
-        if not (math.isfinite(self.guidance_scale) and self.guidance_scale >= 0.0):
-            raise ConfigError(f"guidance_scale must be finite and >= 0, got {self.guidance_scale}")
-        check_seed("sampler seed", self.seed)
 
 
 def ddim_timesteps(timesteps: int, steps: int) -> list[int]:
     """Uniformly spaced decreasing timesteps from T down to 1, length ``steps``."""
-    if not 1 <= check_int("steps", steps) <= check_int("timesteps", timesteps):
-        raise ConfigError(f"steps must be in [1, {timesteps}], got {steps}")
+    check_int("steps", steps, Range(1, check_int("timesteps", timesteps)))
     ts = np.round(np.linspace(timesteps, 1, steps)).astype(int)
     return [int(t) for t in ts]
 
@@ -223,7 +210,7 @@ def ddim_sample(model, shape: tuple[int, int, int, int], cfg: SamplerConfig, c,
     if len(shape) != 4:
         raise ShapeError(f"ddim_sample: shape must be [N, C, H, W], got {shape}")
     rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal([check_int("ddim_sample: shape", d) for d in shape])
+    x = rng.standard_normal([check_int("ddim_sample: shape", d, AT_LEAST_1) for d in shape])
 
     def predict(arr: np.ndarray, t: int) -> np.ndarray:
         return cfg_predict(model, Tensor(arr), t, c, cfg.guidance_scale, params, forward).data

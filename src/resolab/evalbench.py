@@ -15,14 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapters import AdapterBundle, check_alpha, effective_param_map
+from .adapters import AdapterBundle, effective_param_map
 from .data import SyntheticDataset
 from .diffusion import (DiffusionSchedule, SamplerConfig, cfg_predict, ddim_denoise, ddim_sample,
                         forward_marginal, simple_loss)
-from .errors import ConfigError, NumericError, ShapeError, check_fields, check_int, check_seed, prefixed
+from .errors import (AT_LEAST_1, NON_NEGATIVE, ConfigError, Count, Natural, NumericError, Range,
+                     ShapeError, Unit, check_fields, check_int, prefixed)
 from .ops import _as_index_vector
 from .tensor import Tensor
-from .trainer import check_buckets, check_fit, draw_batch
+from .trainer import check_fit, draw_batch
 from .unet import UNetModel, unet_forward
 
 __all__ = [
@@ -38,24 +39,17 @@ HELDOUT_METRIC = "heldout_simple_loss"
 class EvalConfig:
     """The ``eval`` run-config section, and the inputs every evaluation entry point checks."""
 
-    buckets: tuple[tuple[int, int], ...] = ((8, 8), (16, 16), (24, 24), (32, 32))
-    n_batches: int = 4
-    batch_size: int = 4
-    seed: int = 0
-    alphas: tuple[float, ...] = (0.0, 0.5, 1.0)  # blend strengths of the ablation grid
+    buckets: tuple[tuple[Count, Count], ...] = ((8, 8), (16, 16), (24, 24), (32, 32))
+    n_batches: Count = 4
+    batch_size: Count = 4
+    seed: Natural = 0
+    alphas: tuple[Unit, ...] = (0.0, 0.5, 1.0)  # blend strengths of the ablation grid
 
     def __post_init__(self):
         check_fields(self, "eval.")
-        check_buckets("eval.buckets", self.buckets)
-        if not self.alphas:
-            raise ConfigError("eval.alphas must be non-empty")
-        for i, alpha in enumerate(self.alphas):
-            with prefixed(f"eval.alphas[{i}] "):
-                check_alpha(alpha)
-        if self.n_batches < 1 or self.batch_size < 1:
-            raise ConfigError(f"eval.n_batches and batch_size must be >= 1, "
-                              f"got {self.n_batches} and {self.batch_size}")
-        check_seed("eval.seed", self.seed)
+        for name in ("buckets", "alphas"):
+            if not getattr(self, name):
+                raise ConfigError(f"eval.{name} must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -175,12 +169,11 @@ def ablation_grid(model: UNetModel, bundle: AdapterBundle, modes, alphas,
 
 def tile_layout(target: tuple[int, int], tile: tuple[int, int], overlap: int):
     """Tile origins covering the target and the per-pixel coverage counts."""
-    th, tw = (check_int("target", side) for side in target)
-    h, w = (check_int("tile", side) for side in tile)
+    th, tw = (check_int("target", side, AT_LEAST_1) for side in target)
+    h, w = (check_int("tile", side, AT_LEAST_1) for side in tile)
     if h > th or w > tw:
         raise ShapeError(f"tile {h}x{w} larger than target {th}x{tw}")
-    if not 0 <= check_int("overlap", overlap) < min(h, w):
-        raise ConfigError(f"overlap must be in [0, min(tile)), got {overlap}")
+    check_int("overlap", overlap, Range(0, min(h, w), open_hi=True))
 
     def axis_positions(full: int, span: int) -> list[int]:
         stride = span - overlap
@@ -233,8 +226,7 @@ def bench_latency(model: UNetModel, bundle, target: tuple[int, int], tile: tuple
                   overlap: int, cfg: SamplerConfig, c, schedule: DiffusionSchedule,
                   repeats: int = 3, forward=unet_forward) -> dict:
     """Median wall-clock of direct generation at target vs tile-and-blend."""
-    if check_int("repeats", repeats) < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    check_int("repeats", repeats, AT_LEAST_1)
     tile_layout(target, tile, overlap)  # a bad layout fails before any timed run
     params = effective_param_map(model, bundle) if bundle is not None else None
     shape = (1, model.config.in_channels, target[0], target[1])
@@ -273,9 +265,9 @@ def bench_latency(model: UNetModel, bundle, target: tuple[int, int], tile: tuple
 def make_style_probes(dataset: SyntheticDataset, schedule: DiffusionSchedule,
                       resolution: int, n: int, seed: int):
     """Noised in-style images at the standard resolution, for shift probes."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int("seed", seed, NON_NEGATIVE))
     probes = []
-    for _ in range(n):
+    for _ in range(check_int("n", n, AT_LEAST_1)):
         k = int(rng.integers(0, dataset.num_classes))
         x0 = dataset.render(k, resolution, resolution, rng)[None]
         t = int(rng.integers(1, schedule.timesteps + 1))

@@ -35,7 +35,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, check_int, check_number
+from .errors import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, ConfigError, NumericError, Range,
+                     ShapeError, check_int, check_number)
 from .tensor import Tensor, active_tape
 
 __all__ = [
@@ -203,7 +204,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy batch broadcasting on leading dims."""
     if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul: operands must be >= 2-d, got {a.shape} and {b.shape}")
+        raise ShapeError(f"matmul: operands need at least 2 dims, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     try:
@@ -418,10 +419,8 @@ def _conv_shape(x_shape: tuple[int, ...], w: Tensor, b: Tensor | None, stride: i
         raise ShapeError(f"conv2d: input channel axis 1 has {c} channels, weight expects {ci}")
     if b is not None and b.shape != (co,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({co},)")
-    if check_int("conv2d: stride", stride) < 1:
-        raise ConfigError(f"conv2d: stride must be >= 1, got {stride}")
-    if check_int("conv2d: padding", padding) < 0:
-        raise ConfigError(f"conv2d: padding must be >= 0, got {padding}")
+    check_int("conv2d: stride", stride, AT_LEAST_1)
+    check_int("conv2d: padding", padding, NON_NEGATIVE)
     hp, wp = h + 2 * padding, wd + 2 * padding
     if hp < k or wp < k:
         raise ShapeError(f"conv2d: padded spatial dims ({hp}, {wp}) smaller than kernel {k}")
@@ -555,7 +554,7 @@ def _group_norm_check(x: Tensor, groups: int, gamma: Tensor, beta: Tensor) -> No
     if 0 in x.shape[1:]:  # a group of no values has no mean; an empty batch (N = 0) is fine
         raise ShapeError(f"group_norm: C, H and W must be positive, got {x.shape}")
     c = x.shape[1]
-    if check_int("group_norm: groups", groups) < 1 or c % groups != 0:
+    if c % check_int("group_norm: groups", groups, AT_LEAST_1):
         raise ConfigError(f"group_norm: channels {c} not divisible by groups {groups}")
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"group_norm: gamma/beta must be ({c},), got {gamma.shape} and {beta.shape}")
@@ -615,8 +614,7 @@ def _group_norm_backward(g: np.ndarray, x_shape: tuple[int, ...], need_x: bool, 
 def group_norm(x: Tensor, groups: int, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over channel groups (population variance), then affine."""
     _group_norm_check(x, groups, gamma, beta)
-    if not 0.0 < check_number("group_norm: eps", eps) < math.inf:
-        raise ConfigError(f"group_norm: eps must be finite and > 0, got {eps}")
+    check_number("group_norm: eps", eps, POSITIVE)
     xhat_g, istd = _group_norm_forward(x, groups, eps, [slice(None)])
     x_shape, need_x = x.shape, x.requires_grad
 
@@ -794,8 +792,7 @@ def embed_rows(weight: Tensor, ids) -> Tensor:
     # no ids (float64 to numpy) gather no rows; any other ids need an integer dtype
     idx = _as_index_vector(idx, len(idx), "embed_rows: ids") if len(idx) else idx.astype(np.intp)
     rows = weight.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise ConfigError(f"embed_rows: id out of range [0, {rows})")
+    Range(0, rows, open_hi=True).check_all("embed_rows: id", idx)
     data = weight.data[idx]
     w_shape = weight.shape
 

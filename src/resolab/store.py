@@ -28,7 +28,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from .adapters import AdapterBundle
-from .errors import ConfigError, ContainerError, NumericError
+from .errors import NON_NEGATIVE, ConfigError, ContainerError, NumericError, check_int
 from .tensor import Tensor
 from .unet import UNetConfig, UNetModel
 
@@ -147,9 +147,7 @@ def _model(config: dict, params: dict[str, Tensor]) -> UNetModel:
 
 
 def _bundle(config: dict, tensors: dict[str, Tensor]) -> AdapterBundle:
-    rank = config["rank"]
-    if not _is_count(rank):
-        raise ConfigError(f"rank must be a non-negative int, got {rank!r}")
+    rank = check_int("rank", config["rank"], NON_NEGATIVE)
     # the bundle checks its kind, alpha, fingerprint, sites and pairs
     bundle = AdapterBundle(kind=config["kind"], tensors=tensors, alpha=config["alpha_r"],
                            base_fingerprint=config["base_fingerprint"])

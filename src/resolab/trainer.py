@@ -9,7 +9,6 @@ leave their optimizer moments untouched.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,8 @@ import numpy as np
 from .adapters import effective_param_map
 from .data import SyntheticDataset
 from .diffusion import DiffusionSchedule, simple_loss
-from .errors import ConfigError, NumericError, check_fields, check_int, check_seed
+from .errors import (AT_LEAST_1, NON_NEGATIVE, POSITIVE, ConfigError, Count, Natural, NonNegative,
+                     NumericError, RATE, Rate, check_fields, check_int, check_number)
 from .tensor import Tape, Tensor
 from .unet import UNetConfig, UNetModel
 
@@ -30,10 +30,11 @@ __all__ = [
 
 def resolution_probs(resolutions, standard: int) -> np.ndarray:
     """Sampling weights proportional to squared distance from the standard size."""
-    xs = np.asarray(list(resolutions), dtype=np.int64)
-    if xs.ndim != 1 or xs.size == 0:
+    xs = np.array([check_int(f"resolutions[{i}]", x, AT_LEAST_1)
+                   for i, x in enumerate(resolutions)], dtype=np.int64)
+    if xs.size == 0:
         raise ConfigError("resolutions must be a non-empty 1-d list of edge lengths")
-    weights = (xs - int(standard)).astype(np.float64) ** 2
+    weights = (xs - check_int("standard", standard, AT_LEAST_1)).astype(np.float64) ** 2
     total = weights.sum()
     if total == 0.0:
         raise ConfigError(f"all resolutions equal the standard size {standard}; weights degenerate")
@@ -43,23 +44,13 @@ def resolution_probs(resolutions, standard: int) -> np.ndarray:
 def sample_resolution(probs, u: float) -> int:
     """Inverse-CDF draw: smallest index whose cumulative probability exceeds u."""
     p = np.asarray(probs, dtype=np.float64)
-    if not 0.0 <= u < 1.0:
-        raise ConfigError(f"u must be in [0, 1), got {u}")
+    check_number("u", u, RATE)
     cum = 0.0
     for i, pi in enumerate(p):
         cum += pi
         if cum > u:
             return i
     return int(p.size - 1)  # guards rounding at the tail
-
-
-def check_buckets(name: str, buckets) -> None:
-    """ConfigError if the (H, W) pairs ``buckets`` are none or a side is < 1."""
-    if not buckets:
-        raise ConfigError(f"{name} must be non-empty")
-    for hw in buckets:
-        if not 1 <= min(hw):
-            raise ConfigError(f"{name}: bucket sides must be >= 1, got {hw}")
 
 
 def check_fit(config: UNetConfig, dataset: SyntheticDataset, buckets=(), p_uncond=0.0) -> None:
@@ -84,8 +75,8 @@ def make_batch(dataset: SyntheticDataset, bucket: tuple[int, int], batch_size: i
                null_class: int | None = None) -> tuple[Tensor, np.ndarray]:
     """Render a batch at the bucket size; optionally drop labels to the null id."""
     h, w = bucket
-    if check_int("batch_size", batch_size) < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    check_int("batch_size", batch_size, AT_LEAST_1)
+    check_number("p_uncond", p_uncond, RATE)
     classes = rng.integers(0, dataset.num_classes, size=batch_size)
     imgs = np.stack([dataset.render(int(k), h, w, rng) for k in classes])
     labels = classes.astype(np.intp)
@@ -100,41 +91,25 @@ def make_batch(dataset: SyntheticDataset, bucket: tuple[int, int], batch_size: i
 
 @dataclass(frozen=True)
 class TrainPlan:
-    resolutions: tuple[tuple[int, int], ...]
-    standard_resolution: int
-    steps: int
+    resolutions: tuple[tuple[Count, Count], ...]
+    standard_resolution: Count
+    steps: Natural
     phase: str  # "base" | "adapter"
-    batch_size: int = 8
-    lr: float = 1e-4
-    adam_beta1: float = 0.95
-    adam_beta2: float = 0.99
-    weight_decay: float = 0.0
-    seed: int = 0
-    p_uncond: float = 0.1
+    batch_size: Count = 8
+    lr: NonNegative = 1e-4
+    adam_beta1: Rate = 0.95
+    adam_beta2: Rate = 0.99
+    weight_decay: NonNegative = 0.0
+    seed: Natural = 0
+    p_uncond: Rate = 0.1
     probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_fields(self, "")
-        # each range is written as not (lo <= x < hi) so that NaN fails it too
         if self.phase not in ("base", "adapter"):
             raise ConfigError(f"phase must be 'base' or 'adapter', got {self.phase!r}")
-        if not 0 <= self.steps:
-            raise ConfigError(f"steps must be >= 0, got {self.steps}")
-        if not 1 <= self.standard_resolution:
-            raise ConfigError(f"standard_resolution must be >= 1, got {self.standard_resolution}")
-        if not 1 <= self.batch_size:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.lr < math.inf:
-            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
-        for name, beta in (("adam_beta1", self.adam_beta1), ("adam_beta2", self.adam_beta2)):
-            if not 0.0 <= beta < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {beta}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
-        if not 0.0 <= self.p_uncond < 1.0:
-            raise ConfigError(f"p_uncond must lie in [0, 1), got {self.p_uncond}")
-        check_seed("plan seed", self.seed)
-        check_buckets("resolutions", self.resolutions)
+        if not self.resolutions:
+            raise ConfigError("resolutions must be non-empty")
         edges = [max(hw) for hw in self.resolutions]
         object.__setattr__(self, "probs", np.array([1.0]) if len(edges) == 1 else
                            resolution_probs(edges, self.standard_resolution))
@@ -181,11 +156,11 @@ class AdamW:
     def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.95,
                  beta2: float = 0.99, eps: float = 1e-8, weight_decay: float = 0.0):
         self.params = dict(params)
-        self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
+        self.lr = check_number("lr", lr, NON_NEGATIVE)
+        self.beta1 = check_number("beta1", beta1, RATE)
+        self.beta2 = check_number("beta2", beta2, RATE)
+        self.eps = check_number("eps", eps, POSITIVE)
+        self.weight_decay = check_number("weight_decay", weight_decay, NON_NEGATIVE)
         self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.counts = {k: 0 for k in self.params}

@@ -37,7 +37,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import ops
-from .errors import ConfigError, ResolutionError, ShapeError, check_fields, check_seed
+from .errors import (NON_NEGATIVE, ConfigError, Count, Natural, Range, ResolutionError,
+                     ShapeError, check_fields, check_int)
 from .tensor import Tensor
 
 __all__ = ["UNetConfig", "UNetModel", "build_unet", "unet_forward", "site_shapes"]
@@ -45,14 +46,14 @@ __all__ = ["UNetConfig", "UNetModel", "build_unet", "unet_forward", "site_shapes
 
 @dataclass(frozen=True)
 class UNetConfig:
-    in_channels: int = 1
-    base_channels: int = 8
-    channel_mults: tuple[int, ...] = (1, 2)
-    num_res_blocks_per_level: int = 2
-    groups: int = 8
+    in_channels: Count = 1
+    base_channels: Count = 8
+    channel_mults: tuple[Count, ...] = (1, 2)
+    num_res_blocks_per_level: Count = 2
+    groups: Count = 8
     attn_at_bottleneck: bool = True
-    time_embed_dim: int = 32
-    num_classes: int = 4
+    time_embed_dim: Count = 32
+    num_classes: Natural = 4
     null_class_reserved: bool = True
 
     @property
@@ -79,17 +80,10 @@ class UNetConfig:
 
     def __post_init__(self):
         check_fields(self, "model.")
-        for name in ("in_channels", "base_channels", "num_res_blocks_per_level", "groups"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if len(self.channel_mults) < 2:
             raise ConfigError("channel_mults needs at least 2 levels")
-        if any(m < 1 for m in self.channel_mults):
-            raise ConfigError(f"channel_mults must be positive ints, got {self.channel_mults}")
-        if self.time_embed_dim < 2 or self.time_embed_dim % 2:
-            raise ConfigError(f"time_embed_dim must be even and >= 2, got {self.time_embed_dim}")
-        if self.num_classes < 0:
-            raise ConfigError(f"num_classes must be >= 0, got {self.num_classes}")
+        if self.time_embed_dim % 2:
+            raise ConfigError(f"time_embed_dim must be even, got {self.time_embed_dim}")
         widest = max(self.level_channels)
         if self.time_embed_dim < widest:
             raise ConfigError(
@@ -192,7 +186,7 @@ def build_unet(config: UNetConfig, seed: int = 0) -> UNetModel:
     betas start at zero, norm gammas at one, and the output conv is zeroed so
     a fresh model predicts exactly zero noise.
     """
-    check_seed("model seed", seed)
+    check_int("model seed", seed, NON_NEGATIVE)
     shapes = site_shapes(config)
     rng = np.random.default_rng(seed)
     params: dict[str, Tensor] = {}
@@ -288,10 +282,8 @@ def unet_forward(model: UNetModel, x: Tensor, t, c=None, params: dict[str, Tenso
         if c is None:
             raise ConfigError("unet_forward: class ids required for a class-conditional model")
         c_ids = ops._as_index_vector(c, n, "c")
-        if c_ids.min() < 0 or c_ids.max() >= rows:
-            raise ConfigError(
-                f"unet_forward: class id out of range [0, {rows}) (null token = {config.num_classes})"
-            )
+        Range(0, rows, open_hi=True).check_all(
+            f"unet_forward: class id (null token = {config.num_classes})", c_ids)
         cond = ops.add(cond, ops.embed_rows(p["embed.class.weight"], c_ids))
 
     hidden = x

@@ -402,25 +402,25 @@ BUNDLE_CASES = [
     ("non_string_fingerprint", lambda p: _patch_config(p, BUNDLE_MAGIC, base_fingerprint=7),
      "base_fingerprint must be a string"),
     ("alpha_above_one", lambda p: _patch_config(p, BUNDLE_MAGIC, alpha_r=5.0),
-     "alpha_r must be a number in \\[0, 1\\]"),
+     "alpha_r must be in \\[0, 1\\], got 5.0"),
     ("alpha_negative", lambda p: _patch_config(p, BUNDLE_MAGIC, alpha_r=-0.5),
-     "alpha_r must be a number in \\[0, 1\\]"),
+     "alpha_r must be in \\[0, 1\\], got -0.5"),
     ("alpha_not_number", lambda p: _patch_config(p, BUNDLE_MAGIC, alpha_r="x"),
-     "alpha_r must be a number in \\[0, 1\\]"),
+     "alpha_r must be a number, got 'x'"),
     ("alpha_null", lambda p: _patch_config(p, BUNDLE_MAGIC, alpha_r=None),
-     "alpha_r must be a number in \\[0, 1\\]"),
+     "alpha_r must be a number, got None"),
     ("alpha_bool", lambda p: _patch_config(p, BUNDLE_MAGIC, alpha_r=True),
-     "alpha_r must be a number in \\[0, 1\\]"),
+     "alpha_r must be a number, got True"),
     ("alpha_nan", lambda p: _patch_config(p, BUNDLE_MAGIC, alpha_r=float("nan")),
-     "alpha_r must be a number in \\[0, 1\\]"),
+     "alpha_r must be in \\[0, 1\\], got nan"),
     ("rank_not_int", lambda p: _patch_config(p, BUNDLE_MAGIC, rank="x"),
-     "rank must be a non-negative int"),
+     "rank must be an integer, got 'x'"),
     ("rank_float", lambda p: _patch_config(p, BUNDLE_MAGIC, rank=2.0),
-     "rank must be a non-negative int"),
+     "rank must be an integer, got 2.0"),
     ("rank_negative", lambda p: _patch_config(p, BUNDLE_MAGIC, rank=-2),
-     "rank must be a non-negative int"),
+     r"rank must be in \[0, inf\), got -2"),
     ("rank_bool", lambda p: _patch_config(p, BUNDLE_MAGIC, rank=True),
-     "rank must be a non-negative int"),
+     "rank must be an integer, got True"),
     ("nan_payload", lambda p: _poison_payload(p, BUNDLE_MAGIC, np.nan), "non-finite value"),
     # a zero dim makes nbytes 0 whatever the other dims say; reshape would then raise ValueError
     ("shape_zero_dim_huge_dim",

@@ -113,7 +113,7 @@ def test_check_rank_is_the_rule_attach_applies(kind, attach):
         else:
             assert attach(model, rank=rank).rank == rank
     with pytest.raises(ConfigError, match=re.escape(
-            "rank 4 invalid for site down.0.sampler.conv.weight (must be in [1, 1])")):
+            "rank at down.0.sampler.conv.weight must be in [1, 1], got 4")):
         check_rank(UNetConfig(base_channels=1), "resadapter", 4)
 
 
@@ -138,7 +138,7 @@ def test_attach_builds_the_layout(config, kind, attach):
 def test_attach_rejects_negative_seed():
     for attach in (attach_resadapter, attach_style_lora):
         model = small_model()
-        with pytest.raises(ConfigError, match="adapter seed must be >= 0, got -1"):
+        with pytest.raises(ConfigError, match=re.escape("adapter seed must be in [0, inf), got -1")):
             attach(model, seed=-1)
         # rejected before freezing the base
         assert sum(t.size for t in model.params.values() if not t.requires_grad) == 0
@@ -444,10 +444,10 @@ BAD_BUNDLES = [
     ("site_of_other_kind", _style_site_pair, r"unknown site-path 'mid\.attn\.q\.weight\.lora\.A'"),
     ("norm_delta_on_style_lora", _norm_delta_on_style,
      r"unknown site-path 'down\.0\.res\.0\.norm1\.delta\.gamma' for a 'style-lora' bundle"),
-    ("alpha_above_one", lambda b: replace(b, alpha=5.0), r"alpha_r must be a number in \[0, 1\], got 5\.0"),
-    ("alpha_nan", lambda b: b.with_alpha(float("nan")), r"alpha_r must be a number in \[0, 1\], got nan"),
-    ("alpha_string", lambda b: b.with_alpha("x"), r"alpha_r must be a number in \[0, 1\], got 'x'"),
-    ("alpha_bool", lambda b: b.with_alpha(True), r"alpha_r must be a number in \[0, 1\], got True"),
+    ("alpha_above_one", lambda b: replace(b, alpha=5.0), r"alpha_r must be in \[0, 1\], got 5\.0"),
+    ("alpha_nan", lambda b: b.with_alpha(float("nan")), r"alpha_r must be in \[0, 1\], got nan"),
+    ("alpha_string", lambda b: b.with_alpha("x"), r"alpha_r must be a number, got 'x'"),
+    ("alpha_bool", lambda b: b.with_alpha(True), r"alpha_r must be a number, got True"),
     ("unknown_kind", lambda b: replace(b, kind="hyper"), "unknown bundle kind 'hyper'"),
     ("fingerprint_not_string", lambda b: replace(b, base_fingerprint=7),
      "base_fingerprint must be a string, got 7"),

@@ -281,7 +281,7 @@ def test_cfg_predict_guided_pass_rejects_bad_class_ids():
 def test_cfg_predict_rejects_ids_outside_the_model_classes(c, w):
     # id 2 is _cond_model's null token: as a condition it used to give an unconditional sample
     fwd = _RecordingForward(null_id=2)
-    with pytest.raises(ConfigError, match=r"class id (2|-1) outside the model's classes \[0, 2\)"):
+    with pytest.raises(ConfigError, match=r"^cfg_predict: class id must be in \[0, 2\), got (2|-1)$"):
         cfg_predict(_cond_model(), Tensor(np.zeros((2, 1, 4, 4))), 1, c, w, forward=fwd)
     assert fwd.calls == []
 

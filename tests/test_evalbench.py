@@ -155,10 +155,10 @@ def test_metadata_fields_present():
 
 _BAD_EVAL_INPUTS = [
     (dict(buckets=[]), "buckets must be non-empty"),
-    (dict(buckets=[(8, 8), (0, 8)]), "bucket sides must be >= 1"),
-    (dict(n_batches=0), "n_batches and batch_size must be >= 1"),
-    (dict(batch_size=0), "n_batches and batch_size must be >= 1"),
-    (dict(seed=-1), "seed must be >= 0, got -1"),
+    (dict(buckets=[(8, 8), (0, 8)]), r"eval\.buckets\[1\] must be in \[1, inf\), got 0"),
+    (dict(n_batches=0), r"eval\.n_batches must be in \[1, inf\), got 0"),
+    (dict(batch_size=0), r"eval\.batch_size must be in \[1, inf\), got 0"),
+    (dict(seed=-1), r"eval\.seed must be in \[0, inf\), got -1"),
     (dict(n_batches=2.5), r"eval\.n_batches must be an integer, got 2\.5"),
 ]
 
@@ -190,7 +190,7 @@ def test_eval_config_is_the_run_config_section_and_stores_normalised_values():
 
 @pytest.mark.parametrize("modes,alphas,message", [
     ([{"conv_lora"}], (), "eval.alphas must be non-empty"),
-    ([{"conv_lora"}], (0.5, 2.0), r"eval.alphas\[1\] must be a number in \[0, 1\], got 2.0"),
+    ([{"conv_lora"}], (0.5, 2.0), r"eval.alphas\[1\] must be in \[0, 1\], got 2.0"),
     ([], (1.0,), "modes must be non-empty"),
 ], ids=["no_alphas", "alpha_range", "no_modes"])
 def test_ablation_grid_checks_its_inputs_before_any_batch(modes, alphas, message, monkeypatch):
@@ -369,12 +369,12 @@ def test_bench_latency_keys_and_ratio():
 def test_bench_latency_repeats_validated():
     model = small_model()
     cfg = SamplerConfig(steps=2, guidance_scale=1.0, eta=0.0, seed=9)
-    with pytest.raises(ConfigError, match="repeats must be >= 1"):
+    with pytest.raises(ConfigError, match=r"repeats must be in \[1, inf\), got 0"):
         bench_latency(model, None, (16, 16), (8, 8), 0, cfg, [0], SCHED, repeats=0)
 
 
 @pytest.mark.parametrize("tile,overlap,error,message", [
-    ((16, 16), 16, ConfigError, r"overlap must be in \[0, min\(tile\)\), got 16"),
+    ((16, 16), 16, ConfigError, r"overlap must be in \[0, 16\), got 16"),
     ((32, 32), 0, ShapeError, "tile 32x32 larger than target 16x16"),
     ((8, 8), 2.5, ConfigError, "overlap must be an integer, got 2.5"),
     ((8.5, 8), 0, ConfigError, "tile must be an integer, got 8.5"),
@@ -457,7 +457,7 @@ def test_style_shift_rejects_a_probe_id_outside_the_model_classes():
     assert [int(c[0]) for _, _, c in probes] == [2, 3, 4, 1, 3, 0, 4, 0]
     model = build_unet(UNetConfig(), seed=0)
     bundle = attach_resadapter(model, rank=2, seed=1)
-    with pytest.raises(ConfigError, match=r"class id 4 outside the model's classes \[0, 4\)"):
+    with pytest.raises(ConfigError, match=r"class id must be in \[0, 4\), got 4"):
         style_shift(model, bundle, bundle, probes)
 
 

@@ -139,18 +139,18 @@ def test_channels_must_match_model():
 
 
 def test_negative_weight_decay_rejected():
-    with pytest.raises(ConfigError, match="weight_decay must be >= 0"):
+    with pytest.raises(ConfigError, match=r"train\.weight_decay must be in \[0, inf\), got -0\.5"):
         parse_runconfig({"train": {"weight_decay": -0.5}})
 
 
 def test_p_uncond_range_checked():
     for bad in (1.5, 1.0):  # 1.0 would drop every label
-        with pytest.raises(ConfigError, match=r"p_uncond must lie in \[0, 1\)"):
+        with pytest.raises(ConfigError, match=rf"train\.p_uncond must be in \[0, 1\), got {bad}"):
             parse_runconfig({"train": {"p_uncond": bad}})
 
 
 def test_alpha_r_range_checked():
-    with pytest.raises(ConfigError, match=r"train.alpha_r must be a number in \[0, 1\], got 1.5"):
+    with pytest.raises(ConfigError, match=r"train.alpha_r must be in \[0, 1\], got 1.5"):
         parse_runconfig({"train": {"alpha_r": 1.5}})
 
 
@@ -161,13 +161,13 @@ def test_empty_eval_buckets_rejected():
 
 @pytest.mark.parametrize("bucket", [[0, 8], [8, 0], [-8, 8]])
 def test_eval_bucket_sides_checked_at_load(bucket):
-    with pytest.raises(ConfigError, match=r"eval.buckets: bucket sides must be >= 1"):
+    with pytest.raises(ConfigError, match=rf"eval.buckets\[1\] must be in \[1, inf\), got {min(bucket)}"):
         parse_runconfig({"eval": {"buckets": [[8, 8], bucket]}})
 
 
 @pytest.mark.parametrize("alpha", [2.0, -0.1, float("nan"), float("inf")])
 def test_eval_alphas_range_checked(alpha):
-    with pytest.raises(ConfigError, match=r"eval.alphas\[1\] must be a number in \[0, 1\]"):
+    with pytest.raises(ConfigError, match=rf"eval.alphas\[1\] must be in \[0, 1\], got {alpha}"):
         parse_runconfig({"eval": {"alphas": [0.5, alpha]}})
 
 
@@ -204,7 +204,7 @@ def test_readme_defaults_block_equals_the_code():
 
 @pytest.mark.parametrize("section,name", [("train", "train.seed"), ("eval", "eval.seed")])
 def test_negative_seed_rejected(section, name):
-    with pytest.raises(ConfigError, match=f"{name} must be >= 0, got -3"):
+    with pytest.raises(ConfigError, match=rf"{name} must be in \[0, inf\), got -3"):
         parse_runconfig({section: {"seed": -3}})
 
 
@@ -365,7 +365,8 @@ _PARSED = _parsed_leaves()
 
 # Documents that once parsed and then failed in a command; each rule now also runs at load.
 _FAIL_AT_LOAD = [
-    ("model", "base_channels", 1, r"train.rank: rank 4 invalid for site down.0.sampler"),
+    ("model", "base_channels", 1,
+     r"train.rank: rank at down.0.sampler.conv.weight must be in \[1, 1\], got 4"),
     ("model", "num_classes", 0, r"train \(base phase\): p_uncond 0.1 > 0 needs a model that"),
     ("model", "null_class_reserved", False, r"train \(base phase\): p_uncond 0.1 > 0"),
     ("train", "standard_resolution", 1, r"train \(base phase\): bucket 1x1 not divisible"),
@@ -384,18 +385,28 @@ def test_documents_that_would_fail_in_a_command_fail_at_load(section, key, value
         parse_runconfig({section: {key: value}})
 
 
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "resolab"
 _RULE_FRAGMENTS = ["must equal model.in_channels", "must not exceed model.num_classes",
-                   "not divisible by the model's spatial divisor", "invalid for site",
-                   "n_batches and batch_size must be >= 1", '"eval.seed"',
-                   "must be a number in [0, 1]"]
+                   "not divisible by the model's spatial divisor", 'f"rank at {site}"',
+                   "must be in {self}"]
 
 
 def test_each_rule_between_a_runs_parts_has_one_home():
     # the commands and the loader call one check per rule; the loader adds none of its own
-    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "resolab"
-    text = "".join(path.read_text(encoding="utf-8") for path in sorted(src.glob("*.py")))
+    text = "".join(path.read_text(encoding="utf-8") for path in sorted(_SRC.glob("*.py")))
     assert {f: text.count(f) for f in _RULE_FRAGMENTS} == dict.fromkeys(_RULE_FRAGMENTS, 1)
     assert "raise" not in inspect.getsource(RunConfig.__post_init__)
+
+
+_INTERVAL_WORDINGS = ["must be >", "must be <", "must lie in", "must be in [", "must be in (",
+                      "finite and >"]
+
+
+def test_every_interval_refusal_comes_from_the_one_range_rule():
+    # errors.Range words every out-of-range refusal; no other module builds one itself
+    found = {(path.name, w) for path in _SRC.glob("*.py") if path.name != "errors.py"
+             for w in _INTERVAL_WORDINGS if w in path.read_text(encoding="utf-8")}
+    assert found == set()
 
 
 def test_the_other_single_leaf_documents_still_parse():

@@ -88,7 +88,7 @@ def test_build_is_deterministic_and_initialized_by_role():
 
 
 def test_build_rejects_negative_seed():
-    with pytest.raises(ConfigError, match="model seed must be >= 0, got -1"):
+    with pytest.raises(ConfigError, match=r"model seed must be in \[0, inf\), got -1"):
         build_unet(TINY, seed=-1)
 
 
